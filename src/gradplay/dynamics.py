@@ -11,7 +11,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .simplex import TangentBasis, project_to_simplex
+from .simplex import NonFiniteInputError, TangentBasis, project_to_simplex
 
 __all__ = [
     "GradientPlay",
@@ -42,7 +42,7 @@ def softmax(v, temperature: float) -> np.ndarray:
         raise ValueError("temperature must be positive")
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
-        raise ValueError("softmax input must be finite")
+        raise NonFiniteInputError("softmax input must be finite")
     z = np.exp((v - np.max(v)) / temperature)
     return z / np.sum(z)
 
@@ -160,7 +160,7 @@ def _check_payoff(p, k: int) -> np.ndarray:
     if p.shape != (k,):
         raise ValueError(f"payoff has shape {p.shape}, expected ({k},)")
     if not np.all(np.isfinite(p)):
-        raise ValueError("payoff entries must be finite")
+        raise NonFiniteInputError("payoff entries must be finite")
     return p
 
 

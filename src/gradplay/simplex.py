@@ -7,12 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NonFiniteInputError",
     "TangentBasis",
     "project_to_simplex",
     "tangent_basis",
     "to_local",
     "from_local",
 ]
+
+
+class NonFiniteInputError(ValueError):
+    """A projection or learning-rule input has an infinite or NaN entry."""
 
 
 def project_to_simplex(x) -> np.ndarray:
@@ -26,7 +31,7 @@ def project_to_simplex(x) -> np.ndarray:
     if x.ndim != 1 or x.size == 0:
         raise ValueError("project_to_simplex expects a nonempty 1-D vector")
     if not np.all(np.isfinite(x)):
-        raise ValueError("project_to_simplex expects finite entries")
+        raise NonFiniteInputError("project_to_simplex expects finite entries")
     # projection commutes with constant shifts; anchoring the max at zero
     # keeps the water-level arithmetic exact for entries of any magnitude
     x = x - np.max(x)

@@ -3,6 +3,13 @@
 Players are coupled only through their payoff streams: at every integrator
 stage each player's payoff is recomputed from the current opponent strategies,
 and the per-player rules never see the game matrices directly.
+
+Every run is fixed-step RK4. For the projection family (gradient play and
+higher-order gradient play) the only nonlinearity is the simplex projection,
+so on a fixed projection support the flow is affine and one RK4 step is an
+affine map. simulate_coupled applies that map block by block, per support
+region, and takes the steps where the support changes as plain RK4. Other
+rules, and the open loop, evaluate every stage through dynamics.derivative.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .games import (
     verify_ne,
 )
 from .linearize import GameLocalMatrix, _local_matrix_raw, assemble_closed_loop
-from .simplex import tangent_basis
+from .simplex import NonFiniteInputError, project_to_simplex, tangent_basis
 
 __all__ = [
     "SimConfig",
@@ -52,7 +59,10 @@ __all__ = [
 
 
 class NonFiniteStateError(RuntimeError):
-    """Raised when the integrated state stops being finite."""
+    """Raised when an RK4 stage input or the integrated state stops being finite.
+
+    time is the end of the step at which that happens.
+    """
 
     def __init__(self, time: float):
         super().__init__(f"nonfinite state encountered at t = {time:g}")
@@ -145,20 +155,6 @@ class Trajectory:
         return [self.limit[self.layout.x_slice(i)].copy() for i in range(self.layout.n)]
 
 
-def _project_floats(vals):
-    """Simplex projection on a plain float list (mirrors simplex.project_to_simplex)."""
-    top = max(vals)
-    u = sorted(vals, reverse=True)
-    css = 0.0
-    theta = top
-    for m, um in enumerate(u, start=1):
-        css += um - top
-        t = (css - 1.0) / m + top
-        if um > t:
-            theta = t
-    return [v - theta if v > theta else 0.0 for v in vals]
-
-
 def _projection_family(specs) -> bool:
     return all(
         isinstance(s, (dyn.GradientPlay, dyn.HigherOrderGradientPlay)) for s in specs
@@ -166,12 +162,11 @@ def _projection_family(specs) -> bool:
 
 
 def _linear_operators(game: PolymatrixGame, specs, bases, layout: StateLayout):
-    """Pre-projection argument map and aux-derivative map for the fast path.
+    """Pre-projection argument map and aux-derivative map of the projection family.
 
     For gradient-play family players the only nonlinearity is the simplex
     projection; the projection argument x_i + p~_i and the aux derivatives are
-    linear in the flat state, so one matrix-vector product per stage computes
-    them all.
+    linear in the flat state: y' = [proj(PRE y) - x; AUX y].
     """
     dim = layout.dim
     PRE = np.zeros((layout.nx, dim))
@@ -210,27 +205,9 @@ def _linear_operators(game: PolymatrixGame, specs, bases, layout: StateLayout):
     return PRE, AUX
 
 
-def _coupled_deriv(game: PolymatrixGame, specs, bases, layout: StateLayout):
+def _generic_deriv(game: PolymatrixGame, specs, bases, layout: StateLayout):
+    """Per-stage derivative that delegates each player's rule to dynamics.derivative."""
     nx = layout.nx
-    if _projection_family(specs):
-        PRE, AUX = _linear_operators(game, specs, bases, layout)
-        bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
-        has_aux = AUX.shape[0] > 0
-
-        def deriv(t, y, out):
-            arg = PRE @ y
-            vals = arg.tolist()
-            proj = []
-            for a, b in bounds:
-                proj += _project_floats(vals[a:b])
-            out[:nx] = proj
-            out[:nx] -= y[:nx]
-            if has_aux:
-                out[nx:] = AUX @ y
-
-        return deriv
-
-    # Generic path: delegate each player's rule to dynamics.derivative.
     PAY = np.zeros((nx, nx))
     for (i, j), M in game.pair_matrices.items():
         PAY[layout.x_slice(i), layout.x_slice(j)] = M
@@ -249,56 +226,203 @@ def _coupled_deriv(game: PolymatrixGame, specs, bases, layout: StateLayout):
     return deriv
 
 
-def _integrate(deriv, y0: np.ndarray, cfg: SimConfig):
-    h = cfg.step
-    n_steps = max(1, int(round(cfg.horizon / h)))
-    stride = cfg.record_stride
-    rec_steps = list(range(0, n_steps + 1, stride))
+def _recording(y0: np.ndarray, cfg: SimConfig):
+    """Recorded step indices, their times, the state buffer, and a working copy of y0."""
+    n_steps = max(1, int(round(cfg.horizon / cfg.step)))
+    rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
     if rec_steps[-1] != n_steps:
         rec_steps.append(n_steps)
-    times = np.empty(len(rec_steps))
-    states = np.empty((len(rec_steps), y0.size))
-    y = y0.astype(float).copy()
-    k1 = np.empty_like(y)
-    k2 = np.empty_like(y)
-    k3 = np.empty_like(y)
-    k4 = np.empty_like(y)
-    tmp = np.empty_like(y)
-    times[0] = 0.0
+    y = y0.astype(float)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteStateError(0.0)
+    states = np.empty((len(rec_steps), y.size))
     states[0] = y
-    rec = 1
-    next_rec = rec_steps[rec] if rec < len(rec_steps) else -1
-    for step in range(1, n_steps + 1):
-        t = (step - 1) * h
-        try:
-            deriv(t, y, k1)
-            np.multiply(k1, 0.5 * h, out=tmp)
-            tmp += y
-            deriv(t + 0.5 * h, tmp, k2)
-            np.multiply(k2, 0.5 * h, out=tmp)
-            tmp += y
-            deriv(t + 0.5 * h, tmp, k3)
-            np.multiply(k3, h, out=tmp)
-            tmp += y
-            deriv(t + h, tmp, k4)
-        except ValueError as exc:
-            # overflow inside a stage evaluation; shape errors re-raise
-            if "finite" in str(exc):
-                raise NonFiniteStateError(step * h) from exc
-            raise
-        k2 += k3
-        k2 *= 2.0
-        k1 += k2
-        k1 += k4
-        k1 *= h / 6.0
-        y += k1
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteStateError(step * h)
-        if step == next_rec:
-            times[rec] = step * h
-            states[rec] = y
-            rec += 1
-            next_rec = rec_steps[rec] if rec < len(rec_steps) else -1
+    return rec_steps, np.array(rec_steps) * cfg.step, states, y
+
+
+def _rk4_step(deriv, step: int, h: float, y: np.ndarray, bufs) -> None:
+    """Advance y in place by the classical RK4 step ending at time step * h.
+
+    Raises NonFiniteStateError with that time when a stage rejects a
+    non-finite input (NonFiniteInputError) or the new state is not finite.
+    """
+    k1, k2, k3, k4, tmp = bufs
+    t = (step - 1) * h
+    try:
+        deriv(t, y, k1)
+        np.multiply(k1, 0.5 * h, out=tmp)
+        tmp += y
+        deriv(t + 0.5 * h, tmp, k2)
+        np.multiply(k2, 0.5 * h, out=tmp)
+        tmp += y
+        deriv(t + 0.5 * h, tmp, k3)
+        np.multiply(k3, h, out=tmp)
+        tmp += y
+        deriv(t + h, tmp, k4)
+    except NonFiniteInputError as exc:
+        raise NonFiniteStateError(step * h) from exc
+    k2 += k3
+    k2 *= 2.0
+    k1 += k2
+    k1 += k4
+    k1 *= h / 6.0
+    y += k1
+    if not np.isfinite(y).all():
+        raise NonFiniteStateError(step * h)
+
+
+def _integrate(deriv, y0: np.ndarray, cfg: SimConfig):
+    """Fixed-step RK4 evaluating deriv at every stage: generic rules and the open loop."""
+    rec_steps, times, states, y = _recording(y0, cfg)
+    bufs = [np.empty_like(y) for _ in range(5)]
+    step = 0
+    for rec, stop in enumerate(rec_steps[1:], start=1):
+        while step < stop:
+            step += 1
+            _rk4_step(deriv, step, cfg.step, y, bufs)
+        states[rec] = y
+    return times, states
+
+
+# Longest run of RK4 steps one cached region check covers (the record stride
+# caps it further).
+_MAX_BLOCK = 64
+# A jump is taken only while a norm bound keeps every stage quantity of the
+# reference RK4 steps below this, far from overflow.
+_SAFE_MAGNITUDE = 1e300
+
+
+@dataclass(frozen=True)
+class _Region:
+    """RK4 on one projection-support pattern S, where the flow is y' = A_S y + b_S.
+
+    After j steps the state is powers[j] @ y + offsets[j]. The rows of
+    checks @ y + check_offsets are the KKT margins of the four stage
+    projection arguments of steps 0, 1, ... (step-major): all are >= 0
+    exactly when every stage projection has support S, so that those steps
+    are the affine map. limit is the largest |y|_inf at which a jump of the
+    cached length stays clear of overflow.
+    """
+
+    powers: np.ndarray
+    offsets: np.ndarray
+    checks: np.ndarray
+    check_offsets: np.ndarray
+    limit: float
+
+
+def _build_region(mask, PRE, AUX, bounds, h: float, length: int, growth: float) -> _Region:
+    nx, dim = PRE.shape
+    W = np.zeros((nx, nx))
+    r = np.zeros(nx)
+    for lo, hi in bounds:
+        s = mask[lo:hi]
+        W[lo:hi, lo:hi] = s / s.sum()
+        r[lo:hi] = 1.0 / s.sum()
+    # With theta = (1_S^T z - 1) / |S| per player, R z + r = z - theta. The
+    # projection of z is (R z + r) on S and 0 off S exactly when that residual
+    # is >= 0 on S and <= 0 off S; sign turns both into ">= 0" margins.
+    R = np.eye(nx) - W
+    sign = np.where(mask, 1.0, -1.0)
+    A = np.vstack([mask[:, None] * (R @ PRE) - np.eye(nx, dim), AUX])
+    hb = h * np.concatenate([mask * r, np.zeros(dim - nx)])
+    Z = h * A
+    eye = np.eye(dim)
+    # stage states Y_s = T_s y + t_s of one RK4 step on y' = A y + b
+    T, t = [eye], [np.zeros(dim)]
+    for c in (0.5, 0.5, 1.0):
+        T.append(eye + c * Z @ T[-1])
+        t.append(c * (Z @ t[-1] + hb))
+    M = eye + Z @ (T[0] + 2 * T[1] + 2 * T[2] + T[3]) / 6.0
+    m = Z @ (t[0] + 2 * t[1] + 2 * t[2] + t[3]) / 6.0 + hb
+    RP = sign[:, None] * (R @ PRE)
+    Q = np.vstack([RP @ Ts for Ts in T])
+    q = np.concatenate([RP @ ts + sign * r for ts in t])
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [eye]
+        offsets = [np.zeros(dim)]
+        for _ in range(length):
+            powers.append(M @ powers[-1])
+            offsets.append(M @ offsets[-1] + m)
+        powers = np.array(powers)
+        offsets = np.array(offsets)
+        checks = (Q @ powers[:length]).reshape(-1, dim)
+        check_offsets = (offsets[:length] @ Q.T + q).ravel()
+        # |state| <= P |y| + C over the block, and every stage quantity of a
+        # step from a state of size Y is below growth * (Y + 1)
+        P = np.abs(powers).sum(axis=2).max()
+        C = np.abs(offsets).max()
+        limit = float((_SAFE_MAGNITUDE / growth - C - 1.0) / P)
+    return _Region(powers, offsets, checks, check_offsets, limit)
+
+
+def _propagate_regions(game: PolymatrixGame, specs, bases, layout: StateLayout, y0, cfg):
+    """Projection-family RK4 taken as its own step map, region by region.
+
+    On a fixed projection support the dynamics are y' = A_S y + b_S, and one
+    RK4 step is exactly the affine map y -> M_S y + m_S. For each support seen,
+    the powers of that map and the stacked KKT margins of every stage of the
+    next B steps are cached (B is the record stride, at most _MAX_BLOCK). One
+    matrix-vector product then shows whether all 4B stage projections keep the
+    support; if so the state jumps to the end of the block. Otherwise it jumps
+    to the first step that leaves the support, takes that step as plain RK4
+    with each stage's own projection, and detects the support again.
+    """
+    PRE, AUX = _linear_operators(game, specs, bases, layout)
+    nx = layout.nx
+    h = cfg.step
+    bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
+    length = min(cfg.record_stride, _MAX_BLOCK)
+    rows = 4 * nx
+    # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
+    # any support (|R|_inf <= 2), so growth bounds every RK4 stage quantity
+    a = 2.0 * np.abs(PRE).sum(axis=1).max() + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
+    growth = 16.0 * a * (1.0 + h * a) ** 4
+
+    def project(z):
+        return np.concatenate([project_to_simplex(z[lo:hi]) for lo, hi in bounds])
+
+    def deriv(t, y, out):
+        out[:nx] = project(PRE @ y) - y[:nx]
+        out[nx:] = AUX @ y
+
+    regions = {}
+
+    def region_at(y):
+        if not np.abs(y).max() <= _SAFE_MAGNITUDE / growth:
+            return None
+        mask = project(PRE @ y) > 0
+        key = mask.tobytes()
+        if key not in regions:
+            regions[key] = _build_region(mask, PRE, AUX, bounds, h, length, growth)
+        return regions[key]
+
+    rec_steps, times, states, y = _recording(y0, cfg)
+    bufs = [np.empty_like(y) for _ in range(5)]
+    step = 0
+    region = None
+    for rec, stop in enumerate(rec_steps[1:], start=1):
+        while step < stop:
+            n = min(length, stop - step)
+            if region is None:
+                region = region_at(y)
+            if region is None or not np.abs(y).max() <= region.limit:
+                # close to overflow: plain steps report the reference's failing step
+                for _ in range(n):
+                    step += 1
+                    _rk4_step(deriv, step, h, y, bufs)
+                region = None
+                continue
+            ok = region.checks[: n * rows] @ y + region.check_offsets[: n * rows] >= 0
+            j = n if ok.all() else int(np.argmin(ok.reshape(n, rows).all(axis=1)))
+            if j:
+                y = region.powers[j] @ y + region.offsets[j]
+                step += j
+            if j < n:
+                step += 1
+                _rk4_step(deriv, step, h, y, bufs)
+                region = None
+        states[rec] = y
     return times, states
 
 
@@ -329,6 +453,11 @@ def simulate_coupled(
     v0="steady",
 ) -> Trajectory:
     """Integrate all players in feedback through the game with fixed-step RK4.
+
+    If every spec is gradient play or higher-order gradient play, RK4 runs as
+    its own step map on each projection-support region, with plain RK4 steps
+    where the support changes; this agrees with per-stage RK4 to rounding.
+    Other specs go stage by stage through dynamics.derivative.
 
     Auxiliary states start at zero unless xi0 is given.  The washout states
     start at their steady value for the initial payoffs (v0="steady", no
@@ -367,8 +496,10 @@ def simulate_coupled(
             if v.shape != (layout.washout_dims[i],):
                 raise ValueError(f"v0[{i}] has shape {v.shape}")
             y0[layout.v_slice(i)] = v
-    deriv = _coupled_deriv(game, specs, bases, layout)
-    times, states = _integrate(deriv, y0, cfg)
+    if _projection_family(specs):
+        times, states = _propagate_regions(game, specs, bases, layout, y0, cfg)
+    else:
+        times, states = _integrate(_generic_deriv(game, specs, bases, layout), y0, cfg)
     return _finish(times, states, layout, cfg)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gradplay.simulate as sim
@@ -11,7 +12,7 @@ from gradplay.dynamics import (
     make_anticipatory,
 )
 from gradplay.games import make_jordan, uniform_profile
-from gradplay.simplex import tangent_basis
+from gradplay.simplex import project_to_simplex, tangent_basis
 from gradplay.simulate import (
     NonFiniteStateError,
     SimConfig,
@@ -21,6 +22,8 @@ from gradplay.simulate import (
     simulate_coupled,
     simulate_open_loop,
 )
+
+from conftest import random_mixed_ne_game
 
 
 def offset_init(game, offset=0.05):
@@ -69,6 +72,84 @@ def test_fast_and_generic_paths_agree(monkeypatch):
     assert_allclose(fast.states, generic.states, atol=1e-10)
 
 
+def _support_left_full(traj, game, specs):
+    # whether some recorded state projects onto a face of a simplex
+    bases = [tangent_basis(k) for k in game.dims]
+    PRE, _ = sim._linear_operators(game, specs, bases, traj.layout)
+    for y in traj.states:
+        z = PRE @ y
+        for i in range(traj.layout.n):
+            if np.any(project_to_simplex(z[traj.layout.x_slice(i)]) == 0.0):
+                return True
+    return False
+
+
+PRESET_RUNS = [
+    ("jordan-single", {"h": 0.02, "horizon": 4.0}, False),
+    ("jordan-random", {"h": 0.02, "horizon": 4.0}, False),
+    ("jordan-diagonal", {"h": 0.02, "horizon": 4.0}, False),
+    ("jordan-rescaled", {"h": 0.02, "horizon": 4.0}, False),
+    ("coordination-stabilize", {"h": 0.02, "horizon": 4.0}, False),
+    # the saturating variants of conftest, shortened through h and horizon
+    ("jordan-diagonal", {"deltas": (0.8831, 0.4259, 0.7546), "h": 0.04, "horizon": 30.0}, True),
+    ("jordan-rescaled", {"mu": 5.0, "h": 0.02, "horizon": 4.0}, True),
+    ("jordan-rescaled", {"mu": 0.1, "h": 0.1, "horizon": 62.0}, True),
+]
+
+
+@pytest.mark.parametrize("name,overrides,saturates", PRESET_RUNS)
+def test_presets_match_per_stage_reference(monkeypatch, name, overrides, saturates):
+    fast = run_scenario(name, overrides)
+    monkeypatch.setattr(sim, "_projection_family", lambda specs: False)
+    ref = run_scenario(name, overrides)
+    assert_allclose(fast.trajectory.states, ref.trajectory.states, rtol=0, atol=1e-10)
+    assert_array_equal(fast.trajectory.times, ref.trajectory.times)
+
+    def verdict(r):
+        return (r.verdict.stable, r.converged, r.consistent, r.diverged)
+
+    assert verdict(fast) == verdict(ref)
+    plan = sim._COUPLED_PLANS[name](overrides)
+    assert _support_left_full(fast.trajectory, plan.game, plan.specs) == saturates
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([5.0, 50.0]),
+    stride=st.sampled_from([1, 7, 200]),
+)
+def test_region_propagator_matches_per_stage_reference(monkeypatch, seed, lam, stride):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    dims = [int(rng.integers(2, 5)) for _ in range(n)]
+    game, _ = random_mixed_ne_game(rng, n=n, dims=dims)
+    specs = [
+        make_anticipatory(lam, float(rng.uniform(0.1, 1.0)), k)
+        if rng.random() < 0.5
+        else GradientPlay()
+        for k in dims
+    ]
+    init = []
+    for k in dims:
+        x = rng.random(k) + 0.1
+        if rng.random() < 0.5:
+            x[rng.integers(k)] = 0.0  # boundary start
+        init.append(x / x.sum())
+    # 95 steps: stride 7 does not divide the run, stride 200 exceeds it
+    cfg = SimConfig(step=0.01, horizon=0.95, record_stride=stride)
+    fast = simulate_coupled(game, specs, init, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_projection_family", lambda specs: False)
+        ref = simulate_coupled(game, specs, init, cfg)
+    assert_array_equal(fast.times, ref.times)
+    assert_allclose(fast.states, ref.states, rtol=0, atol=1e-10)
+
+
 def test_mixed_variants_use_generic_path():
     g = make_jordan()
     specs = [make_anticipatory(5.0, 1.0, 2), Replicator(), SmoothFictitiousPlay(0.5)]
@@ -104,6 +185,27 @@ def test_payoffs_recomputed_each_stage():
     cfg = SimConfig(step=h, horizon=2 * h, record_stride=1)
     traj = simulate_coupled(g, [GradientPlay()] * 3, init, cfg)
     assert_allclose(traj.states[-1], y, atol=1e-13)
+
+
+def test_coupled_nonfinite_time_matches_per_stage_reference(monkeypatch):
+    # an anticipatory-style compensator with an unstable E overflows; the
+    # region propagator must report the step the per-stage reference reports
+    g = make_jordan()
+    spec = HigherOrderGradientPlay(E=[[100.0]], F=[[100.0]], G=[[-100.0]], H=[[100.0]])
+    specs = [spec, GradientPlay(), GradientPlay()]
+    times = {}
+    for stride in (7, 64):
+        cfg = SimConfig(step=0.01, horizon=50.0, record_stride=stride)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteStateError) as err:
+                simulate_coupled(g, specs, offset_init(g), cfg)
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_projection_family", lambda specs: False)
+                with pytest.raises(NonFiniteStateError) as ref:
+                    simulate_coupled(g, specs, offset_init(g), cfg)
+        assert err.value.time == ref.value.time
+        times[stride] = err.value.time
+    assert times[7] == times[64] > 0
 
 
 def test_nonfinite_state_aborts_with_time():
