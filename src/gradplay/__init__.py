@@ -58,6 +58,8 @@ from .linearize import (
     GameLocalMatrix,
     RescaledJordanDecomposition,
     assemble_closed_loop,
+    assemble_flow_operators,
+    assemble_game_loop,
     assemble_local_game,
     assemble_plant,
     assemble_rescaled_jordan,

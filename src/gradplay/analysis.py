@@ -16,12 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .games import PolymatrixGame
-from .linearize import (
-    DecentralizedPlant,
-    GameLocalMatrix,
-    _local_matrix_raw,
-    assemble_closed_loop,
-)
+from .linearize import DecentralizedPlant, GameLocalMatrix, assemble_game_loop
 from .simplex import tangent_basis
 
 __all__ = [
@@ -434,17 +429,13 @@ def robustness_probe(
     """
     if max_delta <= 0:
         raise ValueError("max_delta must be positive")
-    bases = [tangent_basis(k) for k in game.dims]
-    dims = game.dims
 
     def loop_stable(delta: float) -> bool:
         mats = dict(game.pair_matrices)
         for key, d in direction.items():
             d = np.asarray(d, dtype=float)
             mats[key] = game.pair(*key) + delta * d
-        perturbed = PolymatrixGame(dims, mats)
-        M = _local_matrix_raw(perturbed, bases)
-        J = assemble_closed_loop(GameLocalMatrix(M, dims), list(specs)).matrix
+        J = assemble_game_loop(PolymatrixGame(game.dims, mats), specs).matrix
         return float(np.max(np.linalg.eigvals(J).real)) < -tol
 
     if not loop_stable(0.0):

@@ -31,7 +31,7 @@ from .games import (
     uniform_profile,
     verify_ne,
 )
-from .linearize import assemble_closed_loop, assemble_local_game, assemble_plant
+from .linearize import assemble_closed_loop, assemble_game_loop, assemble_local_game, assemble_plant
 from .simulate import (
     NonFiniteStateError,
     SimConfig,
@@ -90,6 +90,8 @@ def game_from_json(doc: dict) -> PolymatrixGame:
             if key in mats:
                 raise ValueError(f"duplicate pair matrix {key}")
             mats[key] = np.asarray(entry["rows"], dtype=float)
+            if not np.isfinite(mats[key]).all():
+                raise ValueError(f"pair matrix {key} has non-finite entries")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed game document: {exc}") from exc
     return PolymatrixGame(dims, mats)
@@ -318,10 +320,7 @@ def _cmd_sweep(args) -> int:
         grid = np.array([args.mu_min])
     else:
         grid = np.logspace(np.log10(args.mu_min), np.log10(args.mu_max), args.points)
-
-    from .simulate import _loop_matrix
-
-    sweep = gain_sweep(lambda g: _loop_matrix(make_jordan(g), specs), grid)
+    sweep = gain_sweep(lambda g: assemble_game_loop(make_jordan(g), specs).matrix, grid)
     write_sweep_csv(args.out, sweep)
     _emit(
         {

@@ -103,7 +103,8 @@ def validate_profile(game: PolymatrixGame, profile) -> list:
         x = np.asarray(x, dtype=float)
         if x.shape != (game.dims[i],):
             raise ValueError(f"strategy {i} has shape {x.shape}, expected ({game.dims[i]},)")
-        if np.min(x) < -1e-12 or abs(float(np.sum(x)) - 1.0) > 1e-12:
+        # "not <=" so that a NaN or infinite entry (sum NaN or infinite) fails too
+        if np.min(x) < -1e-12 or not abs(float(np.sum(x)) - 1.0) <= 1e-12:
             raise ValueError(f"strategy {i} is not a probability vector")
         out.append(x)
     return out

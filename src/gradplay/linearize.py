@@ -1,9 +1,10 @@
-"""Local matrices around a completely mixed equilibrium.
+"""Local matrices around a completely mixed equilibrium, and the simulator's flow.
 
-Everything here lives in tangent coordinates w_i = N_i^T (x_i - x_i*): the
-reduced game coupling matrix, the closed-loop dynamics of higher-order
-gradient play, the open-loop plant split into per-player input/output
-channels, and the rescaled anti-coordination loop with its gain decomposition.
+In tangent coordinates w_i = N_i^T (x_i - x_i*): the reduced game coupling
+matrix, the closed-loop dynamics of higher-order gradient play, the open-loop
+plant split into per-player input/output channels, and the rescaled
+anti-coordination loop with its gain decomposition. The same loop builder
+also gives the simulator's affine flow operators in full coordinates.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .dynamics import HigherOrderGradientPlay, aux_dim
+from .dynamics import GradientPlay, HigherOrderGradientPlay, aux_dim
 from .games import PolymatrixGame, validate_profile
 from .simplex import tangent_basis
 
@@ -24,6 +26,8 @@ __all__ = [
     "RescaledJordanDecomposition",
     "assemble_local_game",
     "assemble_closed_loop",
+    "assemble_game_loop",
+    "assemble_flow_operators",
     "assemble_plant",
     "assemble_rescaled_jordan",
 ]
@@ -49,16 +53,10 @@ class GameLocalMatrix:
 
     @property
     def offsets(self) -> tuple:
-        out = []
-        start = 0
-        for k in self.dims:
-            out.append((start, start + k - 1))
-            start += k - 1
-        return tuple(out)
+        return tuple((s.start, s.stop) for s in _tangent_slices(self.dims))
 
     def block_slice(self, i: int) -> slice:
-        a, b = self.offsets[i]
-        return slice(a, b)
+        return _tangent_slices(self.dims)[i]
 
     def block(self, i: int, j: int) -> np.ndarray:
         return self.matrix[self.block_slice(i), self.block_slice(j)]
@@ -74,17 +72,21 @@ def _warn_if_singular(M: np.ndarray, what: str):
         )
 
 
-def _local_matrix_raw(game: PolymatrixGame, bases) -> np.ndarray:
-    offsets = []
+def _tangent_slices(dims) -> list:
+    out = []
     start = 0
-    for k in game.dims:
-        offsets.append((start, start + k - 1))
+    for k in dims:
+        out.append(slice(start, start + k - 1))
         start += k - 1
-    M = np.zeros((start, start))
+    return out
+
+
+def _local_matrix_raw(game: PolymatrixGame, bases) -> np.ndarray:
+    slices = _tangent_slices(game.dims)
+    ell = sum(k - 1 for k in game.dims)
+    M = np.zeros((ell, ell))
     for (i, j), mat in game.pair_matrices.items():
-        ai, bi = offsets[i]
-        aj, bj = offsets[j]
-        M[ai:bi, aj:bj] = bases[i].N.T @ mat @ bases[j].N
+        M[slices[i], slices[j]] = bases[i].N.T @ mat @ bases[j].N
     return M
 
 
@@ -124,7 +126,10 @@ class ClosedLoopMatrix:
          [  F M,    E, -F],
          [   M,     0, -I]].
 
-    Fixed-order players contribute empty aux blocks and H_i = 0.
+    Fixed-order players contribute empty aux blocks and H_i = 0. A
+    gradient-play player still keeps its washout block v_i' = (M w)_i - v_i:
+    nothing reads it, so it only adds the eigenvalue -1 with multiplicity
+    k_i - 1. The simulator's state has no washout for such players.
     """
 
     matrix: np.ndarray
@@ -152,9 +157,11 @@ class ClosedLoopMatrix:
         return slice(self.w_dim + self.aux_total, 2 * self.w_dim + self.aux_total)
 
 
-def _stacked_compensators(local: GameLocalMatrix, specs):
-    ell = local.matrix.shape[0]
-    auxes = [aux_dim(s) for s in specs]
+def _stacked_compensators(dims, specs):
+    """Block-diagonal E, F, G, H of the players' compensators, on tangent rows."""
+    slices = _tangent_slices(dims)
+    ell = sum(k - 1 for k in dims)
+    auxes = tuple(aux_dim(s) for s in specs)
     L = sum(auxes)
     E = np.zeros((L, L))
     F = np.zeros((L, ell))
@@ -162,13 +169,12 @@ def _stacked_compensators(local: GameLocalMatrix, specs):
     H = np.zeros((ell, ell))
     row = 0
     for i, spec in enumerate(specs):
-        sl = local.block_slice(i)
         if isinstance(spec, HigherOrderGradientPlay):
-            r = local.dims[i] - 1
-            if spec.signal_dim != r:
+            sl = slices[i]
+            if spec.signal_dim != dims[i] - 1:
                 raise ValueError(
                     f"player {i}: compensator signal dimension {spec.signal_dim} "
-                    f"does not match k - 1 = {r}"
+                    f"does not match k - 1 = {dims[i] - 1}"
                 )
             li = spec.aux_dim
             E[row : row + li, row : row + li] = spec.E
@@ -176,25 +182,83 @@ def _stacked_compensators(local: GameLocalMatrix, specs):
             G[sl, row : row + li] = spec.G
             H[sl, sl] = spec.H
             row += li
-    return E, F, G, H, tuple(auxes)
+    return E, F, G, H, auxes
+
+
+def _fill_loop(out, K, lift, E, F, G, H, washed) -> None:
+    """Write the loop of (higher-order) gradient play into the zeroed matrix out.
+
+    The state is (x, xi, v): coordinates x with payoffs p = K x, the aux
+    states, and washouts v for the tangent rows indexed by washed; lift^T p
+    is the tangent payoff and y = lift^T p - v the washout output. The rows
+    are PRE, the projection argument x + p + lift (G xi + H y), then AUX:
+    xi' = E xi + F y and v' = y.
+    """
+    m = K.shape[0]
+    a = m + E.shape[0]
+    TK = lift.T @ K
+    LH = lift @ H
+    out[:m, :m] = K + LH @ TK + np.eye(m)
+    out[:m, m:a] = lift @ G
+    out[:m, a:] = -LH[:, washed]
+    out[m:a, :m] = F @ TK
+    out[m:a, m:a] = E
+    out[m:a, a:] = -F[:, washed]
+    out[a:, :m] = TK[washed]
+    out[a:, a:] = -np.eye(out.shape[0] - a)
 
 
 def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
-    """Closed-loop matrix for per-player dynamics around the equilibrium."""
+    """Closed-loop matrix for per-player dynamics around the equilibrium.
+
+    There the projection acts as the identity on tangent coordinates, so J is
+    the loop with lift I, K = M and a washout on every row, with the -x of
+    dx = proj(.) - x taken off the w block.
+    """
     if len(specs) != local.n:
         raise ValueError(f"need {local.n} specs, got {len(specs)}")
-    M = local.matrix
-    ell = M.shape[0]
-    E, F, G, H, auxes = _stacked_compensators(local, specs)
-    L = sum(auxes)
-    J = np.block(
-        [
-            [(np.eye(ell) + H) @ M, G, -H],
-            [F @ M, E, -F],
-            [M, np.zeros((ell, L)), -np.eye(ell)],
-        ]
-    )
+    ell = local.matrix.shape[0]
+    E, F, G, H, auxes = _stacked_compensators(local.dims, specs)
+    J = np.zeros((2 * ell + E.shape[0],) * 2)
+    _fill_loop(J, local.matrix, np.eye(ell), E, F, G, H, slice(None))
+    J[:ell, :ell] -= np.eye(ell)
     return ClosedLoopMatrix(J, local.dims, auxes)
+
+
+def assemble_game_loop(game: PolymatrixGame, specs) -> ClosedLoopMatrix:
+    """Closed-loop matrix straight from the pair matrices, with no profile check.
+
+    For sweeps and probes that rebuild the game at every evaluation.
+    """
+    bases = [tangent_basis(k) for k in game.dims]
+    local = GameLocalMatrix(_local_matrix_raw(game, bases), game.dims)
+    return assemble_closed_loop(local, specs)
+
+
+def assemble_flow_operators(game: PolymatrixGame, specs):
+    """Affine operators (PRE, AUX) of projection-family play in full coordinates.
+
+    The flat state y is (x, xi, v): every player's strategy, then the aux
+    states, then washout states for the higher-order players only. The flow
+    is y' = [proj(PRE y) - x; AUX y], with the projection taken per player.
+    """
+    if len(specs) != game.n:
+        raise ValueError(f"need {game.n} specs, got {len(specs)}")
+    if not all(isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs):
+        raise ValueError("flow operators exist only for (higher-order) gradient play")
+    E, F, G, H, _ = _stacked_compensators(game.dims, specs)
+    K = np.block([[game.pair(i, j) for j in range(game.n)] for i in range(game.n)])
+    lift = scipy.linalg.block_diag(*(tangent_basis(k).N for k in game.dims))
+    washed = [
+        row
+        for s, sl in zip(specs, _tangent_slices(game.dims))
+        if isinstance(s, HigherOrderGradientPlay)
+        for row in range(sl.start, sl.stop)
+    ]
+    nx = K.shape[0]
+    out = np.zeros((nx + E.shape[0] + len(washed),) * 2)
+    _fill_loop(out, K, lift, E, F, G, H, washed)
+    return out[:nx], out[nx:]
 
 
 @dataclass(frozen=True)

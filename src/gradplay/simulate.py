@@ -41,7 +41,7 @@ from .games import (
     validate_profile,
     verify_ne,
 )
-from .linearize import GameLocalMatrix, _local_matrix_raw, assemble_closed_loop
+from .linearize import assemble_flow_operators, assemble_game_loop
 from .simplex import NonFiniteInputError, project_to_simplex, tangent_basis
 
 __all__ = [
@@ -77,12 +77,13 @@ class SimConfig:
     record_stride: int = 10
 
     def __post_init__(self):
-        if self.step <= 0 or self.horizon <= 0:
-            raise ValueError("step and horizon must be positive")
+        # written as "not 0 < value < inf" so that NaN fails too
+        if not (0 < self.step < np.inf and 0 < self.horizon < np.inf):
+            raise ValueError("step and horizon must be positive and finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if not 0 < self.convergence_tol < np.inf:
+            raise ValueError("convergence_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -159,50 +160,6 @@ def _projection_family(specs) -> bool:
     return all(
         isinstance(s, (dyn.GradientPlay, dyn.HigherOrderGradientPlay)) for s in specs
     )
-
-
-def _linear_operators(game: PolymatrixGame, specs, bases, layout: StateLayout):
-    """Pre-projection argument map and aux-derivative map of the projection family.
-
-    For gradient-play family players the only nonlinearity is the simplex
-    projection; the projection argument x_i + p~_i and the aux derivatives are
-    linear in the flat state: y' = [proj(PRE y) - x; AUX y].
-    """
-    dim = layout.dim
-    PRE = np.zeros((layout.nx, dim))
-    n_aux_rows = sum(layout.aux_dims) + sum(layout.washout_dims)
-    AUX = np.zeros((n_aux_rows, dim))
-    for i, spec in enumerate(specs):
-        xsl = layout.x_slice(i)
-        PRE[xsl, xsl] += np.eye(layout.dims[i])
-        if isinstance(spec, dyn.HigherOrderGradientPlay):
-            N = bases[i].N
-            W = np.eye(layout.dims[i]) + N @ spec.H @ N.T
-        else:
-            W = np.eye(layout.dims[i])
-        for (a, j), M in game.pair_matrices.items():
-            if a != i:
-                continue
-            PRE[xsl, layout.x_slice(j)] += W @ M
-        if isinstance(spec, dyn.HigherOrderGradientPlay):
-            PRE[xsl, layout.xi_slice(i)] = N @ spec.G
-            PRE[xsl, layout.v_slice(i)] = -N @ spec.H
-    aux0 = layout.nx
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, dyn.HigherOrderGradientPlay):
-            continue
-        N = bases[i].N
-        xi_rows = slice(layout.xi_slice(i).start - aux0, layout.xi_slice(i).stop - aux0)
-        v_rows = slice(layout.v_slice(i).start - aux0, layout.v_slice(i).stop - aux0)
-        for (a, j), M in game.pair_matrices.items():
-            if a != i:
-                continue
-            AUX[xi_rows, layout.x_slice(j)] += spec.F @ N.T @ M
-            AUX[v_rows, layout.x_slice(j)] += N.T @ M
-        AUX[xi_rows, layout.xi_slice(i)] = spec.E
-        AUX[xi_rows, layout.v_slice(i)] = -spec.F
-        AUX[v_rows, layout.v_slice(i)] = -np.eye(layout.washout_dims[i])
-    return PRE, AUX
 
 
 def _generic_deriv(game: PolymatrixGame, specs, bases, layout: StateLayout):
@@ -356,7 +313,7 @@ def _build_region(mask, PRE, AUX, bounds, h: float, length: int, growth: float) 
     return _Region(powers, offsets, checks, check_offsets, limit)
 
 
-def _propagate_regions(game: PolymatrixGame, specs, bases, layout: StateLayout, y0, cfg):
+def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, y0, cfg):
     """Projection-family RK4 taken as its own step map, region by region.
 
     On a fixed projection support the dynamics are y' = A_S y + b_S, and one
@@ -368,7 +325,7 @@ def _propagate_regions(game: PolymatrixGame, specs, bases, layout: StateLayout, 
     to the first step that leaves the support, takes that step as plain RK4
     with each stage's own projection, and detects the support again.
     """
-    PRE, AUX = _linear_operators(game, specs, bases, layout)
+    PRE, AUX = assemble_flow_operators(game, specs)
     nx = layout.nx
     h = cfg.step
     bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
@@ -444,6 +401,35 @@ def _finish(times, states, layout, cfg) -> Trajectory:
     )
 
 
+def _initial_state(layout: StateLayout, bases, xs, payoff, xi0, v0) -> np.ndarray:
+    """Flat initial state from strategies xs and per-player aux and washout starts.
+
+    xi0 and explicit v0 hold one vector per player (None, or xi0=None, starts
+    at zero). v0="steady" starts each washout at its steady value
+    N_i^T payoff(i) for the initial payoffs; v0="zero" starts it at zero.
+    """
+    y0 = np.zeros(layout.dim)
+    for i, x in enumerate(xs):
+        y0[layout.x_slice(i)] = x
+    if isinstance(v0, str):
+        if v0 not in ("steady", "zero"):
+            raise ValueError("v0 must be 'steady', 'zero', or explicit vectors")
+        v0 = [
+            bases[i].N.T @ payoff(i) if v0 == "steady" and layout.washout_dims[i] else None
+            for i in range(layout.n)
+        ]
+    for name, values, part in (("xi0", xi0, layout.xi_slice), ("v0", v0, layout.v_slice)):
+        for i, value in enumerate([] if values is None else values):
+            if value is None:
+                continue
+            value = np.asarray(value, dtype=float)
+            sl = part(i)
+            if value.shape != (sl.stop - sl.start,):
+                raise ValueError(f"{name}[{i}] has shape {value.shape}")
+            y0[sl] = value
+    return y0
+
+
 def simulate_coupled(
     game: PolymatrixGame,
     specs,
@@ -470,34 +456,9 @@ def simulate_coupled(
     xs = validate_profile(game, init)
     bases = [tangent_basis(k) for k in game.dims]
     layout = _layout_for(game.dims, specs)
-    y0 = np.zeros(layout.dim)
-    for i, x in enumerate(xs):
-        y0[layout.x_slice(i)] = x
-    if xi0 is not None:
-        for i, xi in enumerate(xi0):
-            if xi is None:
-                continue
-            xi = np.asarray(xi, dtype=float)
-            if xi.shape != (layout.aux_dims[i],):
-                raise ValueError(f"xi0[{i}] has shape {xi.shape}")
-            y0[layout.xi_slice(i)] = xi
-    if isinstance(v0, str):
-        if v0 == "steady":
-            for i in range(game.n):
-                if layout.washout_dims[i]:
-                    y0[layout.v_slice(i)] = bases[i].N.T @ payoff_map(game, i, xs)
-        elif v0 != "zero":
-            raise ValueError("v0 must be 'steady', 'zero', or explicit vectors")
-    else:
-        for i, v in enumerate(v0):
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=float)
-            if v.shape != (layout.washout_dims[i],):
-                raise ValueError(f"v0[{i}] has shape {v.shape}")
-            y0[layout.v_slice(i)] = v
+    y0 = _initial_state(layout, bases, xs, lambda i: payoff_map(game, i, xs), xi0, v0)
     if _projection_family(specs):
-        times, states = _propagate_regions(game, specs, bases, layout, y0, cfg)
+        times, states = _propagate_regions(game, specs, layout, y0, cfg)
     else:
         times, states = _integrate(_generic_deriv(game, specs, bases, layout), y0, cfg)
     return _finish(times, states, layout, cfg)
@@ -520,31 +481,17 @@ def simulate_open_loop(
     cfg = cfg or SimConfig()
     x0 = np.asarray(x0, dtype=float)
     k = x0.size
-    if np.min(x0) < -1e-12 or abs(float(np.sum(x0)) - 1.0) > 1e-12:
+    # "not <=" so that a NaN or infinite entry (sum NaN or infinite) fails too
+    if np.min(x0) < -1e-12 or not abs(float(np.sum(x0)) - 1.0) <= 1e-12:
         raise ValueError("x0 is not a probability vector")
     basis = tangent_basis(k)
     layout = _layout_for((k,), [spec])
     p0 = np.asarray(payoff_fn(0.0), dtype=float)
     if p0.shape != (k,):
         raise ValueError(f"payoff_fn returned shape {p0.shape}, expected ({k},)")
-    y0 = np.zeros(layout.dim)
-    y0[:k] = x0
-    if xi0 is not None:
-        xi = np.asarray(xi0, dtype=float)
-        if xi.shape != (layout.aux_dims[0],):
-            raise ValueError(f"xi0 has shape {xi.shape}")
-        y0[layout.xi_slice(0)] = xi
-    if isinstance(v0, str):
-        if v0 == "steady":
-            if layout.washout_dims[0]:
-                y0[layout.v_slice(0)] = basis.N.T @ p0
-        elif v0 != "zero":
-            raise ValueError("v0 must be 'steady', 'zero', or an explicit vector")
-    elif layout.washout_dims[0]:
-        v = np.asarray(v0, dtype=float)
-        if v.shape != (layout.washout_dims[0],):
-            raise ValueError(f"v0 has shape {v.shape}")
-        y0[layout.v_slice(0)] = v
+    xi0 = None if xi0 is None else [xi0]
+    v0 = v0 if isinstance(v0, str) else [v0]
+    y0 = _initial_state(layout, [basis], [x0], lambda i: p0, xi0, v0)
 
     xsl = layout.x_slice(0)
     xisl = layout.xi_slice(0)
@@ -643,12 +590,6 @@ def _offset_profile(game: PolymatrixGame, offset: float):
     return out
 
 
-def _loop_matrix(game: PolymatrixGame, specs) -> np.ndarray:
-    bases = [tangent_basis(k) for k in game.dims]
-    local = GameLocalMatrix(_local_matrix_raw(game, bases), game.dims)
-    return assemble_closed_loop(local, specs).matrix
-
-
 def _take(overrides: dict, allowed: dict) -> dict:
     unknown = set(overrides) - set(allowed)
     if unknown:
@@ -714,7 +655,7 @@ def _plan_jordan_rescaled(overrides) -> _CoupledPlan:
 
     def sweep_builder() -> SweepResult:
         return gain_sweep(
-            lambda g: _loop_matrix(make_jordan(g), specs), default_gain_grid()
+            lambda g: assemble_game_loop(make_jordan(g), specs).matrix, default_gain_grid()
         )
 
     return _CoupledPlan(
@@ -782,7 +723,7 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None) -> Scen
         raise ValueError(f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}")
     plan = _COUPLED_PLANS[name](overrides)
     traj = simulate_coupled(plan.game, plan.specs, plan.init, plan.cfg)
-    verdict = spectral_abscissa(_loop_matrix(plan.game, plan.specs))
+    verdict = spectral_abscissa(assemble_game_loop(plan.game, plan.specs).matrix)
     if plan.target is not None:
         converged, hit = detect_convergence(traj, plan.target, plan.cfg.convergence_tol)
     else:

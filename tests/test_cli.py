@@ -89,6 +89,16 @@ def test_game_from_json_validates():
             }
         )
 
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            game_from_json(
+                json.loads(
+                    json.dumps(
+                        {"dims": [2, 2], "matrices": [{"i": 0, "j": 1, "rows": [[bad, 0.0], [0.0, 1.0]]}]}
+                    )
+                )
+            )
+
 
 def test_specs_round_trip_all_variants():
     g = make_jordan()
@@ -223,6 +233,35 @@ def test_verify_parse_failure_exits_2(capsys, tmp_path):
 def test_verify_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["verify", "/no/such/file.json"])
     assert code == 2
+
+
+def test_verify_nonfinite_profile_exits_2(capsys, tmp_path):
+    game = tmp_path / "coordination.game.json"
+    game.write_text(json.dumps(game_to_json(make_coordination())))
+    code, _, err = run(capsys, ["verify", str(game), "--profile", "[[NaN,0.5],[0.5,0.5]]"])
+    assert code == 2
+    assert "probability vector" in err
+
+
+@pytest.fixture()
+def nan_game_file(tmp_path):
+    doc = game_to_json(make_jordan())
+    doc["matrices"][0]["rows"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "simulate"])
+def test_nonfinite_game_file_exits_2(capsys, tmp_path, nan_game_file, command):
+    argv = [command, nan_game_file]
+    if command != "verify":
+        argv.append(data_path("jordan_single.specs.json"))
+    if command == "simulate":
+        argv += ["--horizon", "1", "--out", str(tmp_path / "t.csv")]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "non-finite" in err
 
 
 # --- analyze --------------------------------------------------------------------
@@ -459,6 +498,25 @@ def test_simulate_divergent_run_exits_1(capsys, tmp_path, gp_specs_file, jordan_
     assert not json.loads(out)["converged"]
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_simulate_nonfinite_horizon_exits_2(capsys, tmp_path, jordan_file, horizon):
+    code, _, err = run(
+        capsys,
+        [
+            "simulate",
+            jordan_file,
+            data_path("jordan_single.specs.json"),
+            "--horizon",
+            horizon,
+            "--out",
+            str(tmp_path / "t.csv"),
+        ],
+    )
+    assert code == 2
+    assert "finite" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 # --- scenario -------------------------------------------------------------------
 
 
@@ -519,3 +577,9 @@ def test_scenario_deltas_override(capsys, tmp_path):
     doc = json.loads(out)
     assert code == 0  # consistent: unstable and not converged
     assert not doc["stable"] and not doc["converged"] and doc["consistent"]
+
+
+def test_scenario_nonfinite_horizon_exits_2(capsys):
+    code, _, err = run(capsys, ["scenario", "jordan-single", "--horizon", "inf"])
+    assert code == 2
+    assert "finite" in err

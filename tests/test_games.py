@@ -237,3 +237,6 @@ def test_profile_validation():
         validate_profile(g, [np.array([0.6, 0.6])] + uniform_profile(g)[1:])
     with pytest.raises(ValueError):
         payoff_map(g, 0, [np.array([0.5, 0.5, 0.0])] + uniform_profile(g)[1:])
+    for bad in ([np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.0], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="probability vector"):
+            validate_profile(g, [np.array(bad)] + uniform_profile(g)[1:])

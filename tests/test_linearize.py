@@ -2,21 +2,26 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from gradplay.dynamics import GradientPlay, make_anticipatory
+from gradplay.dynamics import GradientPlay, HigherOrderGradientPlay, make_anticipatory
 from gradplay.games import (
     PolymatrixGame,
     make_coordination,
     make_jordan,
+    payoff_map,
     uniform_profile,
 )
 from gradplay.linearize import (
     assemble_closed_loop,
+    assemble_flow_operators,
+    assemble_game_loop,
     assemble_local_game,
     assemble_plant,
     assemble_rescaled_jordan,
 )
+from gradplay.simplex import project_to_simplex, tangent_basis
 
 from conftest import random_mixed_ne_game
 
@@ -222,3 +227,68 @@ def test_rescaled_jordan_requires_scalar_aux():
         assemble_rescaled_jordan(1.0, [make_anticipatory(1.0, 1.0, 3)] * 3)
     with pytest.raises(ValueError):
         assemble_rescaled_jordan(1.0, [make_anticipatory(1.0, 1.0, 2)] * 2)
+
+
+# --- simulator operators against the closed loop -----------------------------------
+
+
+def _random_spec(rng, k):
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return GradientPlay()
+    if kind == 1:
+        return make_anticipatory(float(rng.choice([5.0, 50.0])), float(rng.uniform(0.1, 1.0)), k)
+    ell = int(rng.integers(1, 4))
+    return HigherOrderGradientPlay(
+        E=rng.normal(size=(ell, ell)),
+        F=rng.normal(size=(ell, k - 1)),
+        G=rng.normal(size=(k - 1, ell)),
+        H=rng.normal(size=(k - 1, k - 1)),
+    )
+
+
+def test_simulator_flow_linearizes_to_closed_loop():
+    # On full support the per-player projection is z -> z - (1^T z - 1) / k,
+    # so the flow y' = [proj(PRE y) - x; AUX y] has Jacobian [P PRE - (I 0 0); AUX]
+    # with P = blockdiag(I - 11^T / k); x = x* + N w maps it to tangent
+    # coordinates. The closed loop also carries a washout for gradient-play
+    # players, which the simulator's state leaves out.
+    rng = np.random.default_rng(20231)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        dims = [int(rng.integers(2, 5)) for _ in range(n)]
+        game, ne = random_mixed_ne_game(rng, n=n, dims=dims)
+        specs = [_random_spec(rng, k) for k in dims]
+        PRE, AUX = assemble_flow_operators(game, specs)
+        nx = sum(dims)
+        dim = PRE.shape[1]
+
+        # the equilibrium with steady washouts is a rest point of the flow
+        higher = [i for i, s in enumerate(specs) if isinstance(s, HigherOrderGradientPlay)]
+        y_star = np.concatenate(
+            list(ne)
+            + [np.zeros(dim - nx - sum(dims[i] - 1 for i in higher))]
+            + [tangent_basis(dims[i]).N.T @ payoff_map(game, i, ne) for i in higher]
+        )
+        z = PRE @ y_star
+        starts = np.cumsum([0] + dims)
+        for i in range(n):
+            assert_allclose(project_to_simplex(z[starts[i] : starts[i + 1]]), ne[i], atol=1e-12)
+        assert_allclose(AUX @ y_star, 0.0, atol=1e-12)
+
+        P = scipy.linalg.block_diag(*[np.eye(k) - 1.0 / k for k in dims])
+        Df = np.vstack([P @ PRE - np.eye(nx, dim), AUX])
+        lift = scipy.linalg.block_diag(*[tangent_basis(k).N for k in dims])
+        T = scipy.linalg.block_diag(lift, np.eye(dim - nx))
+        J_sim = T.T @ Df @ T
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # some draws are singular
+            loop = assemble_closed_loop(assemble_local_game(game, ne), specs)
+        v0 = loop.w_dim + loop.aux_total
+        offsets = np.cumsum([0] + [k - 1 for k in dims])
+        keep = list(range(v0)) + [
+            v0 + r for i in higher for r in range(offsets[i], offsets[i + 1])
+        ]
+        assert_allclose(J_sim, loop.matrix[np.ix_(keep, keep)], rtol=0, atol=1e-12)
+        assert_allclose(assemble_game_loop(game, specs).matrix, loop.matrix, rtol=0, atol=0)

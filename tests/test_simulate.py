@@ -12,6 +12,7 @@ from gradplay.dynamics import (
     make_anticipatory,
 )
 from gradplay.games import make_jordan, uniform_profile
+from gradplay.linearize import assemble_flow_operators
 from gradplay.simplex import project_to_simplex, tangent_basis
 from gradplay.simulate import (
     NonFiniteStateError,
@@ -74,8 +75,7 @@ def test_fast_and_generic_paths_agree(monkeypatch):
 
 def _support_left_full(traj, game, specs):
     # whether some recorded state projects onto a face of a simplex
-    bases = [tangent_basis(k) for k in game.dims]
-    PRE, _ = sim._linear_operators(game, specs, bases, traj.layout)
+    PRE, _ = assemble_flow_operators(game, specs)
     for y in traj.states:
         z = PRE @ y
         for i in range(traj.layout.n):
@@ -225,6 +225,19 @@ def test_config_validation():
         SimConfig(horizon=-1.0)
     with pytest.raises(ValueError):
         SimConfig(record_stride=0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(step=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(horizon=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(convergence_tol=bad)
+
+
+def test_open_loop_rejects_nonfinite_start():
+    for x0 in ([np.nan, 0.5], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="probability vector"):
+            simulate_open_loop(GradientPlay(), lambda t: np.zeros(2), x0, SimConfig(horizon=1.0))
 
 
 def test_washout_override_shapes_checked():
@@ -239,6 +252,16 @@ def test_washout_override_shapes_checked():
         )
     with pytest.raises(ValueError):
         simulate_coupled(g, single_anticipatory_specs(), uniform_profile(g), SimConfig(horizon=1.0), v0="sideways")
+    # the open loop shares the coupled run's checks and placement, one player wide
+    spec = make_anticipatory(5.0, 1.0, 2)
+    cfg = SimConfig(horizon=0.1)
+    for kwargs in ({"xi0": np.zeros(2)}, {"v0": np.zeros(3)}, {"v0": "sideways"}):
+        with pytest.raises(ValueError):
+            simulate_open_loop(spec, lambda t: np.array([1.0, 0.0]), [0.5, 0.5], cfg, **kwargs)
+    traj = simulate_open_loop(
+        spec, lambda t: np.array([1.0, 0.0]), [0.5, 0.5], cfg, xi0=[0.25], v0=[-0.5]
+    )
+    assert_array_equal(traj.states[0], [0.5, 0.5, 0.25, -0.5])
 
 
 # --- open loop ---------------------------------------------------------------

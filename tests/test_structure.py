@@ -1,0 +1,83 @@
+"""Modules of the package reach each other only through public names."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gradplay"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _sibling(node: ast.ImportFrom):
+    """Sibling module named by `from .x import ...` or `from gradplay.x import ...`."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith("gradplay."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def private_uses(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    module_names = set()  # local names bound to sibling modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sibling = _sibling(node)
+            from_package = (node.level == 1 and node.module is None) or (
+                node.level == 0 and node.module == "gradplay"
+            )
+            for alias in node.names:
+                if from_package and alias.name in MODULES:
+                    module_names.add(alias.asname or alias.name)
+                elif sibling in MODULES and _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno}: from {sibling} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if alias.asname and parts[0] == "gradplay" and parts[-1] in MODULES:
+                    module_names.add(alias.asname)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not _private(node.attr):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in module_names:
+            found.append(f"{path.name}:{node.lineno}: {base.id}.{node.attr}")
+        elif (
+            isinstance(base, ast.Attribute)
+            and isinstance(base.value, ast.Name)
+            and base.value.id == "gradplay"
+            and base.attr in MODULES
+        ):
+            found.append(f"{path.name}:{node.lineno}: gradplay.{base.attr}.{node.attr}")
+    return found
+
+
+def test_package_found():
+    assert {"games", "linearize", "simulate", "cli"} <= MODULES
+
+
+def test_no_private_names_across_modules():
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in private_uses(path)]
+    assert found == []
+
+
+def test_detector_flags_private_access(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from . import simulate as sim\n"
+        "from .linearize import _local_matrix_raw, assemble_closed_loop\n"
+        "import gradplay.cli\n"
+        "def f():\n"
+        "    from .simulate import _loop_matrix\n"
+        "    return sim._propagate_regions, gradplay.cli._emit, sim.__name__\n"
+    )
+    assert private_uses(src) == [
+        "probe.py:2: from linearize import _local_matrix_raw",
+        "probe.py:5: from simulate import _loop_matrix",
+        "probe.py:6: sim._propagate_regions",
+        "probe.py:6: gradplay.cli._emit",
+    ]
