@@ -56,13 +56,12 @@ from .linearize import (
     ClosedLoopMatrix,
     DecentralizedPlant,
     GameLocalMatrix,
-    RescaledJordanDecomposition,
     assemble_closed_loop,
     assemble_flow_operators,
     assemble_game_loop,
     assemble_local_game,
+    assemble_loop_family,
     assemble_plant,
-    assemble_rescaled_jordan,
 )
 from .simplex import TangentBasis, from_local, project_to_simplex, tangent_basis, to_local
 from .simulate import (

@@ -9,6 +9,7 @@ directional robustness probing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .games import PolymatrixGame
-from .linearize import DecentralizedPlant, GameLocalMatrix, assemble_game_loop
+from .linearize import DecentralizedPlant, GameLocalMatrix, assemble_loop_family
 from .simplex import tangent_basis
 
 __all__ = [
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 STABILITY_TOL = 1e-8
+SWEEP_REFINE_WIDTH = 1e-4  # width of a gain_sweep crossing bracket
+PROBE_GAP = 1e-3  # width of a robustness_probe bracket
+PROBE_SCAN_POINTS = 16  # scales of robustness_probe's upward scan
 
 
 def _sorted_eigenvalues(M: np.ndarray) -> np.ndarray:
@@ -310,7 +314,7 @@ class SweepResult:
     """Eigenvalue clouds and stability flags over a gain grid.
 
     crossings holds one (lo, hi) bracket per stability flip, refined by
-    bisection on the stability flag.
+    bisection on the stability flag to SWEEP_REFINE_WIDTH.
     """
 
     grid: np.ndarray
@@ -324,16 +328,30 @@ def default_gain_grid(lo: float = 1e-2, hi: float = 1e2, points: int = 200) -> n
     return np.logspace(np.log10(lo), np.log10(hi), points)
 
 
-def gain_sweep(
-    build_matrix: Callable[[float], np.ndarray],
-    grid,
-    tol: float = STABILITY_TOL,
-    refine_width: float = 1e-4,
-) -> SweepResult:
+def _bisect_flip(is_stable, lo: float, hi: float, lo_flag: bool, width: float) -> tuple:
+    """Halve [lo, hi] around a stability flip, lo keeping lo_flag.
+
+    Stops at width hi - lo <= width, or earlier where no float lies strictly
+    between lo and hi.
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if is_stable(mid) == lo_flag:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def gain_sweep(build_matrix: Callable[[float], np.ndarray], grid) -> SweepResult:
     """Sweep a scalar gain, recording spectra and bracketing stability flips."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid values must be finite")
     if np.any(grid <= 0):
         raise ValueError("grid values must be positive")
     if np.any(np.diff(grid) <= 0):
@@ -341,28 +359,20 @@ def gain_sweep(
 
     def is_stable(g: float) -> bool:
         ev = np.linalg.eigvals(build_matrix(g))
-        return float(np.max(ev.real)) < -tol
+        return float(np.max(ev.real)) < -STABILITY_TOL
 
     eigenvalues = []
     stable = np.zeros(grid.size, dtype=bool)
     for idx, g in enumerate(grid):
         ev = _sorted_eigenvalues(build_matrix(g))
         eigenvalues.append(ev)
-        stable[idx] = float(np.max(ev.real)) < -tol
+        stable[idx] = float(np.max(ev.real)) < -STABILITY_TOL
     crossings = []
     for idx in range(grid.size - 1):
-        if stable[idx] == stable[idx + 1]:
-            continue
-        lo, hi = float(grid[idx]), float(grid[idx + 1])
-        lo_flag = bool(stable[idx])
-        while hi - lo > refine_width:
-            mid = 0.5 * (lo + hi)
-            if is_stable(mid) == lo_flag:
-                lo = mid
-            else:
-                hi = mid
-        crossings.append((lo, hi))
-    return SweepResult(grid, tuple(eigenvalues), stable, tuple(crossings), tol)
+        if stable[idx] != stable[idx + 1]:
+            lo, hi = float(grid[idx]), float(grid[idx + 1])
+            crossings.append(_bisect_flip(is_stable, lo, hi, bool(stable[idx]), SWEEP_REFINE_WIDTH))
+    return SweepResult(grid, tuple(eigenvalues), stable, tuple(crossings), STABILITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -415,46 +425,32 @@ def robustness_probe(
     specs: Sequence,
     direction: Mapping,
     max_delta: float = 1.0,
-    gap: float = 1e-3,
-    coarse_points: int = 16,
-    tol: float = STABILITY_TOL,
 ) -> RobustnessResult:
     """Largest verified-stable perturbation scale along a matrix direction.
 
-    The game matrices are perturbed as M[i,j] + delta * direction[i,j] and the
-    closed loop is re-assembled at each scale (the reduced coupling depends
-    only on the matrices and tangent bases, not on where the equilibrium
-    sits).  A coarse upward scan finds the first unstable scale, then
-    bisection tightens the bracket to the requested gap.
+    The game matrices are perturbed as M[i,j] + delta * direction[i,j]; the
+    closed loop is affine in delta, J0 + delta J1, and is assembled once (the
+    reduced coupling depends only on the matrices and tangent bases, not on
+    where the equilibrium sits).  An upward scan of PROBE_SCAN_POINTS scales
+    finds the first unstable one, then bisection tightens the bracket to
+    PROBE_GAP.
     """
-    if max_delta <= 0:
-        raise ValueError("max_delta must be positive")
+    if not (math.isfinite(max_delta) and max_delta > 0):
+        raise ValueError(f"max_delta must be positive and finite, got {max_delta}")
+    for key, d in direction.items():
+        if not np.all(np.isfinite(np.asarray(d, dtype=float))):
+            raise ValueError(f"direction {key} has non-finite entries")
+    J0, J1 = assemble_loop_family(game, specs, direction)
 
     def loop_stable(delta: float) -> bool:
-        mats = dict(game.pair_matrices)
-        for key, d in direction.items():
-            d = np.asarray(d, dtype=float)
-            mats[key] = game.pair(*key) + delta * d
-        J = assemble_game_loop(PolymatrixGame(game.dims, mats), specs).matrix
-        return float(np.max(np.linalg.eigvals(J).real)) < -tol
+        return float(np.max(np.linalg.eigvals(J0 + delta * J1).real)) < -STABILITY_TOL
 
     if not loop_stable(0.0):
         raise ValueError("nominal closed loop is unstable; nothing to certify")
-    deltas = np.linspace(0.0, max_delta, coarse_points + 1)[1:]
     lo = 0.0
-    hi = None
-    for d in deltas:
-        if loop_stable(float(d)):
-            lo = float(d)
-        else:
-            hi = float(d)
-            break
-    if hi is None:
-        return RobustnessResult(max_delta, None, max_delta)
-    while hi - lo > gap:
-        mid = 0.5 * (lo + hi)
-        if loop_stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return RobustnessResult(lo, hi, max_delta)
+    for d in np.linspace(0.0, max_delta, PROBE_SCAN_POINTS + 1)[1:]:
+        if not loop_stable(float(d)):
+            lo, hi = _bisect_flip(loop_stable, lo, float(d), True, PROBE_GAP)
+            return RobustnessResult(lo, hi, max_delta)
+        lo = float(d)
+    return RobustnessResult(max_delta, None, max_delta)

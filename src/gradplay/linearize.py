@@ -1,9 +1,9 @@
 """Local matrices around a completely mixed equilibrium, and the simulator's flow.
 
 In tangent coordinates w_i = N_i^T (x_i - x_i*): the reduced game coupling
-matrix, the closed-loop dynamics of higher-order gradient play, the open-loop
-plant split into per-player input/output channels, and the rescaled
-anti-coordination loop with its gain decomposition. The same loop builder
+matrix, the closed-loop dynamics of higher-order gradient play and its affine
+families J0 + t J1 along a direction in the pair matrices, and the open-loop
+plant split into per-player input/output channels. The same loop builder
 also gives the simulator's affine flow operators in full coordinates.
 """
 
@@ -23,13 +23,12 @@ __all__ = [
     "GameLocalMatrix",
     "ClosedLoopMatrix",
     "DecentralizedPlant",
-    "RescaledJordanDecomposition",
     "assemble_local_game",
     "assemble_closed_loop",
     "assemble_game_loop",
+    "assemble_loop_family",
     "assemble_flow_operators",
     "assemble_plant",
-    "assemble_rescaled_jordan",
 ]
 
 SINGULAR_RTOL = 1e-12
@@ -228,11 +227,25 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
 def assemble_game_loop(game: PolymatrixGame, specs) -> ClosedLoopMatrix:
     """Closed-loop matrix straight from the pair matrices, with no profile check.
 
-    For sweeps and probes that rebuild the game at every evaluation.
+    For sweeps that rebuild the game at every evaluation, and for the loop
+    families of assemble_loop_family.
     """
     bases = [tangent_basis(k) for k in game.dims]
     local = GameLocalMatrix(_local_matrix_raw(game, bases), game.dims)
     return assemble_closed_loop(local, specs)
+
+
+def assemble_loop_family(game: PolymatrixGame, specs, direction) -> tuple:
+    """Matrices (J0, J1) with J0 + t J1 the closed loop of pair matrices M + t D.
+
+    direction maps player pairs (i, j) to D[i,j]. The loop is affine in the
+    pair matrices, so J1 is the loop of the direction alone less the loop of
+    the game with no pairs: the compensator and washout blocks cancel exactly.
+    """
+    J0 = assemble_game_loop(game, specs).matrix
+    JD = assemble_game_loop(PolymatrixGame(game.dims, direction), specs).matrix
+    J_empty = assemble_game_loop(PolymatrixGame(game.dims), specs).matrix
+    return J0, JD - J_empty
 
 
 def assemble_flow_operators(game: PolymatrixGame, specs):
@@ -305,84 +318,3 @@ def assemble_plant(local: GameLocalMatrix) -> DecentralizedPlant:
         B_blocks.append(np.vstack([sel, np.zeros((ell, r))]))
         C_blocks.append(np.hstack([M[sl, :], -sel.T]))
     return DecentralizedPlant(A, tuple(B_blocks), tuple(C_blocks), local.dims)
-
-
-@dataclass(frozen=True)
-class RescaledJordanDecomposition:
-    """Closed loop of the rescaled anti-coordination game and its gain split.
-
-    J is the 9 x 9 loop matrix in interleaved order
-    (w1, w2, w3, xi1, v1, xi2, v2, xi3, v3); A, B, C give the equivalent
-    J = A - gain * B C in the reordered basis (w1, w3, w2, xi1, v1, xi3, v3,
-    xi2, v2) that isolates the scaled channel.  perm_from_grouped maps the
-    grouped closed-loop ordering (w, xi, v) to J's ordering; perm_gain maps
-    J's ordering to the A/B/C ordering.
-    """
-
-    gain: float
-    J: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    perm_from_grouped: tuple
-    perm_gain: tuple
-
-    def gain_matrix(self, gain: float) -> np.ndarray:
-        """A - gain * B C (same spectrum as the loop matrix at that gain)."""
-        return self.A - gain * (self.B @ self.C)
-
-
-def assemble_rescaled_jordan(gain: float, specs) -> RescaledJordanDecomposition:
-    """Direct construction of the rescaled anti-coordination closed loop.
-
-    Requires three scalar-aux higher-order specs (k_i = 2, aux_dim 1).  Uses
-    N^T [[0,1],[1,0]] N = -1 so the loop matrix is written entry by entry;
-    consistency with the generic closed-loop assembly is permutation-exact.
-    """
-    if len(specs) != 3:
-        raise ValueError("the rescaled anti-coordination loop has three players")
-    params = []
-    for i, s in enumerate(specs):
-        if not isinstance(s, HigherOrderGradientPlay) or s.aux_dim != 1 or s.signal_dim != 1:
-            raise ValueError(f"player {i}: need a scalar-aux higher-order spec")
-        params.append(
-            (float(s.E[0, 0]), float(s.F[0, 0]), float(s.G[0, 0]), float(s.H[0, 0]))
-        )
-    (e1, f1, g1, h1), (e2, f2, g2, h2), (e3, f3, g3, h3) = params
-    mu = float(gain)
-    J = np.array(
-        [
-            [0, -mu * (1 + h1), 0, g1, -h1, 0, 0, 0, 0],
-            [0, 0, -(1 + h2), 0, 0, g2, -h2, 0, 0],
-            [-(1 + h3), 0, 0, 0, 0, 0, 0, g3, -h3],
-            [0, -mu * f1, 0, e1, -f1, 0, 0, 0, 0],
-            [0, -mu, 0, 0, -1, 0, 0, 0, 0],
-            [0, 0, -f2, 0, 0, e2, -f2, 0, 0],
-            [0, 0, -1, 0, 0, 0, -1, 0, 0],
-            [-f3, 0, 0, 0, 0, 0, 0, e3, -f3],
-            [-1, 0, 0, 0, 0, 0, 0, 0, -1],
-        ],
-        dtype=float,
-    )
-    A = np.array(
-        [
-            [0, 0, 0, g1, -h1, 0, 0, 0, 0],
-            [-(1 + h3), 0, 0, 0, 0, g3, -h3, 0, 0],
-            [0, -(1 + h2), 0, 0, 0, 0, 0, g2, -h2],
-            [0, 0, 0, e1, -f1, 0, 0, 0, 0],
-            [0, 0, 0, 0, -1, 0, 0, 0, 0],
-            [-f3, 0, 0, 0, 0, e3, -f3, 0, 0],
-            [-1, 0, 0, 0, 0, 0, -1, 0, 0],
-            [0, -f2, 0, 0, 0, 0, 0, e2, -f2],
-            [0, -1, 0, 0, 0, 0, 0, 0, -1],
-        ],
-        dtype=float,
-    )
-    B = np.array([h1 + 1, 0, 0, f1, 1, 0, 0, 0, 0], dtype=float).reshape(-1, 1)
-    C = np.zeros((1, 9))
-    C[0, 2] = 1.0
-    # grouped (w1,w2,w3,xi1,xi2,xi3,v1,v2,v3) -> interleaved (w1,w2,w3,xi1,v1,xi2,v2,xi3,v3)
-    perm_from_grouped = (0, 1, 2, 3, 6, 4, 7, 5, 8)
-    # interleaved -> gain ordering (w1,w3,w2,xi1,v1,xi3,v3,xi2,v2)
-    perm_gain = (0, 2, 1, 3, 4, 7, 8, 5, 6)
-    return RescaledJordanDecomposition(mu, J, A, B, C, perm_from_grouped, perm_gain)

@@ -419,7 +419,11 @@ def _initial_state(layout: StateLayout, bases, xs, payoff, xi0, v0) -> np.ndarra
             for i in range(layout.n)
         ]
     for name, values, part in (("xi0", xi0, layout.xi_slice), ("v0", v0, layout.v_slice)):
-        for i, value in enumerate([] if values is None else values):
+        if values is None:
+            continue
+        if len(values) != layout.n:
+            raise ValueError(f"{name} has {len(values)} entries for {layout.n} players")
+        for i, value in enumerate(values):
             if value is None:
                 continue
             value = np.asarray(value, dtype=float)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from gradplay import run_scenario
-from gradplay.games import PolymatrixGame
+from gradplay.dynamics import HigherOrderGradientPlay, PlayerState, aux_dim, derivative
+from gradplay.games import PolymatrixGame, make_jordan, payoff_map
+from gradplay.linearize import assemble_loop_family
+from gradplay.simplex import tangent_basis
 
 
 def random_mixed_ne_game(rng, n=None, dims=None, singular=False):
@@ -40,6 +43,64 @@ def random_mixed_ne_game(rng, n=None, dims=None, singular=False):
         j0 = chosen[0]
         mats[(i, j0)] = mats[(i, j0)] - np.outer(c, np.ones(dims[j0]))
     return PolymatrixGame(tuple(dims), mats), profile
+
+
+def finite_difference_loop(game, specs, ne, h=1e-6):
+    """Closed-loop Jacobian by central differences of dynamics.derivative.
+
+    The state is (w, xi, v) in tangent coordinates around the completely mixed
+    equilibrium ne with steady washouts: player i plays x_i = ne_i + N_i w_i,
+    sees the payoffs of everyone's strategies and has washout
+    N_i^T p_i(ne) + v_i. derivative gives a gradient-play player no washout,
+    so its v block is modelled as v_i' = N_i^T p_i - v_i.
+    """
+    bases = [tangent_basis(k) for k in game.dims]
+    w_at = np.cumsum([0] + [k - 1 for k in game.dims])
+    xi_at = np.cumsum([0] + [aux_dim(s) for s in specs])
+    ell, aux = int(w_at[-1]), int(xi_at[-1])
+    v_star = [b.N.T @ payoff_map(game, i, ne) for i, b in enumerate(bases)]
+
+    def flow(z):
+        w, xi, v = z[:ell], z[ell : ell + aux], z[ell + aux :]
+        xs = [ne[i] + b.N @ w[w_at[i] : w_at[i + 1]] for i, b in enumerate(bases)]
+        dw, dxi, dv = [], [], []
+        for i, (spec, b) in enumerate(zip(specs, bases)):
+            p = payoff_map(game, i, xs)
+            vi = v_star[i] + v[w_at[i] : w_at[i + 1]]
+            if isinstance(spec, HigherOrderGradientPlay):
+                state = PlayerState(xs[i], xi[xi_at[i] : xi_at[i + 1]], vi)
+                d = derivative(spec, state, p, b)
+                dv.append(d.dv)
+            else:
+                d = derivative(spec, PlayerState.fixed_order(xs[i]), p, b)
+                dv.append(b.N.T @ p - vi)
+            dw.append(b.N.T @ d.dx)
+            dxi.append(d.dxi)
+        return np.concatenate(dw + dxi + dv)
+
+    dim = 2 * ell + aux
+    J = np.empty((dim, dim))
+    for c in range(dim):
+        e = np.zeros(dim)
+        e[c] = h
+        J[:, c] = (flow(e) - flow(-e)) / (2 * h)
+    return J
+
+
+def rescaled_jordan_split(specs):
+    """Gain split A - mu B C of the closed loop of make_jordan(mu).
+
+    make_jordan scales pair (0, 1), so along that pair from the game without
+    it the loop family gives A = J0 and B C = -J1. J1 has one nonzero
+    column, player 1's tangent coordinate w_1, which C selects.
+    """
+    jordan = make_jordan(1.0)
+    rest = {key: m for key, m in jordan.pair_matrices.items() if key != (0, 1)}
+    A, J1 = assemble_loop_family(
+        PolymatrixGame(jordan.dims, rest), specs, {(0, 1): jordan.pair(0, 1)}
+    )
+    (col,) = np.flatnonzero(np.any(J1 != 0.0, axis=0))
+    return A, -J1[:, [col]], np.eye(A.shape[0])[[col]]
 
 
 @pytest.fixture(scope="session")

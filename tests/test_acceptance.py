@@ -39,12 +39,11 @@ from gradplay.linearize import (
     assemble_closed_loop,
     assemble_local_game,
     assemble_plant,
-    assemble_rescaled_jordan,
 )
 from gradplay.simplex import project_to_simplex, tangent_basis
 from gradplay.simulate import SimConfig, run_scenario, simulate_open_loop
 
-from conftest import random_mixed_ne_game
+from conftest import random_mixed_ne_game, rescaled_jordan_split
 from test_simplex import qp_projection_oracle
 
 
@@ -144,11 +143,10 @@ def test_c06_rescaled_family_and_sweep(jordan_rescaled_results):
         assert 0.08 <= lo <= hi <= 0.15
         lo, hi = sweep.crossings[1]
         assert 2.5 <= lo <= hi <= 3.5
-        dec = assemble_rescaled_jordan(1.0, all_anticipatory_specs())
-        rep = markov_report(dec.A, dec.B, dec.C)
+        rep = markov_report(*rescaled_jordan_split(all_anticipatory_specs()))
         assert rep.cb_norm == 0.0
         assert rep.cab_norm == 0.0
-        assert rep.first_nonzero_order is not None and rep.first_nonzero_order >= 2
+        assert rep.first_nonzero_order == 2
         assert rep.zero_eigenvalue_multiplicity >= 3
 
 

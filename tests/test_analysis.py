@@ -29,10 +29,9 @@ from gradplay.linearize import (
     assemble_closed_loop,
     assemble_local_game,
     assemble_plant,
-    assemble_rescaled_jordan,
 )
 
-from conftest import random_mixed_ne_game
+from conftest import finite_difference_loop, random_mixed_ne_game, rescaled_jordan_split
 
 
 def jordan_local():
@@ -248,25 +247,25 @@ def test_decentralized_detects_singular_fixed_mode():
 
 
 def test_markov_report_rescaled_jordan():
-    dec = assemble_rescaled_jordan(1.0, all_anticipatory_specs())
-    rep = markov_report(dec.A, dec.B, dec.C)
-    assert rep.cb_norm <= 1e-12
-    assert rep.cab_norm <= 1e-12
+    A, B, C = rescaled_jordan_split(all_anticipatory_specs())
+    rep = markov_report(A, B, C)
+    assert rep.cb_norm == 0.0
+    assert rep.cab_norm == 0.0
     assert rep.first_nonzero_order == 2
     assert rep.zero_eigenvalue_multiplicity >= 3
 
 
 def test_markov_report_zero_input():
-    dec = assemble_rescaled_jordan(1.0, all_anticipatory_specs())
-    rep = markov_report(dec.A, np.zeros_like(dec.B), dec.C)
+    A, B, C = rescaled_jordan_split(all_anticipatory_specs())
+    rep = markov_report(A, np.zeros_like(B), C)
     assert rep.first_nonzero_order is None
     assert all(v == 0.0 for v in rep.norms)
 
 
 def test_markov_report_rejects_small_order():
-    dec = assemble_rescaled_jordan(1.0, all_anticipatory_specs())
+    A, B, C = rescaled_jordan_split(all_anticipatory_specs())
     with pytest.raises(ValueError):
-        markov_report(dec.A, dec.B, dec.C, max_order=1)
+        markov_report(A, B, C, max_order=1)
 
 
 # --- gain sweep ----------------------------------------------------------------
@@ -296,11 +295,12 @@ def test_sweep_two_crossings_bracketed(sweep_73):
 
 
 def test_sweep_agrees_with_independent_assembly(sweep_73):
-    # dual route: per-grid verdicts must match the direct entrywise loop matrix
+    # dual route: per-grid verdicts must match the finite-difference Jacobian
+    # of the per-player rules
     specs = all_anticipatory_specs()
     for g, flag in zip(sweep_73.grid[::20], sweep_73.stable[::20]):
-        dec = assemble_rescaled_jordan(float(g), specs)
-        v = spectral_abscissa(dec.J)
+        game = make_jordan(float(g))
+        v = spectral_abscissa(finite_difference_loop(game, specs, uniform_profile(game)))
         assert v.stable == flag
 
 
@@ -312,9 +312,20 @@ def test_sweep_input_validation():
         gain_sweep(build, [-1.0, 1.0])
     with pytest.raises(ValueError):
         gain_sweep(build, [])
+    for grid in ([1.0, np.inf], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            gain_sweep(build, grid)
     res = gain_sweep(build, [1.0])
     assert res.stable.tolist() == [True]
     assert res.crossings == ()
+
+
+def test_sweep_bracket_stops_at_adjacent_floats():
+    # floats near 1.5e15 are 0.25 apart, wider than the bracket width: the
+    # bisection ends on two adjacent floats around the flip
+    res = gain_sweep(lambda g: np.array([[g - 1.5e15]]), [1e15, 2e15])
+    [(lo, hi)] = res.crossings
+    assert lo < 1.5e15 <= hi and np.nextafter(lo, np.inf) == hi
 
 
 # --- parity screen ---------------------------------------------------------------
@@ -385,11 +396,7 @@ def test_robustness_probe_finds_boundary():
         (2, 0): 0.7546 * np.eye(2),
     }
     res = robustness_probe(make_jordan(), single_anticipatory_specs(), d, max_delta=1.0)
-    assert res.first_unstable_delta is not None
-    assert 0.0 < res.certified_delta < res.first_unstable_delta <= 1.0
-    assert res.first_unstable_delta - res.certified_delta <= 1e-3
-    # the unit-scale game from this direction is the unstable perturbation
-    assert res.first_unstable_delta < 1.0
+    assert (res.certified_delta, res.first_unstable_delta) == (0.53125, 0.5322265625)
 
 
 def test_robustness_probe_zero_direction_trivially_stable():
@@ -400,3 +407,17 @@ def test_robustness_probe_zero_direction_trivially_stable():
 def test_robustness_probe_rejects_unstable_nominal():
     with pytest.raises(ValueError):
         robustness_probe(make_jordan(), [GradientPlay()] * 3, {}, max_delta=1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"max_delta": np.nan}, "max_delta"),
+        ({"max_delta": np.inf}, "max_delta"),
+        ({"direction": {(0, 1): np.array([[np.nan, 0.0], [0.0, 0.0]])}}, "direction"),
+    ],
+)
+def test_robustness_probe_rejects_nonfinite_input(kwargs, name):
+    args = {"direction": {(0, 1): np.eye(2)}, "max_delta": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        robustness_probe(make_jordan(), single_anticipatory_specs(), **args)

@@ -18,12 +18,12 @@ from gradplay.linearize import (
     assemble_flow_operators,
     assemble_game_loop,
     assemble_local_game,
+    assemble_loop_family,
     assemble_plant,
-    assemble_rescaled_jordan,
 )
 from gradplay.simplex import project_to_simplex, tangent_basis
 
-from conftest import random_mixed_ne_game
+from conftest import finite_difference_loop, random_mixed_ne_game, rescaled_jordan_split
 
 JORDAN_LOCAL = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]])
 
@@ -192,41 +192,30 @@ def test_plant_two_player_display():
 
 def test_rescaled_jordan_matches_generic_assembly():
     specs = all_anticipatory_specs()
-    for mu in (1.0, 0.5, 6.4):
-        dec = assemble_rescaled_jordan(mu, specs)
+    for mu in (0.1, 1.0, 5.0):
         g = make_jordan(mu)
-        loop = assemble_closed_loop(assemble_local_game(g, uniform_profile(g)), specs)
-        p = np.asarray(dec.perm_from_grouped)
-        assert_allclose(dec.J, loop.matrix[np.ix_(p, p)], atol=1e-12)
+        J = assemble_closed_loop(assemble_local_game(g, uniform_profile(g)), specs).matrix
+        J_fd = finite_difference_loop(g, specs, uniform_profile(g))
+        assert_allclose(J, J_fd, rtol=0, atol=1e-8 * max(1.0, np.max(np.abs(J))))
 
 
 def test_rescaled_jordan_gain_identity():
     specs = all_anticipatory_specs()
+    A, B, C = rescaled_jordan_split(specs)
     for mu in (0.1, 1.0, 5.0, 60.0):
-        dec = assemble_rescaled_jordan(mu, specs)
-        q = np.asarray(dec.perm_gain)
-        assert_allclose(dec.J[np.ix_(q, q)], dec.gain_matrix(mu), atol=1e-12)
-        # same spectrum through the permutation similarity
-        ev1 = np.sort_complex(np.linalg.eigvals(dec.J))
-        ev2 = np.sort_complex(np.linalg.eigvals(dec.gain_matrix(mu)))
+        J = assemble_game_loop(make_jordan(mu), specs).matrix
+        assert_allclose(A - mu * (B @ C), J, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(J))))
+        ev1 = np.sort_complex(np.linalg.eigvals(J))
+        ev2 = np.sort_complex(np.linalg.eigvals(A - mu * (B @ C)))
         assert_allclose(ev1, ev2, atol=1e-8)
 
 
 def test_rescaled_jordan_markov_structure():
-    dec = assemble_rescaled_jordan(1.0, all_anticipatory_specs())
-    assert (dec.C @ dec.B).item() == 0.0
-    assert (dec.C @ dec.A @ dec.B).item() == 0.0
-    ev = np.linalg.eigvals(dec.A)
+    A, B, C = rescaled_jordan_split(all_anticipatory_specs())
+    assert (C @ B).item() == 0.0
+    assert (C @ A @ B).item() == 0.0
+    ev = np.linalg.eigvals(A)
     assert int(np.sum(np.abs(ev) < 1e-6)) >= 3
-
-
-def test_rescaled_jordan_requires_scalar_aux():
-    with pytest.raises(ValueError):
-        assemble_rescaled_jordan(1.0, [GradientPlay()] * 3)
-    with pytest.raises(ValueError):
-        assemble_rescaled_jordan(1.0, [make_anticipatory(1.0, 1.0, 3)] * 3)
-    with pytest.raises(ValueError):
-        assemble_rescaled_jordan(1.0, [make_anticipatory(1.0, 1.0, 2)] * 2)
 
 
 # --- simulator operators against the closed loop -----------------------------------
@@ -292,3 +281,39 @@ def test_simulator_flow_linearizes_to_closed_loop():
         ]
         assert_allclose(J_sim, loop.matrix[np.ix_(keep, keep)], rtol=0, atol=1e-12)
         assert_allclose(assemble_game_loop(game, specs).matrix, loop.matrix, rtol=0, atol=0)
+
+
+def test_closed_loop_matches_finite_differences():
+    # the reference differentiates the per-player rule dynamics.derivative,
+    # written apart from the loop builder, coupled through the pair matrices
+    rng = np.random.default_rng(4711)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        dims = [int(rng.integers(2, 5)) for _ in range(n)]
+        game, ne = random_mixed_ne_game(rng, n=n, dims=dims)
+        specs = [_random_spec(rng, k) for k in dims]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # some draws are singular
+            J = assemble_closed_loop(assemble_local_game(game, ne), specs).matrix
+        J_fd = finite_difference_loop(game, specs, ne)
+        assert_allclose(J, J_fd, rtol=0, atol=1e-8 * max(1.0, np.max(np.abs(J))))
+
+
+def test_loop_family_matches_perturbed_games():
+    rng = np.random.default_rng(90210)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        dims = [int(rng.integers(2, 5)) for _ in range(n)]
+        game, _ = random_mixed_ne_game(rng, n=n, dims=dims)
+        specs = [_random_spec(rng, k) for k in dims]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        direction = {
+            (i, j): rng.normal(size=(dims[i], dims[j])) for i, j in pairs if rng.random() < 0.6
+        }
+        J0, J1 = assemble_loop_family(game, specs, direction)
+        for t in (-0.7, 0.3, 2.5):
+            mats = dict(game.pair_matrices)
+            for key, d in direction.items():
+                mats[key] = game.pair(*key) + t * d
+            J = assemble_game_loop(PolymatrixGame(game.dims, mats), specs).matrix
+            assert_allclose(J0 + t * J1, J, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(J))))

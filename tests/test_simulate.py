@@ -252,6 +252,12 @@ def test_washout_override_shapes_checked():
         )
     with pytest.raises(ValueError):
         simulate_coupled(g, single_anticipatory_specs(), uniform_profile(g), SimConfig(horizon=1.0), v0="sideways")
+    # exactly one xi0 / v0 entry per player
+    for kwargs in ({"xi0": [None, None, None, [1.0]]}, {"v0": [None, None]}):
+        with pytest.raises(ValueError, match="entries for 3 players"):
+            simulate_coupled(
+                g, [GradientPlay()] * 3, uniform_profile(g), SimConfig(horizon=1.0), **kwargs
+            )
     # the open loop shares the coupled run's checks and placement, one player wide
     spec = make_anticipatory(5.0, 1.0, 2)
     cfg = SimConfig(horizon=0.1)
