@@ -42,7 +42,12 @@ __all__ = [
     "default_gain_grid",
 ]
 
-STABILITY_TOL = 1e-8
+STABILITY_TOL = 1e-8  # stable iff every eigenvalue has real part < -STABILITY_TOL
+MODE_BLOCK_TOL = 1e-8  # relative eigenvector block norm that counts as no support
+MARKOV_ORDER = 8  # highest m of the reported C A^m B
+MARKOV_ZERO_TOL = 1e-4  # relative radius of the zero-eigenvalue cluster
+MARKOV_NONZERO_TOL = 1e-9  # smallest |C A^m B| entry that counts as nonzero
+PARITY_TOL = 1e-12  # smallest |m12 m21| of an isolated 2x2 equilibrium
 SWEEP_REFINE_WIDTH = 1e-4  # width of a gain_sweep crossing bracket
 PROBE_GAP = 1e-3  # width of a robustness_probe bracket
 PROBE_SCAN_POINTS = 16  # scales of robustness_probe's upward scan
@@ -54,17 +59,20 @@ def _sorted_eigenvalues(M: np.ndarray) -> np.ndarray:
     return ev[order]
 
 
+def _is_stable(M: np.ndarray) -> bool:
+    return float(np.max(np.linalg.eigvals(M).real)) < -STABILITY_TOL
+
+
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Spectrum summary: stable iff every eigenvalue real part < -tol."""
+    """Spectrum summary: stable iff every eigenvalue real part < -STABILITY_TOL."""
 
     spectral_abscissa: float
     stable: bool
     eigenvalues: np.ndarray
-    tol: float
 
 
-def spectral_abscissa(M, tol: float = STABILITY_TOL) -> StabilityVerdict:
+def spectral_abscissa(M) -> StabilityVerdict:
     """Full spectrum via dense QR iteration and the resulting stability verdict."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -73,7 +81,7 @@ def spectral_abscissa(M, tol: float = STABILITY_TOL) -> StabilityVerdict:
         raise ValueError("matrix entries must be finite")
     ev = _sorted_eigenvalues(M)
     alpha = float(np.max(ev.real))
-    return StabilityVerdict(alpha, alpha < -tol, ev, tol)
+    return StabilityVerdict(alpha, alpha < -STABILITY_TOL, ev)
 
 
 def robust_rank(M: np.ndarray, tol: float | None = None) -> int:
@@ -87,9 +95,20 @@ def robust_rank(M: np.ndarray, tol: float | None = None) -> int:
     return int(np.sum(sv > tol))
 
 
-def _unstable_eigenvalues(A: np.ndarray, tol: float) -> np.ndarray:
+def _unstable_eigenvalues(A: np.ndarray) -> np.ndarray:
     ev = np.linalg.eigvals(A)
-    return ev[ev.real >= -tol]
+    return ev[ev.real >= -STABILITY_TOL]
+
+
+def _rank_drops(A: np.ndarray, unstable, B: np.ndarray, C: np.ndarray) -> list:
+    """The lam in unstable where [[A - lam I, B], [C, 0]] has rank below n."""
+    n = A.shape[0]
+    bottom = np.hstack([C, np.zeros((C.shape[0], B.shape[1]))])
+    return [
+        lam
+        for lam in unstable
+        if robust_rank(np.vstack([np.hstack([A - lam * np.eye(n), B]), bottom])) < n
+    ]
 
 
 @dataclass(frozen=True)
@@ -103,33 +122,25 @@ class PbhResult:
         return self.ok
 
 
-def pbh_stabilizable(
-    A, B, tol: float = STABILITY_TOL, rank_tol: float | None = None
-) -> PbhResult:
-    """PBH test: (A - lam I, B) keeps full row rank at every unstable eigenvalue."""
+def pbh_stabilizable(A, B) -> PbhResult:
+    """PBH test: (A - lam I, B) keeps full row rank at every unstable eigenvalue.
+
+    This is the fixed-mode test with every player in the input set.
+    """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    n = A.shape[0]
-    witnesses = []
-    for lam in _unstable_eigenvalues(A, tol):
-        M = np.hstack([A - lam * np.eye(n), B])
-        if robust_rank(M, rank_tol) < n:
-            witnesses.append(lam)
+    witnesses = _rank_drops(A, _unstable_eigenvalues(A), B, np.zeros((0, A.shape[0])))
     return PbhResult(not witnesses, tuple(witnesses))
 
 
-def pbh_detectable(
-    A, C, tol: float = STABILITY_TOL, rank_tol: float | None = None
-) -> PbhResult:
-    """Dual PBH test: (C; A - lam I) keeps full column rank at unstable eigenvalues."""
+def pbh_detectable(A, C) -> PbhResult:
+    """Dual PBH test: (A - lam I; C) keeps full column rank at unstable eigenvalues.
+
+    This is the fixed-mode test with every player in the output set.
+    """
     A = np.asarray(A, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
-    witnesses = []
-    for lam in _unstable_eigenvalues(A, tol):
-        M = np.vstack([A - lam * np.eye(n), C])
-        if robust_rank(M, rank_tol) < n:
-            witnesses.append(lam)
+    witnesses = _rank_drops(A, _unstable_eigenvalues(A), np.zeros((A.shape[0], 0)), C)
     return PbhResult(not witnesses, tuple(witnesses))
 
 
@@ -158,9 +169,7 @@ class ModeSupportReport:
     entries: tuple
 
 
-def check_mode_support(
-    local: GameLocalMatrix, tol: float = STABILITY_TOL, block_tol: float = 1e-8
-) -> ModeSupportReport:
+def check_mode_support(local: GameLocalMatrix) -> ModeSupportReport:
     """Check block support of left/right eigenvectors for Re >= 0 eigenvalues."""
     M = local.matrix
     lam, VL, VR = scipy.linalg.eig(M, left=True, right=True)
@@ -169,7 +178,7 @@ def check_mode_support(
     ok_all = True
     indeterminate_any = False
     for idx, lv in enumerate(lam):
-        if lv.real < -tol:
+        if lv.real < -STABILITY_TOL:
             continue
         mult = int(np.sum(np.abs(lam - lv) <= 1e-8 * scale))
         if mult > 1:
@@ -188,7 +197,7 @@ def check_mode_support(
             rn = float(np.linalg.norm(right[sl])) / float(np.linalg.norm(right))
             lnorms.append(ln)
             rnorms.append(rn)
-            if ln <= block_tol or rn <= block_tol:
+            if ln <= MODE_BLOCK_TOL or rn <= MODE_BLOCK_TOL:
                 ok = False
         entries.append(ModeSupportEntry(lv, 1, tuple(lnorms), tuple(rnorms), ok, False))
         ok_all = ok_all and ok
@@ -200,7 +209,6 @@ class FixedModeWitness:
     eigenvalue: complex
     input_players: tuple
     output_players: tuple
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -215,15 +223,11 @@ class DecentralizedCheck:
         return self.ok
 
 
-def decentralized_stabilizable(
-    plant: DecentralizedPlant,
-    tol: float = STABILITY_TOL,
-    rank_tol: float | None = None,
-) -> DecentralizedCheck:
+def decentralized_stabilizable(plant: DecentralizedPlant) -> DecentralizedCheck:
     """Rank condition for decentralized stabilization over all player partitions.
 
     For every split of players into an input set Q and output set R and every
-    eigenvalue of A with Re >= -tol, the bordered matrix
+    eigenvalue of A with Re >= -STABILITY_TOL, the bordered matrix
     [[A - lam I, B|Q], [C|R, 0]] must have rank at least n; a drop below n at
     an unstable eigenvalue is a fixed mode that no decentralized compensation
     can move.  Rank loss away from eigenvalues of A is impossible since
@@ -232,28 +236,15 @@ def decentralized_stabilizable(
     """
     A = plant.A
     n = A.shape[0]
-    unstable = _unstable_eigenvalues(A, tol)
+    unstable = _unstable_eigenvalues(A)
     players = range(plant.n)
     failures = []
     for qsize in range(plant.n + 1):
         for Q in itertools.combinations(players, qsize):
             R = tuple(i for i in players if i not in Q)
-            BQ = (
-                np.hstack([plant.B_blocks[q] for q in Q])
-                if Q
-                else np.zeros((n, 0))
-            )
-            CR = (
-                np.vstack([plant.C_blocks[r] for r in R])
-                if R
-                else np.zeros((0, n))
-            )
-            for lam in unstable:
-                top = np.hstack([A - lam * np.eye(n), BQ])
-                bottom = np.hstack([CR, np.zeros((CR.shape[0], BQ.shape[1]))])
-                rank = robust_rank(np.vstack([top, bottom]), rank_tol)
-                if rank < n:
-                    failures.append(FixedModeWitness(lam, Q, R, rank))
+            BQ = np.hstack([plant.B_blocks[q] for q in Q]) if Q else np.zeros((n, 0))
+            CR = np.vstack([plant.C_blocks[r] for r in R]) if R else np.zeros((0, n))
+            failures += [FixedModeWitness(lam, Q, R) for lam in _rank_drops(A, unstable, BQ, CR)]
     return DecentralizedCheck(not failures, n, tuple(failures))
 
 
@@ -263,7 +254,7 @@ class MarkovReport:
 
     first_nonzero_order is the smallest m with a nonvanishing C A^m B (None if
     all tested orders vanish).  zero_eigenvalue_multiplicity counts eigenvalues
-    of A within zero_tol of the origin; the default tolerance is sized for
+    of A within MARKOV_ZERO_TOL (relative) of the origin, a radius sized for
     defective zero clusters, which rounding spreads across a radius of roughly
     (eps * norm)^(1/multiplicity).
     """
@@ -271,8 +262,6 @@ class MarkovReport:
     norms: tuple
     first_nonzero_order: int | None
     zero_eigenvalue_multiplicity: int
-    zero_tol: float
-    nonzero_tol: float
 
     @property
     def cb_norm(self) -> float:
@@ -283,30 +272,21 @@ class MarkovReport:
         return self.norms[1]
 
 
-def markov_report(
-    A,
-    B,
-    C,
-    max_order: int = 8,
-    zero_tol: float = 1e-4,
-    nonzero_tol: float = 1e-9,
-) -> MarkovReport:
-    """Compute C A^m B for m = 0..max_order and count eigenvalues of A near zero."""
-    if max_order < 2:
-        raise ValueError("max_order must be at least 2")
+def markov_report(A, B, C) -> MarkovReport:
+    """Compute C A^m B for m = 0..MARKOV_ORDER and count eigenvalues of A near zero."""
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
     norms = []
     X = B
-    for _ in range(max_order + 1):
+    for _ in range(MARKOV_ORDER + 1):
         norms.append(float(np.max(np.abs(C @ X))) if X.size else 0.0)
         X = A @ X
-    first = next((m for m, v in enumerate(norms) if v > nonzero_tol), None)
+    first = next((m for m, v in enumerate(norms) if v > MARKOV_NONZERO_TOL), None)
     ev = np.linalg.eigvals(A)
     scale = max(1.0, float(np.max(np.abs(ev))))
-    zero_mult = int(np.sum(np.abs(ev) <= zero_tol * scale))
-    return MarkovReport(tuple(norms), first, zero_mult, zero_tol, nonzero_tol)
+    zero_mult = int(np.sum(np.abs(ev) <= MARKOV_ZERO_TOL * scale))
+    return MarkovReport(tuple(norms), first, zero_mult)
 
 
 @dataclass(frozen=True)
@@ -321,15 +301,14 @@ class SweepResult:
     eigenvalues: tuple
     stable: np.ndarray
     crossings: tuple
-    tol: float
 
 
 def default_gain_grid(lo: float = 1e-2, hi: float = 1e2, points: int = 200) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), points)
 
 
-def _bisect_flip(is_stable, lo: float, hi: float, lo_flag: bool, width: float) -> tuple:
-    """Halve [lo, hi] around a stability flip, lo keeping lo_flag.
+def _bisect_flip(build_matrix, lo: float, hi: float, lo_flag: bool, width: float) -> tuple:
+    """Halve [lo, hi] around a stability flip of build_matrix, lo keeping lo_flag.
 
     Stops at width hi - lo <= width, or earlier where no float lies strictly
     between lo and hi.
@@ -338,7 +317,7 @@ def _bisect_flip(is_stable, lo: float, hi: float, lo_flag: bool, width: float) -
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if is_stable(mid) == lo_flag:
+        if _is_stable(build_matrix(mid)) == lo_flag:
             lo = mid
         else:
             hi = mid
@@ -357,10 +336,6 @@ def gain_sweep(build_matrix: Callable[[float], np.ndarray], grid) -> SweepResult
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
 
-    def is_stable(g: float) -> bool:
-        ev = np.linalg.eigvals(build_matrix(g))
-        return float(np.max(ev.real)) < -STABILITY_TOL
-
     eigenvalues = []
     stable = np.zeros(grid.size, dtype=bool)
     for idx, g in enumerate(grid):
@@ -371,8 +346,8 @@ def gain_sweep(build_matrix: Callable[[float], np.ndarray], grid) -> SweepResult
     for idx in range(grid.size - 1):
         if stable[idx] != stable[idx + 1]:
             lo, hi = float(grid[idx]), float(grid[idx + 1])
-            crossings.append(_bisect_flip(is_stable, lo, hi, bool(stable[idx]), SWEEP_REFINE_WIDTH))
-    return SweepResult(grid, tuple(eigenvalues), stable, tuple(crossings), STABILITY_TOL)
+            crossings.append(_bisect_flip(build_matrix, lo, hi, stable[idx], SWEEP_REFINE_WIDTH))
+    return SweepResult(grid, tuple(eigenvalues), stable, tuple(crossings))
 
 
 @dataclass(frozen=True)
@@ -396,14 +371,14 @@ class ParityResult:
         return self.verdict == "not_strongly_stabilizable"
 
 
-def strong_stabilizability_2x2(game: PolymatrixGame, tol: float = 1e-12) -> ParityResult:
+def strong_stabilizability_2x2(game: PolymatrixGame) -> ParityResult:
     """Parity screen on a two-player game with binary strategies."""
     if game.n != 2 or game.dims != (2, 2):
         raise ValueError("parity screen applies to two players with two strategies each")
     N = tangent_basis(2).N
     m12 = float((N.T @ game.pair(0, 1) @ N)[0, 0])
     m21 = float((N.T @ game.pair(1, 0) @ N)[0, 0])
-    if abs(m12 * m21) <= tol:
+    if abs(m12 * m21) <= PARITY_TOL:
         raise ValueError(
             "m12 * m21 vanishes: the mixed equilibrium is not isolated"
         )
@@ -441,16 +416,20 @@ def robustness_probe(
         if not np.all(np.isfinite(np.asarray(d, dtype=float))):
             raise ValueError(f"direction {key} has non-finite entries")
     J0, J1 = assemble_loop_family(game, specs, direction)
+    # the loop is affine in delta, so finite at both ends means finite between
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(J0 + max_delta * J1)):
+            raise ValueError(f"the loop at max_delta = {max_delta} overflows")
 
-    def loop_stable(delta: float) -> bool:
-        return float(np.max(np.linalg.eigvals(J0 + delta * J1).real)) < -STABILITY_TOL
+    def loop(delta: float) -> np.ndarray:
+        return J0 + delta * J1
 
-    if not loop_stable(0.0):
+    if not _is_stable(loop(0.0)):
         raise ValueError("nominal closed loop is unstable; nothing to certify")
     lo = 0.0
     for d in np.linspace(0.0, max_delta, PROBE_SCAN_POINTS + 1)[1:]:
-        if not loop_stable(float(d)):
-            lo, hi = _bisect_flip(loop_stable, lo, float(d), True, PROBE_GAP)
+        if not _is_stable(loop(float(d))):
+            lo, hi = _bisect_flip(loop, lo, float(d), True, PROBE_GAP)
             return RobustnessResult(lo, hi, max_delta)
         lo = float(d)
     return RobustnessResult(max_delta, None, max_delta)

@@ -343,8 +343,8 @@ def _cmd_simulate(args) -> int:
     except NonFiniteStateError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    write_trajectory_csv(args.out, traj)
     cert = verify_ne(game, traj.final_profile(), tol=max(args.ne_tol, 1e-12))
+    write_trajectory_csv(args.out, traj)
     converged = traj.converged and cert.is_ne
     _emit(
         {
@@ -365,17 +365,8 @@ def _cmd_scenario(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    overrides = {}
-    if args.h is not None:
-        overrides["h"] = args.h
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.mu is not None:
-        overrides["mu"] = args.mu
-    if args.sigma is not None:
-        overrides["sigma"] = args.sigma
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    keys = ("h", "horizon", "mu", "sigma", "seed")
+    overrides = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     if args.deltas is not None:
         parts = [float(v) for v in args.deltas.split(",")]
         if len(parts) != 3:

@@ -38,8 +38,8 @@ def softmax(v, temperature: float) -> np.ndarray:
     Shift-invariant: adding a constant to all entries leaves the result
     unchanged (the max is subtracted before exponentiation).
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise NonFiniteInputError("softmax input must be finite")
@@ -64,8 +64,8 @@ class SmoothFictitiousPlay:
     temperature: float = 0.1
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,8 @@ class HigherOrderGradientPlay:
         F = np.atleast_2d(np.asarray(self.F, dtype=float))
         G = np.atleast_2d(np.asarray(self.G, dtype=float))
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
+        if not all(np.isfinite(M).all() for M in (E, F, G, H)):
+            raise ValueError("E, F, G and H must have finite entries")
         if E.shape[0] != E.shape[1]:
             raise ValueError("E must be square")
         ell = E.shape[0]
@@ -217,12 +219,10 @@ def make_anticipatory(
     H = gamma*lam I, G = -gamma2*lam I (gamma2 defaults to gamma).  With
     gamma2 == gamma the modification approximates p(t + gamma).
     """
-    if lam <= 0 or gamma <= 0:
-        raise ValueError("lam and gamma must be positive")
     if gamma2 is None:
         gamma2 = gamma
-    if gamma2 <= 0:
-        raise ValueError("gamma2 must be positive")
+    if not all(0 < v < np.inf for v in (lam, gamma, gamma2)):
+        raise ValueError("lam, gamma and gamma2 must be positive and finite")
     if k < 2:
         raise ValueError("need at least two pure strategies")
     r = k - 1

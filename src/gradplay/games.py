@@ -139,8 +139,8 @@ def verify_ne(game: PolymatrixGame, profile, tol: float = NE_TOL) -> NeCertifica
     deviating to their best pure strategy; it is completely mixed when every
     strategy entry exceeds tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     xs = validate_profile(game, profile)
     gains = []
     levels = []
@@ -177,8 +177,8 @@ def make_jordan(scale: float = 1.0) -> PolymatrixGame:
     players 1 and 2 close the cycle with the unscaled matrix.  The unique Nash
     equilibrium is (1/2, 1/2) for every player, for any scale > 0.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return PolymatrixGame(
         dims=(2, 2, 2),
         pair_matrices={(0, 1): scale * _ANTI, (1, 2): _ANTI.copy(), (2, 0): _ANTI.copy()},
@@ -200,7 +200,7 @@ def perturb_jordan_diagonal(d1: float, d2: float, d3: float) -> PolymatrixGame:
     equilibrium (the payoff vectors stay constant).
     """
     ds = (float(d1), float(d2), float(d3))
-    if any(d < 0.0 or d >= 1.0 for d in ds):
+    if not all(0.0 <= d < 1.0 for d in ds):
         raise ValueError("diagonal perturbations must lie in [0, 1)")
     return PolymatrixGame(
         dims=(2, 2, 2),
@@ -241,8 +241,8 @@ def perturb_random(game: PolymatrixGame, sigma: float, seed: int) -> PolymatrixG
     Deterministic in (seed, sigma): uniforms come from PCG64(seed) and are
     mapped to normals by the polar method, with pairs visited in sorted order.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     if sigma == 0:
         return PolymatrixGame(game.dims, dict(game.pair_matrices))
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 SINGULAR_RTOL = 1e-12
+MIXED_TOL = 1e-9  # smallest strategy entry of a completely mixed profile
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,7 @@ def _local_matrix_raw(game: PolymatrixGame, bases) -> np.ndarray:
     return M
 
 
-def assemble_local_game(
-    game: PolymatrixGame, ne_profile, bases=None, mixed_tol: float = 1e-9
-) -> GameLocalMatrix:
+def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
     """Reduced coupling matrix at a completely mixed equilibrium profile.
 
     The matrix itself depends only on the pair matrices and tangent bases; the
@@ -99,16 +98,11 @@ def assemble_local_game(
     boundary profile has no tangent-space neighbourhood).
     """
     xs = validate_profile(game, ne_profile)
-    if any(float(np.min(x)) <= mixed_tol for x in xs):
+    if any(float(np.min(x)) <= MIXED_TOL for x in xs):
         raise ValueError(
             "profile is not completely mixed; local coordinates are undefined at the boundary"
         )
-    if bases is None:
-        bases = [tangent_basis(k) for k in game.dims]
-    for i, b in enumerate(bases):
-        if b.k != game.dims[i]:
-            raise ValueError(f"basis {i} has k={b.k}, expected {game.dims[i]}")
-    M = _local_matrix_raw(game, bases)
+    M = _local_matrix_raw(game, [tangent_basis(k) for k in game.dims])
     _warn_if_singular(M, "local game matrix")
     return GameLocalMatrix(M, game.dims)
 

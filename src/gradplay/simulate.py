@@ -584,14 +584,11 @@ def _data_specs(filename: str, game: PolymatrixGame):
     return cli.specs_from_json(json.loads(text), game)
 
 
-def _offset_profile(game: PolymatrixGame, offset: float):
-    out = []
-    for i, k in enumerate(game.dims):
-        x = np.full(k, 1.0 / k) + offset * tangent_basis(k).N[:, 0]
-        if np.min(x) <= 0:
-            raise ValueError("offset pushes the initial profile out of the simplex")
-        out.append(x)
-    return out
+START_OFFSET = 0.05  # coupled presets start this far along each player's first tangent
+
+
+def _offset_profile(game: PolymatrixGame) -> list:
+    return [np.full(k, 1.0 / k) + START_OFFSET * tangent_basis(k).N[:, 0] for k in game.dims]
 
 
 def _take(overrides: dict, allowed: dict) -> dict:
@@ -603,87 +600,42 @@ def _take(overrides: dict, allowed: dict) -> dict:
     return merged
 
 
-@dataclass
-class _CoupledPlan:
-    game: PolymatrixGame
-    specs: list
-    cfg: SimConfig
-    init: list
-    target: list | None
-    sweep_builder: Callable[[], SweepResult] | None = None
+class _Preset(NamedTuple):
+    """A coupled preset: its game is built from the merged overridable defaults."""
+
+    specs_file: str
+    defaults: dict
+    game: Callable[[dict], PolymatrixGame]
+    uniform_target: bool  # else the settled profile must certify as an equilibrium
+    stride: int
+    sweep: bool = False  # sweep the payoff scale of the Jordan game
 
 
-def _plan_jordan_single(overrides) -> _CoupledPlan:
-    o = _take(overrides, {"h": 0.002, "horizon": 200.0, "stride": 50, "offset": 0.05})
-    game = make_jordan(1.0)
-    specs = _data_specs("jordan_single.specs.json", game)
-    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=o["stride"])
-    return _CoupledPlan(game, specs, cfg, _offset_profile(game, o["offset"]), uniform_profile(game))
-
-
-def _plan_jordan_random(overrides) -> _CoupledPlan:
-    o = _take(
-        overrides,
-        {"h": 0.002, "horizon": 150.0, "stride": 50, "offset": 0.05, "sigma": 0.3, "seed": 1},
-    )
-    game = perturb_random(make_jordan(1.0), o["sigma"], o["seed"])
-    specs = _data_specs("jordan_single.specs.json", game)
-    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=o["stride"])
-    return _CoupledPlan(game, specs, cfg, _offset_profile(game, o["offset"]), None)
-
-
-def _plan_jordan_diagonal(overrides) -> _CoupledPlan:
-    o = _take(
-        overrides,
-        {
-            "h": 0.002,
-            "horizon": 80.0,
-            "stride": 20,
-            "offset": 0.05,
-            "deltas": (0.3877, 0.1446, 0.1352),
-        },
-    )
-    game = perturb_jordan_diagonal(*o["deltas"])
-    specs = _data_specs("jordan_single.specs.json", game)
-    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=o["stride"])
-    return _CoupledPlan(game, specs, cfg, _offset_profile(game, o["offset"]), uniform_profile(game))
-
-
-def _plan_jordan_rescaled(overrides) -> _CoupledPlan:
-    o = _take(
-        overrides, {"h": 0.01, "horizon": 100.0, "stride": 10, "offset": 0.05, "mu": 1.0}
-    )
-    game = make_jordan(o["mu"])
-    specs = _data_specs("jordan_rescaled.specs.json", game)
-    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=o["stride"])
-
-    def sweep_builder() -> SweepResult:
-        return gain_sweep(
-            lambda g: assemble_game_loop(make_jordan(g), specs).matrix, default_gain_grid()
-        )
-
-    return _CoupledPlan(
-        game, specs, cfg, _offset_profile(game, o["offset"]), uniform_profile(game), sweep_builder
-    )
-
-
-def _plan_coordination_stabilize(overrides) -> _CoupledPlan:
-    o = _take(overrides, {"h": 0.002, "horizon": 80.0, "stride": 20, "offset": 0.05})
-    game = make_coordination()
-    specs = _data_specs("coordination_stabilize.specs.json", game)
-    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=o["stride"])
-    return _CoupledPlan(game, specs, cfg, _offset_profile(game, o["offset"]), uniform_profile(game))
-
-
-_COUPLED_PLANS = {
-    "jordan-single": _plan_jordan_single,
-    "jordan-random": _plan_jordan_random,
-    "jordan-diagonal": _plan_jordan_diagonal,
-    "jordan-rescaled": _plan_jordan_rescaled,
-    "coordination-stabilize": _plan_coordination_stabilize,
+_PRESETS = {
+    "jordan-single": _Preset(
+        "jordan_single.specs.json", {"h": 0.002, "horizon": 200.0},
+        lambda o: make_jordan(1.0), True, 50,
+    ),
+    "jordan-random": _Preset(
+        "jordan_single.specs.json", {"h": 0.002, "horizon": 150.0, "sigma": 0.3, "seed": 1},
+        lambda o: perturb_random(make_jordan(1.0), o["sigma"], o["seed"]), False, 50,
+    ),
+    "jordan-diagonal": _Preset(
+        "jordan_single.specs.json",
+        {"h": 0.002, "horizon": 80.0, "deltas": (0.3877, 0.1446, 0.1352)},
+        lambda o: perturb_jordan_diagonal(*o["deltas"]), True, 20,
+    ),
+    "jordan-rescaled": _Preset(
+        "jordan_rescaled.specs.json", {"h": 0.01, "horizon": 100.0, "mu": 1.0},
+        lambda o: make_jordan(o["mu"]), True, 10, sweep=True,
+    ),
+    "coordination-stabilize": _Preset(
+        "coordination_stabilize.specs.json", {"h": 0.002, "horizon": 80.0},
+        lambda o: make_coordination(), True, 20,
+    ),
 }
 
-SCENARIO_NAMES = tuple(list(_COUPLED_PLANS) + ["coordination-openloop"])
+SCENARIO_NAMES = tuple(list(_PRESETS) + ["coordination-openloop"])
 
 
 def scenario_names() -> tuple:
@@ -691,11 +643,11 @@ def scenario_names() -> tuple:
 
 
 def _run_openloop(overrides, out_dir) -> ScenarioResult:
-    o = _take(overrides, {"h": 0.002, "horizon": 40.0, "stride": 10})
+    o = _take(overrides, {"h": 0.002, "horizon": 40.0})
     game = make_coordination()
     specs = _data_specs("coordination_stabilize.specs.json", game)
     spec = specs[0]
-    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=o["stride"])
+    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=10)
     payoff = np.array([0.0, 1.0])
     traj = simulate_open_loop(spec, lambda t: payoff, np.array([0.5, 0.5]), cfg, v0="zero")
     verdict = spectral_abscissa(spec.E)
@@ -723,24 +675,31 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None) -> Scen
     overrides = dict(overrides or {})
     if name == "coordination-openloop":
         return _run_openloop(overrides, out_dir)
-    if name not in _COUPLED_PLANS:
+    if name not in _PRESETS:
         raise ValueError(f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}")
-    plan = _COUPLED_PLANS[name](overrides)
-    traj = simulate_coupled(plan.game, plan.specs, plan.init, plan.cfg)
-    verdict = spectral_abscissa(assemble_game_loop(plan.game, plan.specs).matrix)
-    if plan.target is not None:
-        converged, hit = detect_convergence(traj, plan.target, plan.cfg.convergence_tol)
+    preset = _PRESETS[name]
+    o = _take(overrides, preset.defaults)
+    game = preset.game(o)
+    specs = _data_specs(preset.specs_file, game)
+    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=preset.stride)
+    target = uniform_profile(game) if preset.uniform_target else None
+    traj = simulate_coupled(game, specs, _offset_profile(game), cfg)
+    verdict = spectral_abscissa(assemble_game_loop(game, specs).matrix)
+    if target is not None:
+        converged, hit = detect_convergence(traj, target, cfg.convergence_tol)
     else:
         hit = None
         converged = False
         if traj.converged:
-            cert = verify_ne(plan.game, traj.final_profile(), tol=1e-3)
+            cert = verify_ne(game, traj.final_profile(), tol=1e-3)
             converged = cert.is_ne
     consistent = verdict.stable == converged
-    sweep = plan.sweep_builder() if plan.sweep_builder is not None else None
-    result = ScenarioResult(
-        name, traj, verdict, converged, hit, consistent, plan.target, sweep
-    )
+    sweep = None
+    if preset.sweep:
+        sweep = gain_sweep(
+            lambda g: assemble_game_loop(make_jordan(g), specs).matrix, default_gain_grid()
+        )
+    result = ScenarioResult(name, traj, verdict, converged, hit, consistent, target, sweep)
     if out_dir is not None:
         _write_artifacts(result, out_dir)
     return result

@@ -579,6 +579,43 @@ def test_scenario_deltas_override(capsys, tmp_path):
     assert not doc["stable"] and not doc["converged"] and doc["consistent"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "jordan-rescaled", "--mu", "nan"],
+        ["scenario", "jordan-rescaled", "--mu", "inf"],
+        ["scenario", "jordan-random", "--sigma", "nan"],
+        ["scenario", "jordan-diagonal", "--deltas", "nan,0,0"],
+        ["simulate", {"variant": "anticipatory", "lambda": np.nan, "gamma": 1.0}],
+        ["simulate", {"variant": "higher_order", "E": [[np.inf]], "F": [[1]], "G": [[1]], "H": [[1]]}],
+    ],
+)
+def test_nonfinite_parameter_exits_2(capsys, tmp_path, jordan_file, argv):
+    if argv[0] == "simulate":
+        # the first player of the specs file carries the non-finite parameter
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"players": [argv[1]] + [{"variant": "gradient_play"}] * 2}))
+        argv = ["simulate", jordan_file, str(specs), "--out", str(tmp_path / "t.csv")]
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("verify", "--tol"), ("analyze", "--tol"), ("simulate", "--ne-tol")],
+)
+def test_nonfinite_tolerance_exits_2(capsys, tmp_path, jordan_file, command, option):
+    argv = [command, jordan_file, option, "nan"]
+    if command != "verify":
+        argv.insert(2, data_path("jordan_single.specs.json"))
+    if command == "simulate":
+        argv += ["--horizon", "1", "--out", str(tmp_path / "t.csv")]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "tol must be positive and finite" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_scenario_nonfinite_horizon_exits_2(capsys):
     code, _, err = run(capsys, ["scenario", "jordan-single", "--horizon", "inf"])
     assert code == 2

@@ -41,10 +41,11 @@ def test_softmax_shift_invariant(vals, shift, T):
 
 
 def test_softmax_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        softmax([1.0, 0.0], 0.0)
-    with pytest.raises(ValueError):
-        softmax([1.0, 0.0], -1.0)
+    for T in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            softmax([1.0, 0.0], T)
+        with pytest.raises(ValueError):
+            SmoothFictitiousPlay(T)
 
 
 def test_gradient_play_fixed_at_constant_payoff():
@@ -135,6 +136,9 @@ def test_make_anticipatory_rejects_bad_params():
         make_anticipatory(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         make_anticipatory(1.0, -1.0, 2)
+    for lam, gamma, gamma2 in ((np.nan, 1.0, None), (1.0, np.inf, None), (1.0, 1.0, np.nan)):
+        with pytest.raises(ValueError):
+            make_anticipatory(lam, gamma, 2, gamma2)
 
 
 def test_vanishing_modification_anticipatory_wrapper():
@@ -190,6 +194,9 @@ def test_higher_order_shape_validation():
         HigherOrderGradientPlay(E=[[1.0, 0.0]], F=[[1.0]], G=[[1.0]], H=[[1.0]])
     with pytest.raises(ValueError):
         HigherOrderGradientPlay(E=[[1.0]], F=[[1.0, 0.0]], G=[[1.0]], H=[[1.0]])
+    for bad in ({"E": [[np.nan]]}, {"F": [[np.inf]]}, {"G": [[-np.inf]]}, {"H": [[np.nan]]}):
+        with pytest.raises(ValueError, match="finite"):
+            HigherOrderGradientPlay(**{"E": [[1.0]], "F": [[1.0]], "G": [[1.0]], "H": [[1.0]], **bad})
     spec = make_anticipatory(1.0, 1.0, 3)
     state = PlayerState.higher_order([0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):

@@ -148,10 +148,9 @@ def test_make_jordan_scale_applies_to_first_pair_only():
 
 
 def test_make_jordan_rejects_nonpositive_scale():
-    with pytest.raises(ValueError):
-        make_jordan(0.0)
-    with pytest.raises(ValueError):
-        make_jordan(-1.0)
+    for scale in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            make_jordan(scale)
 
 
 def test_make_coordination_matrices():
@@ -187,6 +186,8 @@ def test_perturb_jordan_diagonal_range_check():
         perturb_jordan_diagonal(1.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         perturb_jordan_diagonal(-0.1, 0.1, 0.1)
+    with pytest.raises(ValueError):
+        perturb_jordan_diagonal(0.1, np.nan, 0.1)
 
 
 def test_perturb_random_zero_sigma_is_identity():
@@ -216,8 +217,9 @@ def test_perturb_random_touches_only_stored_pairs():
 
 
 def test_perturb_random_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        perturb_random(make_jordan(), -0.1, seed=0)
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            perturb_random(make_jordan(), sigma, seed=0)
 
 
 def test_game_shape_validation():

@@ -109,8 +109,10 @@ def test_presets_match_per_stage_reference(monkeypatch, name, overrides, saturat
         return (r.verdict.stable, r.converged, r.consistent, r.diverged)
 
     assert verdict(fast) == verdict(ref)
-    plan = sim._COUPLED_PLANS[name](overrides)
-    assert _support_left_full(fast.trajectory, plan.game, plan.specs) == saturates
+    preset = sim._PRESETS[name]
+    game = preset.game(sim._take(overrides, preset.defaults))
+    specs = sim._data_specs(preset.specs_file, game)
+    assert _support_left_full(fast.trajectory, game, specs) == saturates
 
 
 @settings(
