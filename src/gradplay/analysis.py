@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .games import PolymatrixGame
 from .linearize import DecentralizedPlant, GameLocalMatrix, assemble_loop_family
@@ -43,6 +42,10 @@ __all__ = [
 ]
 
 STABILITY_TOL = 1e-8  # stable iff every eigenvalue has real part < -STABILITY_TOL
+SCREEN_SEED = 20240101  # seed of the fixed-mode screen's random decentralized gains
+SCREEN_DRAWS = 2  # random decentralized gains drawn by the fixed-mode screen
+SCREEN_TOL = 1e-6  # relative distance at which a gain has moved an eigenvalue of A
+SCREEN_REPEAT_TOL = 1e-8  # relative radius of a repeated eigenvalue, never screened out
 MODE_BLOCK_TOL = 1e-8  # relative eigenvector block norm that counts as no support
 MARKOV_ORDER = 8  # highest m of the reported C A^m B
 MARKOV_ZERO_TOL = 1e-4  # relative radius of the zero-eigenvalue cluster
@@ -89,6 +92,8 @@ def robust_rank(M: np.ndarray, tol: float | None = None) -> int:
     M = np.atleast_2d(np.asarray(M, dtype=float if not np.iscomplexobj(M) else complex))
     if M.size == 0:
         return 0
+    if tol is not None and not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     sv = np.linalg.svd(M, compute_uv=False)
     if tol is None:
         tol = max(M.shape) * np.finfo(float).eps * sv[0]
@@ -171,6 +176,8 @@ class ModeSupportReport:
 
 def check_mode_support(local: GameLocalMatrix) -> ModeSupportReport:
     """Check block support of left/right eigenvectors for Re >= 0 eigenvalues."""
+    import scipy.linalg  # only this needs left eigenvectors; keeps scipy out of import gradplay
+
     M = local.matrix
     lam, VL, VR = scipy.linalg.eig(M, left=True, right=True)
     scale = max(1.0, float(np.max(np.abs(lam))))
@@ -233,10 +240,34 @@ def decentralized_stabilizable(plant: DecentralizedPlant) -> DecentralizedCheck:
     can move.  Rank loss away from eigenvalues of A is impossible since
     A - lam I is then invertible.  Q = all players reproduces the PBH
     stabilizability test and R = all players the PBH detectability test.
+
+    The fixed modes are the eigenvalues of A that stay eigenvalues of
+    A + sum_i B_i K_i C_i for every block-diagonal gain (Wang & Davison 1973;
+    Davison 1976).  So a screen first draws SCREEN_DRAWS such gains from
+    SCREEN_SEED and clears each simple unstable eigenvalue that one of them
+    moves farther than SCREEN_TOL * scale.  A cleared eigenvalue is not a
+    fixed mode, so no partition can drop rank there (Anderson & Clements
+    1981), and the result is exact: the rank tests still decide every
+    eigenvalue that is not cleared.  Repeated eigenvalues are never cleared,
+    since rounding moves a fixed mode of multiplicity m by about eps^(1/m).
     """
     A = plant.A
     n = A.shape[0]
-    unstable = _unstable_eigenvalues(A)
+    ev = np.linalg.eigvals(A)
+    unstable = ev[ev.real >= -STABILITY_TOL]
+    scale = max(1.0, n * float(np.max(np.abs(A))))
+    rng = np.random.default_rng(SCREEN_SEED)
+    moved = np.zeros(unstable.size, dtype=bool)
+    for _ in range(SCREEN_DRAWS):
+        closed_loop = A.astype(float)
+        for b, c in zip(plant.B_blocks, plant.C_blocks):
+            closed_loop += b @ rng.standard_normal((b.shape[1],) * 2) @ c
+        closed = np.linalg.eigvals(closed_loop)
+        moved |= np.min(np.abs(unstable[:, None] - closed), axis=1) > SCREEN_TOL * scale
+    repeated = np.sum(np.abs(unstable[:, None] - ev) <= SCREEN_REPEAT_TOL * scale, axis=1) > 1
+    unstable = unstable[repeated | ~moved]
+    if not unstable.size:
+        return DecentralizedCheck(True, n, ())
     players = range(plant.n)
     failures = []
     for qsize in range(plant.n + 1):

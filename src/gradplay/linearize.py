@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import GradientPlay, HigherOrderGradientPlay, aux_dim
 from .games import PolymatrixGame, validate_profile
@@ -255,7 +254,9 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
         raise ValueError("flow operators exist only for (higher-order) gradient play")
     E, F, G, H, _ = _stacked_compensators(game.dims, specs)
     K = np.block([[game.pair(i, j) for j in range(game.n)] for i in range(game.n)])
-    lift = scipy.linalg.block_diag(*(tangent_basis(k).N for k in game.dims))
+    lift = np.zeros((K.shape[0], sum(k - 1 for k in game.dims)))
+    for row, k, sl in zip(np.cumsum((0,) + game.dims), game.dims, _tangent_slices(game.dims)):
+        lift[row : row + k, sl] = tangent_basis(k).N
     washed = [
         row
         for s, sl in zip(specs, _tangent_slices(game.dims))

@@ -1,9 +1,12 @@
 """Shared fixtures and test-only generators."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from gradplay import run_scenario
+from gradplay.analysis import STABILITY_TOL, robust_rank
 from gradplay.dynamics import HigherOrderGradientPlay, PlayerState, aux_dim, derivative
 from gradplay.games import PolymatrixGame, make_jordan, payoff_map
 from gradplay.linearize import assemble_loop_family
@@ -85,6 +88,33 @@ def finite_difference_loop(game, specs, ne, h=1e-6):
         e[c] = h
         J[:, c] = (flow(e) - flow(-e)) / (2 * h)
     return J
+
+
+def exhaustive_fixed_modes(plant):
+    """Fixed-mode witnesses (lam, Q, R) of a decentralized plant, by brute force.
+
+    For every split of the players into an input set Q and an output set R,
+    and every eigenvalue lam of A with Re >= -STABILITY_TOL, in that order,
+    lam is a witness when [[A - lam I, B|Q], [C|R, 0]] has rank below dim(A).
+    No screen: every eigenvalue meets every partition.
+    """
+    A = plant.A
+    n = A.shape[0]
+    ev = np.linalg.eigvals(A)
+    unstable = ev[ev.real >= -STABILITY_TOL]
+    players = range(plant.n)
+    out = []
+    for qsize in range(plant.n + 1):
+        for Q in itertools.combinations(players, qsize):
+            R = tuple(i for i in players if i not in Q)
+            BQ = np.hstack([np.zeros((n, 0))] + [plant.B_blocks[q] for q in Q])
+            CR = np.vstack([np.zeros((0, n))] + [plant.C_blocks[r] for r in R])
+            bottom = np.hstack([CR, np.zeros((CR.shape[0], BQ.shape[1]))])
+            for lam in unstable:
+                bordered = np.vstack([np.hstack([A - lam * np.eye(n), BQ]), bottom])
+                if robust_rank(bordered) < n:
+                    out.append((lam, Q, R))
+    return out
 
 
 def rescaled_jordan_split(specs):

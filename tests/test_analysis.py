@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gradplay.analysis
 from gradplay.analysis import (
     check_mode_support,
     decentralized_stabilizable,
@@ -25,13 +26,19 @@ from gradplay.games import (
     uniform_profile,
 )
 from gradplay.linearize import (
+    SINGULAR_RTOL,
     GameLocalMatrix,
     assemble_closed_loop,
     assemble_local_game,
     assemble_plant,
 )
 
-from conftest import finite_difference_loop, random_mixed_ne_game, rescaled_jordan_split
+from conftest import (
+    exhaustive_fixed_modes,
+    finite_difference_loop,
+    random_mixed_ne_game,
+    rescaled_jordan_split,
+)
 
 
 def jordan_local():
@@ -141,6 +148,12 @@ def test_robust_rank_threshold_decade_invariance():
             assert len(ranks) == 1
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
+def test_robust_rank_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        robust_rank(np.eye(3), tol=tol)
+
+
 # --- eigenvector block support ----------------------------------------------
 
 
@@ -241,6 +254,91 @@ def test_decentralized_detects_singular_fixed_mode():
     res = decentralized_stabilizable(plant)
     assert not res.ok
     assert any(abs(f.eigenvalue) < 1e-6 for f in res.failures)
+
+
+def witnesses(check):
+    return [(f.eigenvalue, f.input_players, f.output_players) for f in check.failures]
+
+
+def rank_call_counter(monkeypatch):
+    calls = []
+    real = gradplay.analysis.robust_rank
+    monkeypatch.setattr(
+        gradplay.analysis, "robust_rank", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    return calls
+
+
+def test_decentralized_screen_matches_exhaustive_reference():
+    # isolated equilibria (nonsingular M) never have a fixed mode: the paper's
+    # first claim; the fixed modes of singular draws come out of the screen intact
+    rng = np.random.default_rng(2024)
+    fixed = {True: 0, False: 0}
+    draws = {True: 0, False: 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(300):
+            g, profile = random_mixed_ne_game(rng, singular=trial % 3 == 0)
+            local = assemble_local_game(g, profile)
+            plant = assemble_plant(local)
+            dec = decentralized_stabilizable(plant)
+            assert witnesses(dec) == exhaustive_fixed_modes(plant)
+            sv = np.linalg.svd(local.matrix, compute_uv=False)
+            isolated = bool(sv[-1] >= SINGULAR_RTOL * sv[0])
+            draws[isolated] += 1
+            fixed[isolated] += not dec.ok
+    assert draws[True] >= 50 and draws[False] >= 50
+    assert fixed[True] == 0
+    assert fixed[False] >= draws[False] // 2
+
+
+def test_decentralized_defective_fixed_mode_reaches_rank_tests(monkeypatch):
+    # player 1 gets no payoff: M is nilpotent, so lam = 0 is a defective
+    # eigenvalue of A that the screen must leave to the partition loop
+    with pytest.warns(UserWarning, match="singular"):
+        plant = assemble_plant(GameLocalMatrix(np.array([[0.0, 2.0], [0.0, 0.0]]), (2, 2)))
+    calls = rank_call_counter(monkeypatch)
+    dec = decentralized_stabilizable(plant)
+    assert calls
+    assert not dec.ok
+    assert witnesses(dec) == exhaustive_fixed_modes(plant)
+    assert [(f.input_players, f.output_players) for f in dec.failures] == [
+        ((), (0, 1)),
+        ((), (0, 1)),
+        ((0,), (1,)),
+        ((0,), (1,)),
+    ]
+    assert all(abs(f.eigenvalue) < 1e-12 for f in dec.failures)
+
+
+def test_decentralized_screen_is_deterministic():
+    rng = np.random.default_rng(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g, profile = random_mixed_ne_game(rng, n=3, singular=True)
+        plant = assemble_plant(assemble_local_game(g, profile))
+    before = np.random.get_state()
+    first = decentralized_stabilizable(plant)
+    second = decentralized_stabilizable(plant)
+    after = np.random.get_state()
+    assert first == second
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+
+
+def test_decentralized_isolated_n10_game_skips_rank_tests(monkeypatch):
+    rng = np.random.default_rng(11)
+    while True:
+        g, profile = random_mixed_ne_game(rng, n=10, dims=[2] * 10)
+        local = assemble_local_game(g, profile)
+        sv = np.linalg.svd(local.matrix, compute_uv=False)
+        if sv[-1] > 1e-6 * sv[0]:
+            break
+    plant = assemble_plant(local)
+    assert np.max(np.linalg.eigvals(plant.A).real) >= 0
+    calls = rank_call_counter(monkeypatch)
+    assert decentralized_stabilizable(plant).ok
+    assert calls == []
 
 
 # --- Markov parameters ---------------------------------------------------------

@@ -1,6 +1,12 @@
-"""Modules of the package reach each other only through public names."""
+"""Modules of the package reach each other only through public names.
+
+Importing the package leaves scipy.linalg unloaded.
+"""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gradplay"
@@ -81,3 +87,14 @@ def test_detector_flags_private_access(tmp_path):
         "probe.py:6: sim._propagate_regions",
         "probe.py:6: gradplay.cli._emit",
     ]
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # only check_mode_support needs scipy.linalg; it imports it on first use
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, gradplay, gradplay.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
