@@ -7,9 +7,10 @@ and the per-player rules never see the game matrices directly.
 Every run is fixed-step RK4. For the projection family (gradient play and
 higher-order gradient play) the only nonlinearity is the simplex projection,
 so on a fixed projection support the flow is affine and one RK4 step is an
-affine map. simulate_coupled applies that map block by block, per support
-region, and takes the steps where the support changes as plain RK4. Other
-rules, and the open loop, evaluate every stage through dynamics.derivative.
+affine map. That map is applied block by block, per support region, and the
+steps where the support changes are taken as plain RK4. Other rules evaluate
+every stage through dynamics.derivative. The open loop is the one-player game
+whose payoffs are a constant vector, and runs through the same body.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ class SimConfig:
         # written as "not 0 < value < inf" so that NaN fails too
         if not (0 < self.step < np.inf and 0 < self.horizon < np.inf):
             raise ValueError("step and horizon must be positive and finite")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        stride = self.record_stride
+        if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+            raise ValueError("record_stride must be an integer of at least 1")
         if not 0 < self.convergence_tol < np.inf:
             raise ValueError("convergence_tol must be positive and finite")
 
@@ -119,14 +121,6 @@ class StateLayout:
         return slice(a, a + self.washout_dims[i])
 
 
-def _layout_for(dims, specs) -> StateLayout:
-    return StateLayout(
-        tuple(dims),
-        tuple(dyn.aux_dim(s) for s in specs),
-        tuple(dyn.washout_dim(s, k) for s, k in zip(specs, dims)),
-    )
-
-
 @dataclass
 class Trajectory:
     """Recorded states of one integration run.
@@ -162,23 +156,24 @@ def _projection_family(specs) -> bool:
     )
 
 
-def _generic_deriv(game: PolymatrixGame, specs, bases, layout: StateLayout):
-    """Per-stage derivative that delegates each player's rule to dynamics.derivative."""
+def _generic_deriv(game: PolymatrixGame, specs, bases, layout: StateLayout, c):
+    """Per-stage derivative through dynamics.derivative, on the payoffs PAY x + c."""
     nx = layout.nx
     PAY = np.zeros((nx, nx))
     for (i, j), M in game.pair_matrices.items():
         PAY[layout.x_slice(i), layout.x_slice(j)] = M
+    players = [
+        (spec, bases[i], layout.x_slice(i), layout.xi_slice(i), layout.v_slice(i))
+        for i, spec in enumerate(specs)
+    ]
 
     def deriv(t, y, out):
-        x_all = y[:nx]
-        p_all = PAY @ x_all
-        for i, spec in enumerate(specs):
-            xsl = layout.x_slice(i)
-            state = dyn.PlayerState(y[xsl], y[layout.xi_slice(i)], y[layout.v_slice(i)])
-            d = dyn.derivative(spec, state, p_all[xsl], bases[i])
+        p_all = PAY @ y[:nx] + c
+        for spec, basis, xsl, xisl, vsl in players:
+            d = dyn.derivative(spec, dyn.PlayerState(y[xsl], y[xisl], y[vsl]), p_all[xsl], basis)
             out[xsl] = d.dx
-            out[layout.xi_slice(i)] = d.dxi
-            out[layout.v_slice(i)] = d.dv
+            out[xisl] = d.dxi
+            out[vsl] = d.dv
 
     return deriv
 
@@ -229,7 +224,7 @@ def _rk4_step(deriv, step: int, h: float, y: np.ndarray, bufs) -> None:
 
 
 def _integrate(deriv, y0: np.ndarray, cfg: SimConfig):
-    """Fixed-step RK4 evaluating deriv at every stage: generic rules and the open loop."""
+    """Fixed-step RK4 evaluating deriv at every stage: rules outside the projection family."""
     rec_steps, times, states, y = _recording(y0, cfg)
     bufs = [np.empty_like(y) for _ in range(5)]
     step = 0
@@ -268,7 +263,7 @@ class _Region:
     limit: float
 
 
-def _build_region(mask, PRE, AUX, bounds, h: float, length: int, growth: float) -> _Region:
+def _build_region(mask, PRE, AUX, c, bounds, h: float, length: int, growth: float) -> _Region:
     nx, dim = PRE.shape
     W = np.zeros((nx, nx))
     r = np.zeros(nx)
@@ -278,8 +273,10 @@ def _build_region(mask, PRE, AUX, bounds, h: float, length: int, growth: float) 
         r[lo:hi] = 1.0 / s.sum()
     # With theta = (1_S^T z - 1) / |S| per player, R z + r = z - theta. The
     # projection of z is (R z + r) on S and 0 off S exactly when that residual
-    # is >= 0 on S and <= 0 off S; sign turns both into ">= 0" margins.
+    # is >= 0 on S and <= 0 off S; sign turns both into ">= 0" margins. With
+    # z = PRE y + c, the residual is R PRE y + (R c + r).
     R = np.eye(nx) - W
+    r = R @ c + r
     sign = np.where(mask, 1.0, -1.0)
     A = np.vstack([mask[:, None] * (R @ PRE) - np.eye(nx, dim), AUX])
     hb = h * np.concatenate([mask * r, np.zeros(dim - nx)])
@@ -313,8 +310,13 @@ def _build_region(mask, PRE, AUX, bounds, h: float, length: int, growth: float) 
     return _Region(powers, offsets, checks, check_offsets, limit)
 
 
-def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, y0, cfg):
+def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, y0, cfg, c):
     """Projection-family RK4 taken as its own step map, region by region.
+
+    The payoffs carry a constant term c, and each washout runs relative to
+    its steady value N_i^T c_i. Then c enters the flow only as
+    y' = [proj(PRE y + c) - x; AUX y], and no rounding of c reaches the aux
+    states: a steady washout start keeps the compensator exactly at 0.
 
     On a fixed projection support the dynamics are y' = A_S y + b_S, and one
     RK4 step is exactly the affine map y -> M_S y + m_S. For each support seen,
@@ -333,14 +335,19 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, y0, cfg
     rows = 4 * nx
     # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
     # any support (|R|_inf <= 2), so growth bounds every RK4 stage quantity
-    a = 2.0 * np.abs(PRE).sum(axis=1).max() + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
+    pre = np.abs(PRE).sum(axis=1).max() + np.abs(c).max()
+    a = 2.0 * pre + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
     growth = 16.0 * a * (1.0 + h * a) ** 4
+    shift = np.zeros(layout.dim)
+    for i in range(layout.n):
+        if layout.washout_dims[i]:
+            shift[layout.v_slice(i)] = bases[i].N.T @ c[layout.x_slice(i)]
 
     def project(z):
         return np.concatenate([project_to_simplex(z[lo:hi]) for lo, hi in bounds])
 
     def deriv(t, y, out):
-        out[:nx] = project(PRE @ y) - y[:nx]
+        out[:nx] = project(PRE @ y + c) - y[:nx]
         out[nx:] = AUX @ y
 
     regions = {}
@@ -348,13 +355,14 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, y0, cfg
     def region_at(y):
         if not np.abs(y).max() <= _SAFE_MAGNITUDE / growth:
             return None
-        mask = project(PRE @ y) > 0
+        mask = project(PRE @ y + c) > 0
         key = mask.tobytes()
         if key not in regions:
-            regions[key] = _build_region(mask, PRE, AUX, bounds, h, length, growth)
+            regions[key] = _build_region(mask, PRE, AUX, c, bounds, h, length, growth)
         return regions[key]
 
     rec_steps, times, states, y = _recording(y0, cfg)
+    y -= shift
     bufs = [np.empty_like(y) for _ in range(5)]
     step = 0
     region = None
@@ -379,7 +387,7 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, y0, cfg
                 step += 1
                 _rk4_step(deriv, step, h, y, bufs)
                 region = None
-        states[rec] = y
+        states[rec] = y + shift
     return times, states
 
 
@@ -401,12 +409,12 @@ def _finish(times, states, layout, cfg) -> Trajectory:
     )
 
 
-def _initial_state(layout: StateLayout, bases, xs, payoff, xi0, v0) -> np.ndarray:
+def _initial_state(layout: StateLayout, bases, xs, payoffs, xi0, v0) -> np.ndarray:
     """Flat initial state from strategies xs and per-player aux and washout starts.
 
     xi0 and explicit v0 hold one vector per player (None, or xi0=None, starts
     at zero). v0="steady" starts each washout at its steady value
-    N_i^T payoff(i) for the initial payoffs; v0="zero" starts it at zero.
+    N_i^T payoffs[i] for the initial payoffs; v0="zero" starts it at zero.
     """
     y0 = np.zeros(layout.dim)
     for i, x in enumerate(xs):
@@ -415,7 +423,7 @@ def _initial_state(layout: StateLayout, bases, xs, payoff, xi0, v0) -> np.ndarra
         if v0 not in ("steady", "zero"):
             raise ValueError("v0 must be 'steady', 'zero', or explicit vectors")
         v0 = [
-            bases[i].N.T @ payoff(i) if v0 == "steady" and layout.washout_dims[i] else None
+            bases[i].N.T @ payoffs[i] if v0 == "steady" and layout.washout_dims[i] else None
             for i in range(layout.n)
         ]
     for name, values, part in (("xi0", xi0, layout.xi_slice), ("v0", v0, layout.v_slice)):
@@ -432,6 +440,20 @@ def _initial_state(layout: StateLayout, bases, xs, payoff, xi0, v0) -> np.ndarra
                 raise ValueError(f"{name}[{i}] has shape {value.shape}")
             y0[sl] = value
     return y0
+
+
+def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, xi0, v0, c) -> Trajectory:
+    """The body of both simulate functions: play game, with c added to the payoffs."""
+    bases = [tangent_basis(k) for k in game.dims]
+    washouts = tuple(dyn.washout_dim(s, k) for s, k in zip(specs, game.dims))
+    layout = StateLayout(game.dims, tuple(dyn.aux_dim(s) for s in specs), washouts)
+    payoffs = [payoff_map(game, i, xs) + c[layout.x_slice(i)] for i in range(game.n)]
+    y0 = _initial_state(layout, bases, xs, payoffs, xi0, v0)
+    if _projection_family(specs):
+        times, states = _propagate_regions(game, specs, layout, bases, y0, cfg, c)
+    else:
+        times, states = _integrate(_generic_deriv(game, specs, bases, layout, c), y0, cfg)
+    return _finish(times, states, layout, cfg)
 
 
 def simulate_coupled(
@@ -454,63 +476,32 @@ def simulate_coupled(
     artificial startup transient), at zero (v0="zero"), or at explicit
     per-player vectors.
     """
-    cfg = cfg or SimConfig()
     if len(specs) != game.n:
         raise ValueError(f"need {game.n} specs, got {len(specs)}")
     xs = validate_profile(game, init)
-    bases = [tangent_basis(k) for k in game.dims]
-    layout = _layout_for(game.dims, specs)
-    y0 = _initial_state(layout, bases, xs, lambda i: payoff_map(game, i, xs), xi0, v0)
-    if _projection_family(specs):
-        times, states = _propagate_regions(game, specs, layout, y0, cfg)
-    else:
-        times, states = _integrate(_generic_deriv(game, specs, bases, layout), y0, cfg)
-    return _finish(times, states, layout, cfg)
+    return _simulate(game, specs, xs, cfg or SimConfig(), xi0, v0, np.zeros(sum(game.dims)))
 
 
 def simulate_open_loop(
-    spec,
-    payoff_fn: Callable[[float], np.ndarray],
-    x0,
-    cfg: SimConfig | None = None,
-    xi0=None,
-    v0="zero",
+    spec, payoff, x0, cfg: SimConfig | None = None, xi0=None, v0="zero"
 ) -> Trajectory:
-    """Integrate a single player against an exogenous payoff stream.
+    """Integrate one player against the constant payoff vector payoff.
 
-    The loop is broken, so the washout default is a cold start (v0="zero");
-    with v0="steady" the filter output starts identically zero and an unstable
-    compensator sits unexcited on its equilibrium.
+    This runs the one-player game with no pair matrices, payoff added to its
+    payoffs, through the body of simulate_coupled; xi0 and explicit v0 are the
+    player's own vectors. The loop is broken, so the washout default is a cold
+    start (v0="zero"); with v0="steady" the filter output starts identically
+    zero and an unstable compensator sits unexcited on its equilibrium.
     """
-    cfg = cfg or SimConfig()
     x0 = np.asarray(x0, dtype=float)
-    k = x0.size
-    # "not <=" so that a NaN or infinite entry (sum NaN or infinite) fails too
-    if np.min(x0) < -1e-12 or not abs(float(np.sum(x0)) - 1.0) <= 1e-12:
-        raise ValueError("x0 is not a probability vector")
-    basis = tangent_basis(k)
-    layout = _layout_for((k,), [spec])
-    p0 = np.asarray(payoff_fn(0.0), dtype=float)
-    if p0.shape != (k,):
-        raise ValueError(f"payoff_fn returned shape {p0.shape}, expected ({k},)")
+    game = PolymatrixGame((x0.size,))
+    xs = validate_profile(game, [x0])
+    c = np.asarray(payoff, dtype=float)
+    if c.shape != x0.shape or not np.isfinite(c).all():
+        raise ValueError(f"payoff must be {x0.size} finite entries, got {c!r}")
     xi0 = None if xi0 is None else [xi0]
     v0 = v0 if isinstance(v0, str) else [v0]
-    y0 = _initial_state(layout, [basis], [x0], lambda i: p0, xi0, v0)
-
-    xsl = layout.x_slice(0)
-    xisl = layout.xi_slice(0)
-    vsl = layout.v_slice(0)
-
-    def deriv(t, y, out):
-        p = np.asarray(payoff_fn(t), dtype=float)
-        state = dyn.PlayerState(y[xsl], y[xisl], y[vsl])
-        d = dyn.derivative(spec, state, p, basis)
-        out[xsl] = d.dx
-        out[xisl] = d.dxi
-        out[vsl] = d.dv
-
-    times, states = _integrate(deriv, y0, cfg)
-    return _finish(times, states, layout, cfg)
+    return _simulate(game, [spec], xs, cfg or SimConfig(), xi0, v0, c)
 
 
 class ConvergenceCheck(NamedTuple):
@@ -524,9 +515,11 @@ def detect_convergence(traj: Trajectory, target, tol: float) -> ConvergenceCheck
     On success the hitting time is the first recorded time from which the
     distance never exceeds tol again.
     """
+    targets = [np.asarray(ti, dtype=float) for ti in target]
+    if [ti.shape for ti in targets] != [(k,) for k in traj.layout.dims]:
+        raise ValueError(f"target {[ti.shape for ti in targets]} does not fit {traj.layout.dims}")
     dist = np.zeros(traj.times.size)
-    for i in range(traj.layout.n):
-        ti = np.asarray(target[i], dtype=float)
+    for i, ti in enumerate(targets):
         dist = np.maximum(dist, np.max(np.abs(traj.strategy(i) - ti), axis=1))
     span = traj.times[-1] - traj.times[0]
     window = traj.times >= traj.times[-1] - 0.1 * span
@@ -649,7 +642,7 @@ def _run_openloop(overrides, out_dir) -> ScenarioResult:
     spec = specs[0]
     cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=10)
     payoff = np.array([0.0, 1.0])
-    traj = simulate_open_loop(spec, lambda t: payoff, np.array([0.5, 0.5]), cfg, v0="zero")
+    traj = simulate_open_loop(spec, payoff, np.array([0.5, 0.5]), cfg, v0="zero")
     verdict = spectral_abscissa(spec.E)
     corner = np.array([1.0, 0.0])
     converged = bool(np.max(np.abs(traj.strategy(0)[-1] - corner)) <= 1e-2)

@@ -236,7 +236,7 @@ def test_c09_property_suites(
             assert np.max(np.linalg.eigvals(spec.E).real) <= -0.5
             payoff = rng.uniform(-1.0, 1.0, size=k)
             x0 = np.full(k, 1.0 / k)
-            traj = simulate_open_loop(spec, lambda t: payoff, x0, cfg, v0="zero")
+            traj = simulate_open_loop(spec, payoff, x0, cfg, v0="zero")
             basis = tangent_basis(k)
             phi_end = _phi_norm(
                 spec, basis, traj.strategy(0)[-1], traj.aux(0)[-1], traj.washout(0)[-1], payoff

@@ -94,6 +94,10 @@ PRESET_RUNS = [
     ("jordan-diagonal", {"deltas": (0.8831, 0.4259, 0.7546), "h": 0.04, "horizon": 30.0}, True),
     ("jordan-rescaled", {"mu": 5.0, "h": 0.02, "horizon": 4.0}, True),
     ("jordan-rescaled", {"mu": 0.1, "h": 0.1, "horizon": 62.0}, True),
+    # the open loop, one player against a constant payoff: its unstable aux
+    # state reaches 70 by t = 10 (2.3e8 by the default t = 40); the support
+    # check below reads the coupled presets' flows
+    ("coordination-openloop", {"horizon": 10.0}, None),
 ]
 
 
@@ -109,6 +113,8 @@ def test_presets_match_per_stage_reference(monkeypatch, name, overrides, saturat
         return (r.verdict.stable, r.converged, r.consistent, r.diverged)
 
     assert verdict(fast) == verdict(ref)
+    if saturates is None:
+        return
     preset = sim._PRESETS[name]
     game = preset.game(sim._take(overrides, preset.defaults))
     specs = sim._data_specs(preset.specs_file, game)
@@ -142,14 +148,39 @@ def test_region_propagator_matches_per_stage_reference(monkeypatch, seed, lam, s
         if rng.random() < 0.5:
             x[rng.integers(k)] = 0.0  # boundary start
         init.append(x / x.sum())
+    # the open loop: player 0 alone against a constant payoff
+    payoff = rng.normal(size=dims[0])
+    v0 = "steady" if rng.random() < 0.5 else "zero"
     # 95 steps: stride 7 does not divide the run, stride 200 exceeds it
     cfg = SimConfig(step=0.01, horizon=0.95, record_stride=stride)
-    fast = simulate_coupled(game, specs, init, cfg)
+
+    def runs():
+        return (
+            simulate_coupled(game, specs, init, cfg),
+            simulate_open_loop(specs[0], payoff, init[0], cfg, v0=v0),
+        )
+
     with monkeypatch.context() as m:
         m.setattr(sim, "_projection_family", lambda specs: False)
-        ref = simulate_coupled(game, specs, init, cfg)
-    assert_array_equal(fast.times, ref.times)
-    assert_allclose(fast.states, ref.states, rtol=0, atol=1e-10)
+        refs = runs()
+    for fast, ref in zip(runs(), refs):
+        assert_array_equal(fast.times, ref.times)
+        assert_allclose(fast.states, ref.states, rtol=0, atol=1e-10)
+
+
+def test_open_loop_zero_margin_rest_point_matches_per_stage_reference(monkeypatch):
+    # equal payoffs and a vertex start: a rest point whose projection argument
+    # has KKT margin exactly 0 on the two strategies off the support
+    p = np.ones(3)
+    x0 = [1.0, 0.0, 0.0]
+    cfg = SimConfig(step=0.01, horizon=10.0, record_stride=10)
+    for spec, v0 in ((GradientPlay(), "zero"), (make_anticipatory(5.0, 1.0, 3), "steady")):
+        fast = simulate_open_loop(spec, p, x0, cfg, v0=v0)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_projection_family", lambda specs: False)
+            ref = simulate_open_loop(spec, p, x0, cfg, v0=v0)
+        assert_allclose(fast.states, ref.states, rtol=0, atol=1e-10)
+        assert_allclose(fast.strategy(0), np.tile(x0, (fast.times.size, 1)), rtol=0, atol=1e-12)
 
 
 def test_mixed_variants_use_generic_path():
@@ -216,7 +247,7 @@ def test_nonfinite_state_aborts_with_time():
     cfg = SimConfig(step=0.01, horizon=50.0, record_stride=10)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError) as err:
-            simulate_open_loop(spec, lambda t: np.array([1.0, 0.0]), [0.5, 0.5], cfg, v0="zero")
+            simulate_open_loop(spec, np.array([1.0, 0.0]), [0.5, 0.5], cfg, v0="zero")
     assert err.value.time > 0
 
 
@@ -227,6 +258,10 @@ def test_config_validation():
         SimConfig(horizon=-1.0)
     with pytest.raises(ValueError):
         SimConfig(record_stride=0)
+    # a fractional stride, and a bool, which would index the cached powers as a mask
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="record_stride"):
+            SimConfig(record_stride=bad)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(step=bad)
@@ -239,7 +274,10 @@ def test_config_validation():
 def test_open_loop_rejects_nonfinite_start():
     for x0 in ([np.nan, 0.5], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="probability vector"):
-            simulate_open_loop(GradientPlay(), lambda t: np.zeros(2), x0, SimConfig(horizon=1.0))
+            simulate_open_loop(GradientPlay(), np.zeros(2), x0, SimConfig(horizon=1.0))
+    for p in ([np.nan, 0.0], [np.inf, 0.0], [0.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="payoff"):
+            simulate_open_loop(GradientPlay(), np.array(p), [0.5, 0.5], SimConfig(horizon=1.0))
 
 
 def test_washout_override_shapes_checked():
@@ -265,9 +303,9 @@ def test_washout_override_shapes_checked():
     cfg = SimConfig(horizon=0.1)
     for kwargs in ({"xi0": np.zeros(2)}, {"v0": np.zeros(3)}, {"v0": "sideways"}):
         with pytest.raises(ValueError):
-            simulate_open_loop(spec, lambda t: np.array([1.0, 0.0]), [0.5, 0.5], cfg, **kwargs)
+            simulate_open_loop(spec, np.array([1.0, 0.0]), [0.5, 0.5], cfg, **kwargs)
     traj = simulate_open_loop(
-        spec, lambda t: np.array([1.0, 0.0]), [0.5, 0.5], cfg, xi0=[0.25], v0=[-0.5]
+        spec, np.array([1.0, 0.0]), [0.5, 0.5], cfg, xi0=[0.25], v0=[-0.5]
     )
     assert_array_equal(traj.states[0], [0.5, 0.5, 0.25, -0.5])
 
@@ -278,7 +316,7 @@ def test_washout_override_shapes_checked():
 def test_open_loop_gradient_play_reaches_best_response():
     p = np.array([1.0, 0.0])
     cfg = SimConfig(step=0.01, horizon=30.0, record_stride=10)
-    traj = simulate_open_loop(GradientPlay(), lambda t: p, [0.3, 0.7], cfg)
+    traj = simulate_open_loop(GradientPlay(), p, [0.3, 0.7], cfg)
     assert_allclose(traj.strategy(0)[-1], [1.0, 0.0], atol=1e-6)
 
 
@@ -286,7 +324,7 @@ def test_open_loop_unstable_compensator_misses_best_response():
     spec = HigherOrderGradientPlay(E=[[0.5]], F=[[-1.0]], G=[[10.0]], H=[[-10.0]])
     p = np.array([0.0, 1.0])
     cfg = SimConfig(step=0.002, horizon=30.0, record_stride=50)
-    traj = simulate_open_loop(spec, lambda t: p, [0.5, 0.5], cfg, v0="zero")
+    traj = simulate_open_loop(spec, p, [0.5, 0.5], cfg, v0="zero")
     # best response to (0, 1) is (0, 1); the loop locks onto (1, 0) instead
     assert_allclose(traj.strategy(0)[-1], [1.0, 0.0], atol=1e-6)
     assert np.abs(traj.aux(0)[-1]) > 1e3
@@ -296,8 +334,8 @@ def test_open_loop_stable_compensator_washes_out():
     spec = make_anticipatory(5.0, 2.0, 2)
     p = np.array([1.0, 0.0])
     cfg = SimConfig(step=0.01, horizon=30.0, record_stride=10)
-    traj = simulate_open_loop(spec, lambda t: p, [0.3, 0.7], cfg, v0="zero")
-    base = simulate_open_loop(GradientPlay(), lambda t: p, [0.3, 0.7], cfg)
+    traj = simulate_open_loop(spec, p, [0.3, 0.7], cfg, v0="zero")
+    base = simulate_open_loop(GradientPlay(), p, [0.3, 0.7], cfg)
     assert_allclose(traj.strategy(0)[-1], base.strategy(0)[-1], atol=1e-6)
     assert np.max(np.abs(traj.aux(0)[-1])) <= 1e-8
     # washout state has converged onto the tangent payoff
@@ -309,7 +347,7 @@ def test_open_loop_steady_washout_keeps_compensator_quiet():
     spec = HigherOrderGradientPlay(E=[[0.5]], F=[[-1.0]], G=[[10.0]], H=[[-10.0]])
     p = np.array([0.0, 1.0])
     cfg = SimConfig(step=0.002, horizon=20.0, record_stride=50)
-    traj = simulate_open_loop(spec, lambda t: p, [0.5, 0.5], cfg, v0="steady")
+    traj = simulate_open_loop(spec, p, [0.5, 0.5], cfg, v0="steady")
     # started on the filter equilibrium, the aux state never moves and the
     # strategy follows plain gradient play to the best response
     assert_allclose(traj.aux(0)[-1], [0.0], atol=1e-12)
@@ -334,6 +372,17 @@ def test_detect_convergence_rejects_far_target():
     traj = simulate_coupled(g, [GradientPlay()] * 3, uniform_profile(g), cfg)
     target = [np.array([1.0, 0.0])] * 3
     assert not detect_convergence(traj, target, 1e-3).converged
+
+
+def test_detect_convergence_rejects_misshapen_target():
+    g = make_jordan()
+    cfg = SimConfig(step=0.01, horizon=2.0, record_stride=10)
+    traj = simulate_coupled(g, [GradientPlay()] * 3, uniform_profile(g), cfg)
+    half = np.full(2, 0.5)
+    # too few players, too many players, and a wrong strategy length
+    for target in ([half], [half] * 4, [np.full(3, 1 / 3), half, half]):
+        with pytest.raises(ValueError, match="target"):
+            detect_convergence(traj, target, 1e-3)
 
 
 def test_divergence_from_unstable_equilibrium():
