@@ -27,6 +27,7 @@ from .analysis import (
     spectral_abscissa,
     strong_stabilizability_2x2,
 )
+from .cli import ScenarioResult, run_scenario, scenario_names
 from .dynamics import (
     DynamicsSpec,
     GradientPlay,
@@ -67,12 +68,9 @@ from .simplex import TangentBasis, from_local, project_to_simplex, tangent_basis
 from .simulate import (
     ConvergenceCheck,
     NonFiniteStateError,
-    ScenarioResult,
     SimConfig,
     Trajectory,
     detect_convergence,
-    run_scenario,
-    scenario_names,
     simulate_coupled,
     simulate_open_loop,
 )

@@ -1,4 +1,4 @@
-"""Command-line surface: file schemas, CSV emitters, and the gradplay tool.
+"""Command-line surface: file schemas, CSV emitters, scenario presets, and the gradplay tool.
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict, 2 input
 error, 3 precondition failure, 4 numeric failure.
@@ -9,12 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dynamics as dyn
 from .analysis import (
+    StabilityVerdict,
+    SweepResult,
     check_mode_support,
     decentralized_stabilizable,
     default_gain_grid,
@@ -27,18 +32,22 @@ from .analysis import (
 from .games import (
     NeCertificate,
     PolymatrixGame,
+    make_coordination,
     make_jordan,
+    perturb_jordan_diagonal,
+    perturb_random,
     uniform_profile,
     verify_ne,
 )
 from .linearize import assemble_closed_loop, assemble_game_loop, assemble_local_game, assemble_plant
+from .simplex import tangent_basis
 from .simulate import (
     NonFiniteStateError,
     SimConfig,
     Trajectory,
-    run_scenario,
-    scenario_names,
+    detect_convergence,
     simulate_coupled,
+    simulate_open_loop,
 )
 
 __all__ = [
@@ -52,6 +61,9 @@ __all__ = [
     "write_matrix_csv",
     "write_trajectory_csv",
     "write_sweep_csv",
+    "ScenarioResult",
+    "run_scenario",
+    "scenario_names",
 ]
 
 EXIT_OK = 0
@@ -79,14 +91,21 @@ def game_to_json(game: PolymatrixGame) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """A JSON integer field: a float, bool or string is not truncated or split into one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def game_from_json(doc: dict) -> PolymatrixGame:
     try:
-        dims = tuple(int(k) for k in doc["dims"])
-        if "n" in doc and int(doc["n"]) != len(dims):
+        dims = tuple(_integer(k) for k in doc["dims"])
+        if "n" in doc and _integer(doc["n"]) != len(dims):
             raise ValueError("n does not match the number of dims")
         mats = {}
         for entry in doc.get("matrices", []):
-            key = (int(entry["i"]), int(entry["j"]))
+            key = (_integer(entry["i"]), _integer(entry["j"]))
             if key in mats:
                 raise ValueError(f"duplicate pair matrix {key}")
             mats[key] = np.asarray(entry["rows"], dtype=float)
@@ -122,37 +141,32 @@ def spec_to_json(spec) -> dict:
 def spec_from_json(doc: dict, k: int):
     try:
         variant = doc["variant"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("player spec needs a 'variant' key") from exc
-    if variant == "gradient_play":
-        return dyn.GradientPlay()
-    if variant == "replicator":
-        return dyn.Replicator()
-    if variant == "smooth_fp":
-        return dyn.SmoothFictitiousPlay(float(doc.get("temperature", 0.1)))
-    if variant == "higher_order":
-        try:
+        if variant == "gradient_play":
+            return dyn.GradientPlay()
+        if variant == "replicator":
+            return dyn.Replicator()
+        if variant == "smooth_fp":
+            return dyn.SmoothFictitiousPlay(float(doc.get("temperature", 0.1)))
+        if variant == "higher_order":
             spec = dyn.HigherOrderGradientPlay(
                 E=np.asarray(doc["E"], dtype=float),
                 F=np.asarray(doc["F"], dtype=float),
                 G=np.asarray(doc["G"], dtype=float),
                 H=np.asarray(doc["H"], dtype=float),
             )
-        except KeyError as exc:
-            raise ValueError(f"higher_order spec missing {exc}") from exc
-        if spec.signal_dim != k - 1:
-            raise ValueError(
-                f"higher_order spec has signal dimension {spec.signal_dim}, expected {k - 1}"
-            )
-        return spec
-    if variant == "anticipatory":
-        try:
-            lam = float(doc["lambda"])
-            gamma = float(doc["gamma"])
-        except KeyError as exc:
-            raise ValueError(f"anticipatory spec missing {exc}") from exc
-        gamma2 = doc.get("gamma2")
-        return dyn.make_anticipatory(lam, gamma, k, None if gamma2 is None else float(gamma2))
+            if spec.signal_dim != k - 1:
+                raise ValueError(
+                    f"higher_order spec has signal dimension {spec.signal_dim}, expected {k - 1}"
+                )
+            return spec
+        if variant == "anticipatory":
+            gamma2 = doc.get("gamma2")
+            gamma2 = None if gamma2 is None else float(gamma2)
+            return dyn.make_anticipatory(float(doc["lambda"]), float(doc["gamma"]), k, gamma2)
+    except KeyError as exc:
+        raise ValueError(f"player spec missing {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed player spec: {exc}") from exc
     raise ValueError(f"unknown dynamics variant {variant!r}")
 
 
@@ -187,7 +201,12 @@ def parse_profile(game: PolymatrixGame, text: str):
         doc = json.loads(stripped)
     else:
         doc = json.loads(Path(text).read_text(encoding="utf-8"))
-    return [np.asarray(x, dtype=float) for x in doc]
+    if not isinstance(doc, list):
+        raise ValueError(f"a profile is a list of strategy vectors, got {doc!r}")
+    try:
+        return [np.asarray(x, dtype=float) for x in doc]
+    except TypeError as exc:
+        raise ValueError(f"malformed profile: {exc}") from exc
 
 
 def certificate_to_json(cert: NeCertificate) -> dict:
@@ -236,6 +255,195 @@ def write_sweep_csv(path, sweep):
         for z in ev:
             lines.append(f"{_fmt(g)},{_fmt(z.real)},{_fmt(z.imag)},{int(ok)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Scenario presets
+
+
+DIVERGENCE_DISTANCE = 0.45
+
+
+@dataclass
+class ScenarioResult:
+    name: str
+    trajectory: Trajectory
+    verdict: StabilityVerdict
+    converged: bool
+    hitting_time: float | None
+    consistent: bool
+    target: list | None
+    sweep: SweepResult | None = None
+    artifacts: dict = field(default_factory=dict)
+
+    @property
+    def diverged(self) -> bool:
+        """Left the target's neighbourhood (max-norm distance beyond 0.45,
+        which sits near the simplex boundary) or ran out the horizon without
+        converging."""
+        if not self.converged:
+            return True
+        if self.target is None:
+            return False
+        excursion = 0.0
+        for i in range(self.trajectory.layout.n):
+            ti = np.asarray(self.target[i], dtype=float)
+            excursion = max(
+                excursion, float(np.max(np.abs(self.trajectory.strategy(i) - ti)))
+            )
+        return excursion > DIVERGENCE_DISTANCE
+
+
+def _data_specs(filename: str, game: PolymatrixGame):
+    text = (resources.files("gradplay") / "data" / filename).read_text(encoding="utf-8")
+    return specs_from_json(json.loads(text), game)
+
+
+START_OFFSET = 0.05  # coupled presets start this far along each player's first tangent
+
+
+def _offset_profile(game: PolymatrixGame) -> list:
+    return [np.full(k, 1.0 / k) + START_OFFSET * tangent_basis(k).N[:, 0] for k in game.dims]
+
+
+def _jordan_sweep(specs, grid) -> SweepResult:
+    """Sweep the Jordan game's payoff scale over grid, assembling its loop at every point."""
+    return gain_sweep(lambda g: assemble_game_loop(make_jordan(g), specs).matrix, grid)
+
+
+def _take(overrides: dict, allowed: dict) -> dict:
+    unknown = set(overrides) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown overrides: {sorted(unknown)}")
+    merged = dict(allowed)
+    merged.update(overrides)
+    return merged
+
+
+class _Preset(NamedTuple):
+    """A coupled preset: its game is built from the merged overridable defaults."""
+
+    specs_file: str
+    defaults: dict
+    game: Callable[[dict], PolymatrixGame]
+    uniform_target: bool  # else the settled profile must certify as an equilibrium
+    stride: int
+    sweep: bool = False  # sweep the payoff scale of the Jordan game
+
+
+_PRESETS = {
+    "jordan-single": _Preset(
+        "jordan_single.specs.json", {"h": 0.002, "horizon": 200.0},
+        lambda o: make_jordan(1.0), True, 50,
+    ),
+    "jordan-random": _Preset(
+        "jordan_single.specs.json", {"h": 0.002, "horizon": 150.0, "sigma": 0.3, "seed": 1},
+        lambda o: perturb_random(make_jordan(1.0), o["sigma"], o["seed"]), False, 50,
+    ),
+    "jordan-diagonal": _Preset(
+        "jordan_single.specs.json",
+        {"h": 0.002, "horizon": 80.0, "deltas": (0.3877, 0.1446, 0.1352)},
+        lambda o: perturb_jordan_diagonal(*o["deltas"]), True, 20,
+    ),
+    "jordan-rescaled": _Preset(
+        "jordan_rescaled.specs.json", {"h": 0.01, "horizon": 100.0, "mu": 1.0},
+        lambda o: make_jordan(o["mu"]), True, 10, sweep=True,
+    ),
+    "coordination-stabilize": _Preset(
+        "coordination_stabilize.specs.json", {"h": 0.002, "horizon": 80.0},
+        lambda o: make_coordination(), True, 20,
+    ),
+}
+
+
+def scenario_names() -> tuple:
+    return (*_PRESETS, "coordination-openloop")
+
+
+def _run_openloop(overrides, out_dir) -> ScenarioResult:
+    o = _take(overrides, {"h": 0.002, "horizon": 40.0})
+    game = make_coordination()
+    specs = _data_specs("coordination_stabilize.specs.json", game)
+    spec = specs[0]
+    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=10)
+    payoff = np.array([0.0, 1.0])
+    traj = simulate_open_loop(spec, payoff, np.array([0.5, 0.5]), cfg, v0="zero")
+    verdict = spectral_abscissa(spec.E)
+    corner = np.array([1.0, 0.0])
+    converged = bool(np.max(np.abs(traj.strategy(0)[-1] - corner)) <= 1e-2)
+    xi_grew = bool(np.max(np.abs(traj.aux(0)[-1])) > 1e3)
+    consistent = (not verdict.stable) == xi_grew
+    result = ScenarioResult(
+        "coordination-openloop", traj, verdict, converged, None, consistent, [corner]
+    )
+    if out_dir is not None:
+        _write_artifacts(result, out_dir)
+    return result
+
+
+def run_scenario(name: str, overrides: dict | None = None, out_dir=None) -> ScenarioResult:
+    """Run a named experiment preset and cross-check simulation against spectrum.
+
+    Coupled scenarios report convergence to the known equilibrium (or, for the
+    randomly perturbed game, settling to a profile that certifies as a Nash
+    equilibrium) and flag consistency with the closed-loop stability verdict.
+    The open-loop scenario instead drives one player with a constant payoff
+    and checks that the unstable compensator misses the best response.
+    """
+    overrides = dict(overrides or {})
+    if name == "coordination-openloop":
+        return _run_openloop(overrides, out_dir)
+    if name not in _PRESETS:
+        raise ValueError(f"unknown scenario {name!r}; valid names: {', '.join(scenario_names())}")
+    preset = _PRESETS[name]
+    o = _take(overrides, preset.defaults)
+    game = preset.game(o)
+    specs = _data_specs(preset.specs_file, game)
+    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=preset.stride)
+    target = uniform_profile(game) if preset.uniform_target else None
+    traj = simulate_coupled(game, specs, _offset_profile(game), cfg)
+    verdict = spectral_abscissa(assemble_game_loop(game, specs).matrix)
+    if target is not None:
+        converged, hit = detect_convergence(traj, target, cfg.convergence_tol)
+    else:
+        hit = None
+        converged = False
+        if traj.converged:
+            cert = verify_ne(game, traj.final_profile(), tol=1e-3)
+            converged = cert.is_ne
+    consistent = verdict.stable == converged
+    sweep = None
+    if preset.sweep:
+        sweep = _jordan_sweep(specs, default_gain_grid())
+    result = ScenarioResult(name, traj, verdict, converged, hit, consistent, target, sweep)
+    if out_dir is not None:
+        _write_artifacts(result, out_dir)
+    return result
+
+
+def _write_artifacts(result: ScenarioResult, out_dir):
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    traj_path = out / "trajectory.csv"
+    write_trajectory_csv(traj_path, result.trajectory)
+    result.artifacts["trajectory"] = traj_path
+    report = {
+        "scenario": result.name,
+        "spectral_abscissa": result.verdict.spectral_abscissa,
+        "stable": result.verdict.stable,
+        "eigenvalues": [[z.real, z.imag] for z in result.verdict.eigenvalues],
+        "converged": result.converged,
+        "hitting_time": result.hitting_time,
+        "consistent": result.consistent,
+    }
+    if result.sweep is not None:
+        report["crossings"] = [list(c) for c in result.sweep.crossings]
+        locus_path = out / "rootlocus.csv"
+        write_sweep_csv(locus_path, result.sweep)
+        result.artifacts["rootlocus"] = locus_path
+    report_path = out / "report.json"
+    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    result.artifacts["report"] = report_path
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +528,7 @@ def _cmd_sweep(args) -> int:
         grid = np.array([args.mu_min])
     else:
         grid = np.logspace(np.log10(args.mu_min), np.log10(args.mu_max), args.points)
-    sweep = gain_sweep(lambda g: assemble_game_loop(make_jordan(g), specs).matrix, grid)
+    sweep = _jordan_sweep(specs, grid)
     write_sweep_csv(args.out, sweep)
     _emit(
         {
@@ -359,12 +567,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    if args.name not in scenario_names():
-        print(
-            f"unknown scenario {args.name!r}; valid names: {', '.join(scenario_names())}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
     keys = ("h", "horizon", "mu", "sigma", "seed")
     overrides = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     if args.deltas is not None:

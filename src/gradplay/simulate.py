@@ -1,4 +1,4 @@
-"""Coupled and open-loop integration of the learning dynamics, plus scenario presets.
+"""Coupled and open-loop integration of the learning dynamics.
 
 Players are coupled only through their payoff streams: at every integrator
 stage each player's payoff is recomputed from the current opponent strategies,
@@ -15,34 +15,14 @@ whose payoffs are a constant vector, and runs through the same body.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics as dyn
-from .analysis import (
-    StabilityVerdict,
-    SweepResult,
-    default_gain_grid,
-    gain_sweep,
-    spectral_abscissa,
-)
-from .games import (
-    PolymatrixGame,
-    make_coordination,
-    make_jordan,
-    payoff_map,
-    perturb_jordan_diagonal,
-    perturb_random,
-    uniform_profile,
-    validate_profile,
-    verify_ne,
-)
-from .linearize import assemble_flow_operators, assemble_game_loop
+from .games import PolymatrixGame, payoff_map, validate_profile
+from .linearize import assemble_flow_operators
 from .simplex import NonFiniteInputError, project_to_simplex, tangent_basis
 
 __all__ = [
@@ -50,12 +30,9 @@ __all__ = [
     "Trajectory",
     "NonFiniteStateError",
     "ConvergenceCheck",
-    "ScenarioResult",
     "simulate_coupled",
     "simulate_open_loop",
     "detect_convergence",
-    "run_scenario",
-    "scenario_names",
 ]
 
 
@@ -530,196 +507,3 @@ def detect_convergence(traj: Trajectory, target, tol: float) -> ConvergenceCheck
     while idx > 0 and below[idx - 1]:
         idx -= 1
     return ConvergenceCheck(True, float(traj.times[idx]))
-
-
-# ---------------------------------------------------------------------------
-# Scenario presets
-
-
-DIVERGENCE_DISTANCE = 0.45
-
-
-@dataclass
-class ScenarioResult:
-    name: str
-    trajectory: Trajectory
-    verdict: StabilityVerdict
-    converged: bool
-    hitting_time: float | None
-    consistent: bool
-    target: list | None
-    sweep: SweepResult | None = None
-    artifacts: dict = field(default_factory=dict)
-
-    @property
-    def diverged(self) -> bool:
-        """Left the target's neighbourhood (max-norm distance beyond 0.45,
-        which sits near the simplex boundary) or ran out the horizon without
-        converging."""
-        if not self.converged:
-            return True
-        if self.target is None:
-            return False
-        excursion = 0.0
-        for i in range(self.trajectory.layout.n):
-            ti = np.asarray(self.target[i], dtype=float)
-            excursion = max(
-                excursion, float(np.max(np.abs(self.trajectory.strategy(i) - ti)))
-            )
-        return excursion > DIVERGENCE_DISTANCE
-
-
-def _data_specs(filename: str, game: PolymatrixGame):
-    # cli owns the file schemas but imports this module; defer to avoid a cycle
-    from . import cli
-
-    text = (resources.files("gradplay") / "data" / filename).read_text(encoding="utf-8")
-    return cli.specs_from_json(json.loads(text), game)
-
-
-START_OFFSET = 0.05  # coupled presets start this far along each player's first tangent
-
-
-def _offset_profile(game: PolymatrixGame) -> list:
-    return [np.full(k, 1.0 / k) + START_OFFSET * tangent_basis(k).N[:, 0] for k in game.dims]
-
-
-def _take(overrides: dict, allowed: dict) -> dict:
-    unknown = set(overrides) - set(allowed)
-    if unknown:
-        raise ValueError(f"unknown overrides: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(overrides)
-    return merged
-
-
-class _Preset(NamedTuple):
-    """A coupled preset: its game is built from the merged overridable defaults."""
-
-    specs_file: str
-    defaults: dict
-    game: Callable[[dict], PolymatrixGame]
-    uniform_target: bool  # else the settled profile must certify as an equilibrium
-    stride: int
-    sweep: bool = False  # sweep the payoff scale of the Jordan game
-
-
-_PRESETS = {
-    "jordan-single": _Preset(
-        "jordan_single.specs.json", {"h": 0.002, "horizon": 200.0},
-        lambda o: make_jordan(1.0), True, 50,
-    ),
-    "jordan-random": _Preset(
-        "jordan_single.specs.json", {"h": 0.002, "horizon": 150.0, "sigma": 0.3, "seed": 1},
-        lambda o: perturb_random(make_jordan(1.0), o["sigma"], o["seed"]), False, 50,
-    ),
-    "jordan-diagonal": _Preset(
-        "jordan_single.specs.json",
-        {"h": 0.002, "horizon": 80.0, "deltas": (0.3877, 0.1446, 0.1352)},
-        lambda o: perturb_jordan_diagonal(*o["deltas"]), True, 20,
-    ),
-    "jordan-rescaled": _Preset(
-        "jordan_rescaled.specs.json", {"h": 0.01, "horizon": 100.0, "mu": 1.0},
-        lambda o: make_jordan(o["mu"]), True, 10, sweep=True,
-    ),
-    "coordination-stabilize": _Preset(
-        "coordination_stabilize.specs.json", {"h": 0.002, "horizon": 80.0},
-        lambda o: make_coordination(), True, 20,
-    ),
-}
-
-SCENARIO_NAMES = tuple(list(_PRESETS) + ["coordination-openloop"])
-
-
-def scenario_names() -> tuple:
-    return SCENARIO_NAMES
-
-
-def _run_openloop(overrides, out_dir) -> ScenarioResult:
-    o = _take(overrides, {"h": 0.002, "horizon": 40.0})
-    game = make_coordination()
-    specs = _data_specs("coordination_stabilize.specs.json", game)
-    spec = specs[0]
-    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=10)
-    payoff = np.array([0.0, 1.0])
-    traj = simulate_open_loop(spec, payoff, np.array([0.5, 0.5]), cfg, v0="zero")
-    verdict = spectral_abscissa(spec.E)
-    corner = np.array([1.0, 0.0])
-    converged = bool(np.max(np.abs(traj.strategy(0)[-1] - corner)) <= 1e-2)
-    xi_grew = bool(np.max(np.abs(traj.aux(0)[-1])) > 1e3)
-    consistent = (not verdict.stable) == xi_grew
-    result = ScenarioResult(
-        "coordination-openloop", traj, verdict, converged, None, consistent, [corner]
-    )
-    if out_dir is not None:
-        _write_artifacts(result, out_dir)
-    return result
-
-
-def run_scenario(name: str, overrides: dict | None = None, out_dir=None) -> ScenarioResult:
-    """Run a named experiment preset and cross-check simulation against spectrum.
-
-    Coupled scenarios report convergence to the known equilibrium (or, for the
-    randomly perturbed game, settling to a profile that certifies as a Nash
-    equilibrium) and flag consistency with the closed-loop stability verdict.
-    The open-loop scenario instead drives one player with a constant payoff
-    and checks that the unstable compensator misses the best response.
-    """
-    overrides = dict(overrides or {})
-    if name == "coordination-openloop":
-        return _run_openloop(overrides, out_dir)
-    if name not in _PRESETS:
-        raise ValueError(f"unknown scenario {name!r}; valid names: {', '.join(SCENARIO_NAMES)}")
-    preset = _PRESETS[name]
-    o = _take(overrides, preset.defaults)
-    game = preset.game(o)
-    specs = _data_specs(preset.specs_file, game)
-    cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=preset.stride)
-    target = uniform_profile(game) if preset.uniform_target else None
-    traj = simulate_coupled(game, specs, _offset_profile(game), cfg)
-    verdict = spectral_abscissa(assemble_game_loop(game, specs).matrix)
-    if target is not None:
-        converged, hit = detect_convergence(traj, target, cfg.convergence_tol)
-    else:
-        hit = None
-        converged = False
-        if traj.converged:
-            cert = verify_ne(game, traj.final_profile(), tol=1e-3)
-            converged = cert.is_ne
-    consistent = verdict.stable == converged
-    sweep = None
-    if preset.sweep:
-        sweep = gain_sweep(
-            lambda g: assemble_game_loop(make_jordan(g), specs).matrix, default_gain_grid()
-        )
-    result = ScenarioResult(name, traj, verdict, converged, hit, consistent, target, sweep)
-    if out_dir is not None:
-        _write_artifacts(result, out_dir)
-    return result
-
-
-def _write_artifacts(result: ScenarioResult, out_dir):
-    from . import cli
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    traj_path = out / "trajectory.csv"
-    cli.write_trajectory_csv(traj_path, result.trajectory)
-    result.artifacts["trajectory"] = traj_path
-    report = {
-        "scenario": result.name,
-        "spectral_abscissa": result.verdict.spectral_abscissa,
-        "stable": result.verdict.stable,
-        "eigenvalues": [[z.real, z.imag] for z in result.verdict.eigenvalues],
-        "converged": result.converged,
-        "hitting_time": result.hitting_time,
-        "consistent": result.consistent,
-    }
-    if result.sweep is not None:
-        report["crossings"] = [list(c) for c in result.sweep.crossings]
-        locus_path = out / "rootlocus.csv"
-        cli.write_sweep_csv(locus_path, result.sweep)
-        result.artifacts["rootlocus"] = locus_path
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    result.artifacts["report"] = report_path

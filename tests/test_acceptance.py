@@ -20,6 +20,7 @@ from gradplay.analysis import (
     spectral_abscissa,
     strong_stabilizability_2x2,
 )
+from gradplay.cli import run_scenario
 from gradplay.dynamics import (
     GradientPlay,
     HigherOrderGradientPlay,
@@ -41,7 +42,7 @@ from gradplay.linearize import (
     assemble_plant,
 )
 from gradplay.simplex import project_to_simplex, tangent_basis
-from gradplay.simulate import SimConfig, run_scenario, simulate_open_loop
+from gradplay.simulate import SimConfig, simulate_open_loop
 
 from conftest import random_mixed_ne_game, rescaled_jordan_split
 from test_simplex import qp_projection_oracle

@@ -243,6 +243,30 @@ def test_verify_nonfinite_profile_exits_2(capsys, tmp_path):
     assert "probability vector" in err
 
 
+@pytest.mark.parametrize("text", ["5", '[{"a": 1}, [0.5, 0.5], [0.5, 0.5]]'])
+def test_verify_malformed_profile_file_exits_2(capsys, jordan_file, tmp_path, text):
+    profile = tmp_path / "profile.json"
+    profile.write_text(text)
+    code, _, err = run(capsys, ["verify", jordan_file, "--profile", str(profile)])
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("dims", [2.7, 2]), ("dims", "22"), ("i", 0.9), ("i", True)]
+)
+def test_verify_non_integer_game_field_exits_2(capsys, tmp_path, field, value):
+    # truncated or split, each value would name the coordination game's own entry
+    doc = game_to_json(make_coordination())
+    if field == "dims":
+        doc["dims"] = value
+    else:
+        doc["matrices"][int(value)]["i"] = value  # entries are sorted: (0, 1), then (1, 0)
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["verify", str(game)])
+    assert code == 2 and err.startswith("error:")
+
+
 @pytest.fixture()
 def nan_game_file(tmp_path):
     doc = game_to_json(make_jordan())
@@ -588,14 +612,21 @@ def test_scenario_deltas_override(capsys, tmp_path):
         ["scenario", "jordan-diagonal", "--deltas", "nan,0,0"],
         ["simulate", {"variant": "anticipatory", "lambda": np.nan, "gamma": 1.0}],
         ["simulate", {"variant": "higher_order", "E": [[np.inf]], "F": [[1]], "G": [[1]], "H": [[1]]}],
+        ["analyze", {"variant": "smooth_fp", "temperature": [1]}],
+        ["analyze", {"variant": "smooth_fp", "temperature": None}],
+        ["simulate", {"variant": "smooth_fp", "temperature": [1]}],
+        ["simulate", {"variant": "smooth_fp", "temperature": None}],
+        ["analyze", {"variant": "anticipatory", "lambda": {"a": 1}, "gamma": 1}],
+        ["simulate", {"variant": "anticipatory", "lambda": {"a": 1}, "gamma": 1}],
     ],
 )
 def test_nonfinite_parameter_exits_2(capsys, tmp_path, jordan_file, argv):
-    if argv[0] == "simulate":
-        # the first player of the specs file carries the non-finite parameter
+    if argv[0] in ("analyze", "simulate"):
+        # the first player of the specs file carries the non-finite or malformed parameter
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps({"players": [argv[1]] + [{"variant": "gradient_play"}] * 2}))
-        argv = ["simulate", jordan_file, str(specs), "--out", str(tmp_path / "t.csv")]
+        out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "simulate" else []
+        argv = [argv[0], jordan_file, str(specs)] + out
     code, _, err = run(capsys, argv)
     assert code == 2 and err.startswith("error:")
 

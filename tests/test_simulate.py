@@ -3,7 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gradplay.cli as cli
 import gradplay.simulate as sim
+from gradplay.cli import run_scenario, scenario_names
 from gradplay.dynamics import (
     GradientPlay,
     HigherOrderGradientPlay,
@@ -18,8 +20,6 @@ from gradplay.simulate import (
     NonFiniteStateError,
     SimConfig,
     detect_convergence,
-    run_scenario,
-    scenario_names,
     simulate_coupled,
     simulate_open_loop,
 )
@@ -115,9 +115,9 @@ def test_presets_match_per_stage_reference(monkeypatch, name, overrides, saturat
     assert verdict(fast) == verdict(ref)
     if saturates is None:
         return
-    preset = sim._PRESETS[name]
-    game = preset.game(sim._take(overrides, preset.defaults))
-    specs = sim._data_specs(preset.specs_file, game)
+    preset = cli._PRESETS[name]
+    game = preset.game(cli._take(overrides, preset.defaults))
+    specs = cli._data_specs(preset.specs_file, game)
     assert _support_left_full(fast.trajectory, game, specs) == saturates
 
 

@@ -1,4 +1,5 @@
-"""Modules of the package reach each other only through public names.
+"""Modules of the package reach each other only through public names, and
+their imports form no cycle.
 
 Importing the package leaves scipy.linalg unloaded.
 """
@@ -62,6 +63,53 @@ def private_uses(path: Path) -> list:
     return found
 
 
+def sibling_imports(path: Path, modules: set) -> set:
+    """Sibling modules that path imports anywhere, inside functions too."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, None), (0, "gradplay")):
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(_sibling(node))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "gradplay" and len(parts) > 1:
+                    found.add(parts[1])
+    return found & modules
+
+
+def import_graph(package: Path) -> dict:
+    modules = {p.stem for p in package.glob("*.py")} - {"__init__"}
+    return {m: sibling_imports(package / f"{m}.py", modules) for m in sorted(modules)}
+
+
+def find_cycle(graph: dict) -> list:
+    """One import cycle as [a, b, ..., a], or [] when the graph has none."""
+    done = set()
+    path = []
+
+    def visit(m):
+        path.append(m)
+        for n in sorted(graph[m]):
+            if n in path:
+                return path[path.index(n):] + [n]
+            if n not in done:
+                cycle = visit(n)
+                if cycle:
+                    return cycle
+        path.pop()
+        done.add(m)
+        return []
+
+    for m in graph:
+        cycle = [] if m in done else visit(m)
+        if cycle:
+            return cycle
+    return []
+
+
 def test_package_found():
     assert {"games", "linearize", "simulate", "cli"} <= MODULES
 
@@ -87,6 +135,22 @@ def test_detector_flags_private_access(tmp_path):
         "probe.py:6: sim._propagate_regions",
         "probe.py:6: gradplay.cli._emit",
     ]
+
+
+def test_no_import_cycles():
+    assert find_cycle(import_graph(PACKAGE)) == []
+
+
+def test_detector_flags_import_cycle(tmp_path):
+    (tmp_path / "a.py").write_text("from . import b\n")
+    (tmp_path / "b.py").write_text("def f():\n    from .c import g\n    return g\n")
+    (tmp_path / "c.py").write_text("import numpy\nimport gradplay.a\n")
+    (tmp_path / "d.py").write_text("from gradplay.a import h\nfrom gradplay import c\n")
+    graph = import_graph(tmp_path)
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a", "c"}}
+    assert find_cycle(graph) == ["a", "b", "c", "a"]
+    (tmp_path / "c.py").write_text("import numpy\n")
+    assert find_cycle(import_graph(tmp_path)) == []
 
 
 def test_import_leaves_scipy_linalg_unloaded():
