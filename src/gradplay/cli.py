@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
@@ -98,6 +99,25 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A JSON number field: a bool or string is not read as a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(value) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array."""
+    pending = [value]
+    while pending:
+        entry = pending.pop()
+        if isinstance(entry, list):
+            pending.extend(entry)
+        else:
+            _number(entry)
+    return np.asarray(value, dtype=float)
+
+
 def game_from_json(doc: dict) -> PolymatrixGame:
     try:
         dims = tuple(_integer(k) for k in doc["dims"])
@@ -108,7 +128,7 @@ def game_from_json(doc: dict) -> PolymatrixGame:
             key = (_integer(entry["i"]), _integer(entry["j"]))
             if key in mats:
                 raise ValueError(f"duplicate pair matrix {key}")
-            mats[key] = np.asarray(entry["rows"], dtype=float)
+            mats[key] = _floats(entry["rows"])
             if not np.isfinite(mats[key]).all():
                 raise ValueError(f"pair matrix {key} has non-finite entries")
     except (KeyError, TypeError) as exc:
@@ -146,13 +166,13 @@ def spec_from_json(doc: dict, k: int):
         if variant == "replicator":
             return dyn.Replicator()
         if variant == "smooth_fp":
-            return dyn.SmoothFictitiousPlay(float(doc.get("temperature", 0.1)))
+            return dyn.SmoothFictitiousPlay(_number(doc.get("temperature", 0.1)))
         if variant == "higher_order":
             spec = dyn.HigherOrderGradientPlay(
-                E=np.asarray(doc["E"], dtype=float),
-                F=np.asarray(doc["F"], dtype=float),
-                G=np.asarray(doc["G"], dtype=float),
-                H=np.asarray(doc["H"], dtype=float),
+                E=_floats(doc["E"]),
+                F=_floats(doc["F"]),
+                G=_floats(doc["G"]),
+                H=_floats(doc["H"]),
             )
             if spec.signal_dim != k - 1:
                 raise ValueError(
@@ -161,8 +181,8 @@ def spec_from_json(doc: dict, k: int):
             return spec
         if variant == "anticipatory":
             gamma2 = doc.get("gamma2")
-            gamma2 = None if gamma2 is None else float(gamma2)
-            return dyn.make_anticipatory(float(doc["lambda"]), float(doc["gamma"]), k, gamma2)
+            gamma2 = None if gamma2 is None else _number(gamma2)
+            return dyn.make_anticipatory(_number(doc["lambda"]), _number(doc["gamma"]), k, gamma2)
     except KeyError as exc:
         raise ValueError(f"player spec missing {exc}") from exc
     except TypeError as exc:
@@ -203,10 +223,7 @@ def parse_profile(game: PolymatrixGame, text: str):
         doc = json.loads(Path(text).read_text(encoding="utf-8"))
     if not isinstance(doc, list):
         raise ValueError(f"a profile is a list of strategy vectors, got {doc!r}")
-    try:
-        return [np.asarray(x, dtype=float) for x in doc]
-    except TypeError as exc:
-        raise ValueError(f"malformed profile: {exc}") from exc
+    return [_floats(x) for x in doc]
 
 
 def certificate_to_json(cert: NeCertificate) -> dict:

@@ -50,10 +50,6 @@ class GameLocalMatrix:
     def n(self) -> int:
         return len(self.dims)
 
-    @property
-    def offsets(self) -> tuple:
-        return tuple((s.start, s.stop) for s in _tangent_slices(self.dims))
-
     def block_slice(self, i: int) -> slice:
         return _tangent_slices(self.dims)[i]
 
@@ -127,26 +123,6 @@ class ClosedLoopMatrix:
     matrix: np.ndarray
     dims: tuple
     aux_dims: tuple
-
-    @property
-    def w_dim(self) -> int:
-        return sum(k - 1 for k in self.dims)
-
-    @property
-    def aux_total(self) -> int:
-        return sum(self.aux_dims)
-
-    @property
-    def w_slice(self) -> slice:
-        return slice(0, self.w_dim)
-
-    @property
-    def xi_slice(self) -> slice:
-        return slice(self.w_dim, self.w_dim + self.aux_total)
-
-    @property
-    def v_slice(self) -> slice:
-        return slice(self.w_dim + self.aux_total, 2 * self.w_dim + self.aux_total)
 
 
 def _stacked_compensators(dims, specs):
@@ -276,7 +252,8 @@ class DecentralizedPlant:
     A = [[M, 0], [M, -I]] on state (w, v); player i injects through
     B_i = (S_i; 0) and measures y_i = (M_i-row, -S_i^T)(w; v), where S_i
     selects player i's tangent block.  Stacking all B_i gives (I; 0) and
-    stacking all C_i gives (M, -I).
+    stacking all C_i gives (M, -I), the washout rows of A, so each block is a
+    slice of one of these.
     """
 
     A: np.ndarray
@@ -303,13 +280,9 @@ def assemble_plant(local: GameLocalMatrix) -> DecentralizedPlant:
     ell = M.shape[0]
     _warn_if_singular(M, "local game matrix")
     A = np.block([[M, np.zeros((ell, ell))], [M, -np.eye(ell)]])
-    B_blocks = []
-    C_blocks = []
-    for i in range(local.n):
-        sl = local.block_slice(i)
-        r = local.dims[i] - 1
-        sel = np.zeros((ell, r))
-        sel[sl, :] = np.eye(r)
-        B_blocks.append(np.vstack([sel, np.zeros((ell, r))]))
-        C_blocks.append(np.hstack([M[sl, :], -sel.T]))
-    return DecentralizedPlant(A, tuple(B_blocks), tuple(C_blocks), local.dims)
+    B = np.eye(2 * ell, ell)
+    C = A[ell:]  # y = M w - v, the washout rows
+    slices = [local.block_slice(i) for i in range(local.n)]
+    return DecentralizedPlant(
+        A, tuple(B[:, sl] for sl in slices), tuple(C[sl] for sl in slices), local.dims
+    )

@@ -4,13 +4,14 @@ Players are coupled only through their payoff streams: at every integrator
 stage each player's payoff is recomputed from the current opponent strategies,
 and the per-player rules never see the game matrices directly.
 
-Every run is fixed-step RK4. For the projection family (gradient play and
-higher-order gradient play) the only nonlinearity is the simplex projection,
-so on a fixed projection support the flow is affine and one RK4 step is an
-affine map. That map is applied block by block, per support region, and the
-steps where the support changes are taken as plain RK4. Other rules evaluate
-every stage through dynamics.derivative. The open loop is the one-player game
-whose payoffs are a constant vector, and runs through the same body.
+Every run is fixed-step RK4, through one stepping loop. For the projection
+family (gradient play and higher-order gradient play) the only nonlinearity is
+the simplex projection, so on a fixed projection support the flow is affine
+and one RK4 step is an affine map. That map is applied block by block, per
+support region, and the steps where the support changes are taken as plain
+RK4. Other rules have no regions: every step is plain RK4, each stage through
+dynamics.derivative. The open loop is the one-player game whose payoffs are a
+constant vector, and runs through the same body.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class Trajectory:
     """Recorded states of one integration run.
 
     converged is the horizon-free settling flag: over the final tenth of the
-    run the full state stays within convergence_tol of its final value, which
-    is stored as the limit estimate.
+    run the full state stays within the SimConfig's convergence_tol of its
+    final value, which is stored as the limit estimate.
     """
 
     times: np.ndarray
@@ -112,7 +113,6 @@ class Trajectory:
     layout: StateLayout
     converged: bool
     limit: np.ndarray
-    convergence_tol: float
 
     def strategy(self, i: int) -> np.ndarray:
         return self.states[:, self.layout.x_slice(i)]
@@ -144,73 +144,36 @@ def _generic_deriv(game: PolymatrixGame, specs, bases, layout: StateLayout, c):
         for i, spec in enumerate(specs)
     ]
 
-    def deriv(t, y, out):
+    def deriv(y):
         p_all = PAY @ y[:nx] + c
+        out = np.empty_like(y)
         for spec, basis, xsl, xisl, vsl in players:
             d = dyn.derivative(spec, dyn.PlayerState(y[xsl], y[xisl], y[vsl]), p_all[xsl], basis)
             out[xsl] = d.dx
             out[xisl] = d.dxi
             out[vsl] = d.dv
+        return out
 
     return deriv
 
 
-def _recording(y0: np.ndarray, cfg: SimConfig):
-    """Recorded step indices, their times, the state buffer, and a working copy of y0."""
-    n_steps = max(1, int(round(cfg.horizon / cfg.step)))
-    rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
-    y = y0.astype(float)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteStateError(0.0)
-    states = np.empty((len(rec_steps), y.size))
-    states[0] = y
-    return rec_steps, np.array(rec_steps) * cfg.step, states, y
-
-
-def _rk4_step(deriv, step: int, h: float, y: np.ndarray, bufs) -> None:
-    """Advance y in place by the classical RK4 step ending at time step * h.
+def _rk4_step(deriv, step: int, h: float, y: np.ndarray) -> np.ndarray:
+    """The state after the classical RK4 step from y that ends at time step * h.
 
     Raises NonFiniteStateError with that time when a stage rejects a
     non-finite input (NonFiniteInputError) or the new state is not finite.
     """
-    k1, k2, k3, k4, tmp = bufs
-    t = (step - 1) * h
     try:
-        deriv(t, y, k1)
-        np.multiply(k1, 0.5 * h, out=tmp)
-        tmp += y
-        deriv(t + 0.5 * h, tmp, k2)
-        np.multiply(k2, 0.5 * h, out=tmp)
-        tmp += y
-        deriv(t + 0.5 * h, tmp, k3)
-        np.multiply(k3, h, out=tmp)
-        tmp += y
-        deriv(t + h, tmp, k4)
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * h * k1)
+        k3 = deriv(y + 0.5 * h * k2)
+        k4 = deriv(y + h * k3)
     except NonFiniteInputError as exc:
         raise NonFiniteStateError(step * h) from exc
-    k2 += k3
-    k2 *= 2.0
-    k1 += k2
-    k1 += k4
-    k1 *= h / 6.0
-    y += k1
+    y = y + (k1 + 2.0 * (k2 + k3) + k4) * (h / 6.0)
     if not np.isfinite(y).all():
         raise NonFiniteStateError(step * h)
-
-
-def _integrate(deriv, y0: np.ndarray, cfg: SimConfig):
-    """Fixed-step RK4 evaluating deriv at every stage: rules outside the projection family."""
-    rec_steps, times, states, y = _recording(y0, cfg)
-    bufs = [np.empty_like(y) for _ in range(5)]
-    step = 0
-    for rec, stop in enumerate(rec_steps[1:], start=1):
-        while step < stop:
-            step += 1
-            _rk4_step(deriv, step, cfg.step, y, bufs)
-        states[rec] = y
-    return times, states
+    return y
 
 
 # Longest run of RK4 steps one cached region check covers (the record stride
@@ -219,6 +182,52 @@ _MAX_BLOCK = 64
 # A jump is taken only while a norm bound keeps every stage quantity of the
 # reference RK4 steps below this, far from overflow.
 _SAFE_MAGNITUDE = 1e300
+
+
+def _integrate(deriv, region_at, shift, y0: np.ndarray, cfg: SimConfig):
+    """Fixed-step RK4 of y' = deriv(y) from y0, with the state held as y - shift.
+
+    region_at(y) returns the cached _Region of a state, or None. Inside a
+    region the steps a block check keeps are one jump, and the step that
+    leaves the region is plain RK4; every step outside a region is plain.
+    Rules outside the projection family have no regions, so region_at always
+    returns None and the run is per-stage RK4.
+    """
+    h = cfg.step
+    n_steps = max(1, int(round(cfg.horizon / h)))
+    rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
+    if rec_steps[-1] != n_steps:
+        rec_steps.append(n_steps)
+    if not np.isfinite(y0).all():
+        raise NonFiniteStateError(0.0)
+    states = np.empty((len(rec_steps), y0.size))
+    states[0] = y0
+    length = min(cfg.record_stride, _MAX_BLOCK)
+    y = y0 - shift
+    step = 0
+    region = None
+    for rec, stop in enumerate(rec_steps[1:], start=1):
+        while step < stop:
+            n = min(length, stop - step)
+            if region is None:
+                region = region_at(y)
+            if region is None or not np.abs(y).max() <= region.limit:
+                # no region, or close to overflow: plain steps report the reference's failing step
+                for _ in range(n):
+                    step += 1
+                    y = _rk4_step(deriv, step, h, y)
+                region = None
+                continue
+            j = region.steps_kept(y, n)
+            if j:
+                y = region.powers[j] @ y + region.offsets[j]
+                step += j
+            if j < n:
+                step += 1
+                y = _rk4_step(deriv, step, h, y)
+                region = None
+        states[rec] = y + shift
+    return np.array(rec_steps) * h, states
 
 
 @dataclass(frozen=True)
@@ -238,6 +247,24 @@ class _Region:
     checks: np.ndarray
     check_offsets: np.ndarray
     limit: float
+
+    def steps_kept(self, y: np.ndarray, n: int) -> int:
+        """How many of the next n steps from y keep every stage projection on S.
+
+        A margin a y + b below 0 by less than the bound (d + 1) eps (|a| |y| + |b|)
+        on the rounding error of its own evaluation is a tie, where both supports
+        give the same projected point, and counts as kept.
+        """
+        rows = self.checks.shape[0] // (len(self.powers) - 1)
+        a, b = self.checks[: n * rows], self.check_offsets[: n * rows]
+        margins = a @ y + b
+        ok = margins >= 0
+        if ok.all():
+            return n
+        tol = (y.size + 1) * np.finfo(float).eps
+        ok[~ok] = margins[~ok] >= -tol * (np.abs(a[~ok]) @ np.abs(y) + np.abs(b[~ok]))
+        kept = ok.reshape(n, rows).all(axis=1)
+        return n if kept.all() else int(np.argmin(kept))
 
 
 def _build_region(mask, PRE, AUX, c, bounds, h: float, length: int, growth: float) -> _Region:
@@ -298,23 +325,22 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, 
     On a fixed projection support the dynamics are y' = A_S y + b_S, and one
     RK4 step is exactly the affine map y -> M_S y + m_S. For each support seen,
     the powers of that map and the stacked KKT margins of every stage of the
-    next B steps are cached (B is the record stride, at most _MAX_BLOCK). One
-    matrix-vector product then shows whether all 4B stage projections keep the
-    support; if so the state jumps to the end of the block. Otherwise it jumps
-    to the first step that leaves the support, takes that step as plain RK4
-    with each stage's own projection, and detects the support again.
+    next B steps are cached (B is the record stride, at most _MAX_BLOCK).
+    _integrate then steps through them: one matrix-vector product shows
+    whether all 4B stage projections keep the support; if so the state jumps
+    to the end of the block. Otherwise it jumps to the first step that leaves
+    the support, takes that step as plain RK4 with each stage's own
+    projection, and detects the support again.
     """
     PRE, AUX = assemble_flow_operators(game, specs)
     nx = layout.nx
-    h = cfg.step
     bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
     length = min(cfg.record_stride, _MAX_BLOCK)
-    rows = 4 * nx
     # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
     # any support (|R|_inf <= 2), so growth bounds every RK4 stage quantity
     pre = np.abs(PRE).sum(axis=1).max() + np.abs(c).max()
     a = 2.0 * pre + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
-    growth = 16.0 * a * (1.0 + h * a) ** 4
+    growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
     shift = np.zeros(layout.dim)
     for i in range(layout.n):
         if layout.washout_dims[i]:
@@ -323,9 +349,8 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, 
     def project(z):
         return np.concatenate([project_to_simplex(z[lo:hi]) for lo, hi in bounds])
 
-    def deriv(t, y, out):
-        out[:nx] = project(PRE @ y + c) - y[:nx]
-        out[nx:] = AUX @ y
+    def deriv(y):
+        return np.concatenate([project(PRE @ y + c) - y[:nx], AUX @ y])
 
     regions = {}
 
@@ -335,55 +360,10 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, 
         mask = project(PRE @ y + c) > 0
         key = mask.tobytes()
         if key not in regions:
-            regions[key] = _build_region(mask, PRE, AUX, c, bounds, h, length, growth)
+            regions[key] = _build_region(mask, PRE, AUX, c, bounds, cfg.step, length, growth)
         return regions[key]
 
-    rec_steps, times, states, y = _recording(y0, cfg)
-    y -= shift
-    bufs = [np.empty_like(y) for _ in range(5)]
-    step = 0
-    region = None
-    for rec, stop in enumerate(rec_steps[1:], start=1):
-        while step < stop:
-            n = min(length, stop - step)
-            if region is None:
-                region = region_at(y)
-            if region is None or not np.abs(y).max() <= region.limit:
-                # close to overflow: plain steps report the reference's failing step
-                for _ in range(n):
-                    step += 1
-                    _rk4_step(deriv, step, h, y, bufs)
-                region = None
-                continue
-            ok = region.checks[: n * rows] @ y + region.check_offsets[: n * rows] >= 0
-            j = n if ok.all() else int(np.argmin(ok.reshape(n, rows).all(axis=1)))
-            if j:
-                y = region.powers[j] @ y + region.offsets[j]
-                step += j
-            if j < n:
-                step += 1
-                _rk4_step(deriv, step, h, y, bufs)
-                region = None
-        states[rec] = y + shift
-    return times, states
-
-
-def _settled(times, states, tol) -> bool:
-    span = times[-1] - times[0]
-    window = times >= times[-1] - 0.1 * span
-    final = states[-1]
-    return bool(np.max(np.abs(states[window] - final)) <= tol)
-
-
-def _finish(times, states, layout, cfg) -> Trajectory:
-    return Trajectory(
-        times=times,
-        states=states,
-        layout=layout,
-        converged=_settled(times, states, cfg.convergence_tol),
-        limit=states[-1].copy(),
-        convergence_tol=cfg.convergence_tol,
-    )
+    return _integrate(deriv, region_at, shift, y0, cfg)
 
 
 def _initial_state(layout: StateLayout, bases, xs, payoffs, xi0, v0) -> np.ndarray:
@@ -429,8 +409,11 @@ def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, xi0, v0, c) -> Tr
     if _projection_family(specs):
         times, states = _propagate_regions(game, specs, layout, bases, y0, cfg, c)
     else:
-        times, states = _integrate(_generic_deriv(game, specs, bases, layout, c), y0, cfg)
-    return _finish(times, states, layout, cfg)
+        deriv = _generic_deriv(game, specs, bases, layout, c)
+        times, states = _integrate(deriv, lambda y: None, 0.0, y0, cfg)
+    window = times >= times[-1] - 0.1 * (times[-1] - times[0])
+    converged = bool(np.max(np.abs(states[window] - states[-1])) <= cfg.convergence_tol)
+    return Trajectory(times, states, layout, converged, states[-1].copy())
 
 
 def simulate_coupled(

@@ -651,3 +651,46 @@ def test_scenario_nonfinite_horizon_exits_2(capsys):
     code, _, err = run(capsys, ["scenario", "jordan-single", "--horizon", "inf"])
     assert code == 2
     assert "finite" in err
+
+
+def _anticipatory(**fields):
+    return {"variant": "anticipatory", "lambda": 50.0, "gamma": 5.0, **fields}
+
+
+def _higher_order(**fields):
+    return {"variant": "higher_order", "E": [[-1.0]], "F": [[1.0]], "G": [[1.0]], "H": [[1.0]], **fields}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("analyze", _anticipatory(**{"lambda": "50", "gamma": True})),
+        ("analyze", _anticipatory(gamma2="0.8")),
+        ("analyze", _higher_order(E=[["-1"]], F=[[True]])),
+        ("analyze", _higher_order(E=[[-1.0, 0.0], [True, -1.0]], F=[[1.0], [0.0]], G=[[1.0, 0.0]])),
+        ("simulate", {"variant": "smooth_fp", "temperature": "0.5"}),
+        ("simulate", {"variant": "smooth_fp", "temperature": True}),
+        ("verify", {"rows": [["0", "1"], [True, False]]}),
+        ("verify", {"rows": [[0.0, 1.0], [1.0, False]]}),
+        ("verify", {"profile": [["0.5", "0.5"], ["0.5", "0.5"]]}),
+        ("verify", {"profile": [[0.5, 0.5], [True, False]]}),
+    ],
+)
+def test_json_strings_and_bools_are_not_numbers(capsys, tmp_path, jordan_file, command, bad):
+    # each would be read as the number it spells: lambda 50, gamma 1, row [0, 1]
+    if command == "verify":
+        doc = game_to_json(make_coordination())
+        doc["matrices"][0]["rows"] = bad.get("rows", doc["matrices"][0]["rows"])
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(doc))
+        argv = ["verify", str(game)]
+        if "profile" in bad:
+            argv += ["--profile", json.dumps(bad["profile"])]
+    else:
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps({"players": [bad] + [{"variant": "gradient_play"}] * 2}))
+        argv = [command, jordan_file, str(specs)]
+        if command == "simulate":
+            argv += ["--horizon", "1", "--out", str(tmp_path / "t.csv")]
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error:")

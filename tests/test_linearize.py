@@ -44,7 +44,7 @@ def all_anticipatory_specs():
 def test_local_matrix_jordan():
     local = jordan_local()
     assert_allclose(local.matrix, JORDAN_LOCAL, atol=1e-12)
-    assert local.offsets == ((0, 1), (1, 2), (2, 3))
+    assert [local.block_slice(i) for i in range(3)] == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_local_matrix_jordan_rescaled():
@@ -274,13 +274,45 @@ def test_simulator_flow_linearizes_to_closed_loop():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # some draws are singular
             loop = assemble_closed_loop(assemble_local_game(game, ne), specs)
-        v0 = loop.w_dim + loop.aux_total
+        v0 = sum(k - 1 for k in dims) + sum(loop.aux_dims)
         offsets = np.cumsum([0] + [k - 1 for k in dims])
         keep = list(range(v0)) + [
             v0 + r for i in higher for r in range(offsets[i], offsets[i + 1])
         ]
         assert_allclose(J_sim, loop.matrix[np.ix_(keep, keep)], rtol=0, atol=1e-12)
         assert_allclose(assemble_game_loop(game, specs).matrix, loop.matrix, rtol=0, atol=0)
+
+
+def _compensator(spec, k):
+    if isinstance(spec, HigherOrderGradientPlay):
+        return spec.E, spec.F, spec.G, spec.H
+    return np.zeros((0, 0)), np.zeros((0, k - 1)), np.zeros((k - 1, 0)), np.zeros((k - 1, k - 1))
+
+
+def test_plant_closed_by_compensators_is_the_loop():
+    # The loop is the plant (A, B, C) under u = G xi + H y, xi' = E xi + F y
+    # with y = C (w; v): [[A + B H C, B G], [F C, E]] on the state (w, v, xi).
+    # The loop orders its state (w, xi, v).
+    rng = np.random.default_rng(20231)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        dims = [int(rng.integers(2, 5)) for _ in range(n)]
+        game, ne = random_mixed_ne_game(rng, n=n, dims=dims)
+        specs = [_random_spec(rng, k) for k in dims]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # some draws are singular
+            local = assemble_local_game(game, ne)
+            plant = assemble_plant(local)
+        loop = assemble_closed_loop(local, specs)
+        E, F, G, H = (
+            scipy.linalg.block_diag(*blocks)
+            for blocks in zip(*(_compensator(s, k) for s, k in zip(specs, dims)))
+        )
+        A, B, C = plant.A, plant.B, plant.C
+        closed = np.block([[A + B @ H @ C, B @ G], [F @ C, E]])
+        ell, aux = B.shape[1], E.shape[0]
+        order = np.r_[0:ell, 2 * ell : 2 * ell + aux, ell : 2 * ell]
+        assert_allclose(loop.matrix, closed[np.ix_(order, order)], rtol=0, atol=0)
 
 
 def test_closed_loop_matches_finite_differences():

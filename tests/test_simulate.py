@@ -183,6 +183,24 @@ def test_open_loop_zero_margin_rest_point_matches_per_stage_reference(monkeypatc
         assert_allclose(fast.strategy(0), np.tile(x0, (fast.times.size, 1)), rtol=0, atol=1e-12)
 
 
+def test_open_loop_zero_margin_rest_point_takes_no_plain_steps(monkeypatch):
+    # the zero KKT margins of that rest point are ties: both supports project
+    # to the same point, so the block check keeps the region and the run jumps
+    calls = []
+    plain_step = sim._rk4_step
+
+    def counted(*args):
+        calls.append(args[1])
+        return plain_step(*args)
+
+    monkeypatch.setattr(sim, "_rk4_step", counted)
+    cfg = SimConfig(horizon=100.0)
+    for spec, v0 in ((GradientPlay(), "zero"), (make_anticipatory(5.0, 1.0, 3), "steady")):
+        calls.clear()
+        simulate_open_loop(spec, np.ones(3), [1.0, 0.0, 0.0], cfg, v0=v0)
+        assert len(calls) <= 10
+
+
 def test_mixed_variants_use_generic_path():
     g = make_jordan()
     specs = [make_anticipatory(5.0, 1.0, 2), Replicator(), SmoothFictitiousPlay(0.5)]
