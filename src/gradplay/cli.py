@@ -43,6 +43,7 @@ from .games import (
 from .linearize import assemble_closed_loop, assemble_game_loop, assemble_local_game, assemble_plant
 from .simplex import tangent_basis
 from .simulate import (
+    CONVERGENCE_TOL,
     NonFiniteStateError,
     SimConfig,
     Trajectory,
@@ -384,7 +385,7 @@ def _run_openloop(overrides, out_dir) -> ScenarioResult:
     spec = specs[0]
     cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=10)
     payoff = np.array([0.0, 1.0])
-    traj = simulate_open_loop(spec, payoff, np.array([0.5, 0.5]), cfg, v0="zero")
+    traj = simulate_open_loop(spec, payoff, np.array([0.5, 0.5]), cfg)
     verdict = spectral_abscissa(spec.E)
     corner = np.array([1.0, 0.0])
     converged = bool(np.max(np.abs(traj.strategy(0)[-1] - corner)) <= 1e-2)
@@ -421,7 +422,7 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None) -> Scen
     traj = simulate_coupled(game, specs, _offset_profile(game), cfg)
     verdict = spectral_abscissa(assemble_game_loop(game, specs).matrix)
     if target is not None:
-        converged, hit = detect_convergence(traj, target, cfg.convergence_tol)
+        converged, hit = detect_convergence(traj, target, CONVERGENCE_TOL)
     else:
         hit = None
         converged = False
@@ -563,11 +564,7 @@ def _cmd_simulate(args) -> int:
     specs = load_specs_file(args.specs, game)
     init = parse_profile(game, args.init)
     cfg = SimConfig(step=args.h, horizon=args.horizon, record_stride=args.stride)
-    try:
-        traj = simulate_coupled(game, specs, init, cfg)
-    except NonFiniteStateError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    traj = simulate_coupled(game, specs, init, cfg)
     cert = verify_ne(game, traj.final_profile(), tol=max(args.ne_tol, 1e-12))
     write_trajectory_csv(args.out, traj)
     converged = traj.converged and cert.is_ne
@@ -591,11 +588,7 @@ def _cmd_scenario(args) -> int:
         if len(parts) != 3:
             raise ValueError("--deltas needs three comma-separated values")
         overrides["deltas"] = tuple(parts)
-    try:
-        result = run_scenario(args.name, overrides, out_dir=args.out)
-    except NonFiniteStateError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = run_scenario(args.name, overrides, out_dir=args.out)
     _emit(
         {
             "scenario": result.name,
@@ -670,6 +663,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NonFiniteStateError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .linearize import assemble_flow_operators
 from .simplex import NonFiniteInputError, project_to_simplex, tangent_basis
 
 __all__ = [
+    "CONVERGENCE_TOL",
     "SimConfig",
     "Trajectory",
     "NonFiniteStateError",
@@ -35,6 +36,9 @@ __all__ = [
     "simulate_open_loop",
     "detect_convergence",
 ]
+
+
+CONVERGENCE_TOL = 1e-3
 
 
 class NonFiniteStateError(RuntimeError):
@@ -52,7 +56,6 @@ class NonFiniteStateError(RuntimeError):
 class SimConfig:
     step: float = 0.01
     horizon: float = 200.0
-    convergence_tol: float = 1e-3
     record_stride: int = 10
 
     def __post_init__(self):
@@ -62,8 +65,6 @@ class SimConfig:
         stride = self.record_stride
         if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
             raise ValueError("record_stride must be an integer of at least 1")
-        if not 0 < self.convergence_tol < np.inf:
-            raise ValueError("convergence_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -104,15 +105,13 @@ class Trajectory:
     """Recorded states of one integration run.
 
     converged is the horizon-free settling flag: over the final tenth of the
-    run the full state stays within the SimConfig's convergence_tol of its
-    final value, which is stored as the limit estimate.
+    run the full state stays within CONVERGENCE_TOL of its final value.
     """
 
     times: np.ndarray
     states: np.ndarray
     layout: StateLayout
     converged: bool
-    limit: np.ndarray
 
     def strategy(self, i: int) -> np.ndarray:
         return self.states[:, self.layout.x_slice(i)]
@@ -124,7 +123,7 @@ class Trajectory:
         return self.states[:, self.layout.v_slice(i)]
 
     def final_profile(self) -> list:
-        return [self.limit[self.layout.x_slice(i)].copy() for i in range(self.layout.n)]
+        return [self.states[-1, self.layout.x_slice(i)].copy() for i in range(self.layout.n)]
 
 
 def _projection_family(specs) -> bool:
@@ -337,10 +336,12 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, 
     bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
     length = min(cfg.record_stride, _MAX_BLOCK)
     # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
-    # any support (|R|_inf <= 2), so growth bounds every RK4 stage quantity
-    pre = np.abs(PRE).sum(axis=1).max() + np.abs(c).max()
-    a = 2.0 * pre + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
-    growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
+    # any support (|R|_inf <= 2), so growth bounds every RK4 stage quantity.
+    # On huge payoffs it overflows to inf, which turns every jump off.
+    with np.errstate(over="ignore"):
+        pre = np.abs(PRE).sum(axis=1).max() + np.abs(c).max()
+        a = 2.0 * pre + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
+        growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
     shift = np.zeros(layout.dim)
     for i in range(layout.n):
         if layout.washout_dims[i]:
@@ -366,54 +367,28 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, 
     return _integrate(deriv, region_at, shift, y0, cfg)
 
 
-def _initial_state(layout: StateLayout, bases, xs, payoffs, xi0, v0) -> np.ndarray:
-    """Flat initial state from strategies xs and per-player aux and washout starts.
+def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, c, steady: bool) -> Trajectory:
+    """The body of both simulate functions: play game, with c added to the payoffs.
 
-    xi0 and explicit v0 hold one vector per player (None, or xi0=None, starts
-    at zero). v0="steady" starts each washout at its steady value
-    N_i^T payoffs[i] for the initial payoffs; v0="zero" starts it at zero.
+    Aux states start at zero. With steady, each washout starts at its steady
+    value N_i^T p_i for the initial payoffs p_i; otherwise at zero.
     """
-    y0 = np.zeros(layout.dim)
-    for i, x in enumerate(xs):
-        y0[layout.x_slice(i)] = x
-    if isinstance(v0, str):
-        if v0 not in ("steady", "zero"):
-            raise ValueError("v0 must be 'steady', 'zero', or explicit vectors")
-        v0 = [
-            bases[i].N.T @ payoffs[i] if v0 == "steady" and layout.washout_dims[i] else None
-            for i in range(layout.n)
-        ]
-    for name, values, part in (("xi0", xi0, layout.xi_slice), ("v0", v0, layout.v_slice)):
-        if values is None:
-            continue
-        if len(values) != layout.n:
-            raise ValueError(f"{name} has {len(values)} entries for {layout.n} players")
-        for i, value in enumerate(values):
-            if value is None:
-                continue
-            value = np.asarray(value, dtype=float)
-            sl = part(i)
-            if value.shape != (sl.stop - sl.start,):
-                raise ValueError(f"{name}[{i}] has shape {value.shape}")
-            y0[sl] = value
-    return y0
-
-
-def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, xi0, v0, c) -> Trajectory:
-    """The body of both simulate functions: play game, with c added to the payoffs."""
     bases = [tangent_basis(k) for k in game.dims]
     washouts = tuple(dyn.washout_dim(s, k) for s, k in zip(specs, game.dims))
     layout = StateLayout(game.dims, tuple(dyn.aux_dim(s) for s in specs), washouts)
-    payoffs = [payoff_map(game, i, xs) + c[layout.x_slice(i)] for i in range(game.n)]
-    y0 = _initial_state(layout, bases, xs, payoffs, xi0, v0)
+    y0 = np.zeros(layout.dim)
+    for i, x in enumerate(xs):
+        y0[layout.x_slice(i)] = x
+        if steady and washouts[i]:
+            y0[layout.v_slice(i)] = bases[i].N.T @ (payoff_map(game, i, xs) + c[layout.x_slice(i)])
     if _projection_family(specs):
         times, states = _propagate_regions(game, specs, layout, bases, y0, cfg, c)
     else:
         deriv = _generic_deriv(game, specs, bases, layout, c)
         times, states = _integrate(deriv, lambda y: None, 0.0, y0, cfg)
     window = times >= times[-1] - 0.1 * (times[-1] - times[0])
-    converged = bool(np.max(np.abs(states[window] - states[-1])) <= cfg.convergence_tol)
-    return Trajectory(times, states, layout, converged, states[-1].copy())
+    converged = bool(np.max(np.abs(states[window] - states[-1])) <= CONVERGENCE_TOL)
+    return Trajectory(times, states, layout, converged)
 
 
 def simulate_coupled(
@@ -421,8 +396,6 @@ def simulate_coupled(
     specs,
     init,
     cfg: SimConfig | None = None,
-    xi0=None,
-    v0="steady",
 ) -> Trajectory:
     """Integrate all players in feedback through the game with fixed-step RK4.
 
@@ -431,37 +404,33 @@ def simulate_coupled(
     where the support changes; this agrees with per-stage RK4 to rounding.
     Other specs go stage by stage through dynamics.derivative.
 
-    Auxiliary states start at zero unless xi0 is given.  The washout states
-    start at their steady value for the initial payoffs (v0="steady", no
-    artificial startup transient), at zero (v0="zero"), or at explicit
-    per-player vectors.
+    Auxiliary states start at zero, and the washout states at their steady
+    value for the initial payoffs, so there is no artificial startup transient.
     """
     if len(specs) != game.n:
         raise ValueError(f"need {game.n} specs, got {len(specs)}")
     xs = validate_profile(game, init)
-    return _simulate(game, specs, xs, cfg or SimConfig(), xi0, v0, np.zeros(sum(game.dims)))
+    return _simulate(game, specs, xs, cfg or SimConfig(), np.zeros(sum(game.dims)), True)
 
 
-def simulate_open_loop(
-    spec, payoff, x0, cfg: SimConfig | None = None, xi0=None, v0="zero"
-) -> Trajectory:
+def simulate_open_loop(spec, payoff, x0, cfg: SimConfig | None = None, v0="zero") -> Trajectory:
     """Integrate one player against the constant payoff vector payoff.
 
     This runs the one-player game with no pair matrices, payoff added to its
-    payoffs, through the body of simulate_coupled; xi0 and explicit v0 are the
-    player's own vectors. The loop is broken, so the washout default is a cold
-    start (v0="zero"); with v0="steady" the filter output starts identically
-    zero and an unstable compensator sits unexcited on its equilibrium.
+    payoffs, through the body of simulate_coupled. The aux states start at
+    zero. The loop is broken, so the washout default is a cold start
+    (v0="zero"); with v0="steady" the filter output starts identically zero
+    and an unstable compensator sits unexcited on its equilibrium.
     """
+    if not (isinstance(v0, str) and v0 in ("zero", "steady")):
+        raise ValueError(f"v0 must be 'zero' or 'steady', got {v0!r}")
     x0 = np.asarray(x0, dtype=float)
     game = PolymatrixGame((x0.size,))
     xs = validate_profile(game, [x0])
     c = np.asarray(payoff, dtype=float)
     if c.shape != x0.shape or not np.isfinite(c).all():
         raise ValueError(f"payoff must be {x0.size} finite entries, got {c!r}")
-    xi0 = None if xi0 is None else [xi0]
-    v0 = v0 if isinstance(v0, str) else [v0]
-    return _simulate(game, [spec], xs, cfg or SimConfig(), xi0, v0, c)
+    return _simulate(game, [spec], xs, cfg or SimConfig(), c, v0 == "steady")
 
 
 class ConvergenceCheck(NamedTuple):

@@ -275,10 +275,10 @@ def test_c09_property_suites(
         # fixed-step robustness: halving the step moves converged endpoints < 1e-6
         base = run_scenario("jordan-rescaled", {"horizon": 100.0})
         half = run_scenario("jordan-rescaled", {"horizon": 100.0, "h": 0.005})
-        assert np.max(np.abs(base.trajectory.limit - half.trajectory.limit)) < 1e-6
+        assert np.max(np.abs(base.trajectory.states[-1] - half.trajectory.states[-1])) < 1e-6
         base = run_scenario("jordan-single", {"horizon": 60.0})
         half = run_scenario("jordan-single", {"horizon": 60.0, "h": 0.001})
-        assert np.max(np.abs(base.trajectory.limit - half.trajectory.limit)) < 1e-6
+        assert np.max(np.abs(base.trajectory.states[-1] - half.trajectory.states[-1])) < 1e-6
 
 
 def test_c10_robustness_margin():

@@ -500,6 +500,14 @@ def test_simulate_blowup_exits_4(capsys, tmp_path, jordan_file):
     assert "numeric failure" in err
 
 
+def test_scenario_blowup_exits_4(capsys):
+    # a step of 5 makes RK4 itself unstable on the jordan-single loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, ["scenario", "jordan-single", "--h", "5"])
+    assert code == 4
+    assert "numeric failure" in err
+
+
 def test_simulate_divergent_run_exits_1(capsys, tmp_path, gp_specs_file, jordan_file):
     out_csv = tmp_path / "t.csv"
     code, out, _ = run(

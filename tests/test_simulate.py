@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -51,7 +53,7 @@ def test_equilibrium_is_stationary_fixed_order():
 def test_equilibrium_is_stationary_higher_order_steady_start():
     g = make_jordan()
     cfg = SimConfig(step=0.01, horizon=5.0, record_stride=10)
-    traj = simulate_coupled(g, single_anticipatory_specs(), uniform_profile(g), cfg, v0="steady")
+    traj = simulate_coupled(g, single_anticipatory_specs(), uniform_profile(g), cfg)
     assert_allclose(traj.states[-1], traj.states[0], atol=1e-12)
 
 
@@ -259,6 +261,20 @@ def test_coupled_nonfinite_time_matches_per_stage_reference(monkeypatch):
     assert times[7] == times[64] > 0
 
 
+def test_huge_payoffs_run_plain_steps_without_overflow_warning(monkeypatch):
+    # the region growth bound overflows to inf on payoffs of 1e100, which
+    # turns every jump off; computing it must not warn
+    g = make_jordan(1e100)
+    specs = cli._data_specs("jordan_rescaled.specs.json", g)
+    cfg = SimConfig(step=0.01, horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = simulate_coupled(g, specs, offset_init(g), cfg)
+    monkeypatch.setattr(sim, "_projection_family", lambda specs: False)
+    ref = simulate_coupled(g, specs, offset_init(g), cfg)
+    assert_allclose(fast.states, ref.states, rtol=1e-12, atol=0)
+
+
 def test_nonfinite_state_aborts_with_time():
     # wildly unstable compensator on a constant payoff overflows quickly
     spec = HigherOrderGradientPlay(E=[[100.0]], F=[[1.0]], G=[[1.0]], H=[[0.0]])
@@ -285,8 +301,6 @@ def test_config_validation():
             SimConfig(step=bad)
         with pytest.raises(ValueError, match="finite"):
             SimConfig(horizon=bad)
-        with pytest.raises(ValueError, match="finite"):
-            SimConfig(convergence_tol=bad)
 
 
 def test_open_loop_rejects_nonfinite_start():
@@ -299,33 +313,10 @@ def test_open_loop_rejects_nonfinite_start():
 
 
 def test_washout_override_shapes_checked():
-    g = make_jordan()
-    with pytest.raises(ValueError):
-        simulate_coupled(
-            g,
-            single_anticipatory_specs(),
-            uniform_profile(g),
-            SimConfig(horizon=1.0),
-            v0=[np.zeros(3), None, None],
-        )
-    with pytest.raises(ValueError):
-        simulate_coupled(g, single_anticipatory_specs(), uniform_profile(g), SimConfig(horizon=1.0), v0="sideways")
-    # exactly one xi0 / v0 entry per player
-    for kwargs in ({"xi0": [None, None, None, [1.0]]}, {"v0": [None, None]}):
-        with pytest.raises(ValueError, match="entries for 3 players"):
-            simulate_coupled(
-                g, [GradientPlay()] * 3, uniform_profile(g), SimConfig(horizon=1.0), **kwargs
-            )
-    # the open loop shares the coupled run's checks and placement, one player wide
     spec = make_anticipatory(5.0, 1.0, 2)
     cfg = SimConfig(horizon=0.1)
-    for kwargs in ({"xi0": np.zeros(2)}, {"v0": np.zeros(3)}, {"v0": "sideways"}):
-        with pytest.raises(ValueError):
-            simulate_open_loop(spec, np.array([1.0, 0.0]), [0.5, 0.5], cfg, **kwargs)
-    traj = simulate_open_loop(
-        spec, np.array([1.0, 0.0]), [0.5, 0.5], cfg, xi0=[0.25], v0=[-0.5]
-    )
-    assert_array_equal(traj.states[0], [0.5, 0.5, 0.25, -0.5])
+    with pytest.raises(ValueError):
+        simulate_open_loop(spec, np.array([1.0, 0.0]), [0.5, 0.5], cfg, v0="sideways")
 
 
 # --- open loop ---------------------------------------------------------------
@@ -420,7 +411,7 @@ def test_divergence_from_unstable_equilibrium():
 def test_half_step_agreement_on_converging_run():
     base = run_scenario("jordan-rescaled", {"horizon": 100.0})
     half = run_scenario("jordan-rescaled", {"horizon": 100.0, "h": 0.005})
-    assert np.max(np.abs(base.trajectory.limit - half.trajectory.limit)) < 1e-6
+    assert np.max(np.abs(base.trajectory.states[-1] - half.trajectory.states[-1])) < 1e-6
 
 
 # --- scenarios -------------------------------------------------------------------
