@@ -188,9 +188,9 @@ def _integrate(deriv, region_at, shift, y0: np.ndarray, cfg: SimConfig):
 
     region_at(y) returns the cached _Region of a state, or None. Inside a
     region the steps a block check keeps are one jump, and the step that
-    leaves the region is plain RK4; every step outside a region is plain.
-    Rules outside the projection family have no regions, so region_at always
-    returns None and the run is per-stage RK4.
+    leaves it is plain RK4. Outside a region or past its limit j = 0, so each
+    step is plain and a run that overflows fails at the reference's step.
+    Rules outside the projection family have no regions: every step is plain.
     """
     h = cfg.step
     n_steps = max(1, int(round(cfg.horizon / h)))
@@ -210,14 +210,8 @@ def _integrate(deriv, region_at, shift, y0: np.ndarray, cfg: SimConfig):
             n = min(length, stop - step)
             if region is None:
                 region = region_at(y)
-            if region is None or not np.abs(y).max() <= region.limit:
-                # no region, or close to overflow: plain steps report the reference's failing step
-                for _ in range(n):
-                    step += 1
-                    y = _rk4_step(deriv, step, h, y)
-                region = None
-                continue
-            j = region.steps_kept(y, n)
+            plain = region is None or not np.abs(y).max() <= region.limit
+            j = 0 if plain else region.steps_kept(y, n)
             if j:
                 y = region.powers[j] @ y + region.offsets[j]
                 step += j
@@ -295,21 +289,20 @@ def _build_region(mask, PRE, AUX, c, bounds, h: float, length: int, growth: floa
     RP = sign[:, None] * (R @ PRE)
     Q = np.vstack([RP @ Ts for Ts in T])
     q = np.concatenate([RP @ ts + sign * r for ts in t])
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = [eye]
-        offsets = [np.zeros(dim)]
-        for _ in range(length):
-            powers.append(M @ powers[-1])
-            offsets.append(M @ offsets[-1] + m)
-        powers = np.array(powers)
-        offsets = np.array(offsets)
-        checks = (Q @ powers[:length]).reshape(-1, dim)
-        check_offsets = (offsets[:length] @ Q.T + q).ravel()
-        # |state| <= P |y| + C over the block, and every stage quantity of a
-        # step from a state of size Y is below growth * (Y + 1)
-        P = np.abs(powers).sum(axis=2).max()
-        C = np.abs(offsets).max()
-        limit = float((_SAFE_MAGNITUDE / growth - C - 1.0) / P)
+    powers = [eye]
+    offsets = [np.zeros(dim)]
+    for _ in range(length):
+        powers.append(M @ powers[-1])
+        offsets.append(M @ offsets[-1] + m)
+    powers = np.array(powers)
+    offsets = np.array(offsets)
+    checks = (Q @ powers[:length]).reshape(-1, dim)
+    check_offsets = (offsets[:length] @ Q.T + q).ravel()
+    # |state| <= P |y| + C over the block, and every stage quantity of a
+    # step from a state of size Y is below growth * (Y + 1)
+    P = np.abs(powers).sum(axis=2).max()
+    C = np.abs(offsets).max()
+    limit = float((_SAFE_MAGNITUDE / growth - C - 1.0) / P)
     return _Region(powers, offsets, checks, check_offsets, limit)
 
 
@@ -338,10 +331,9 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, 
     # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
     # any support (|R|_inf <= 2), so growth bounds every RK4 stage quantity.
     # On huge payoffs it overflows to inf, which turns every jump off.
-    with np.errstate(over="ignore"):
-        pre = np.abs(PRE).sum(axis=1).max() + np.abs(c).max()
-        a = 2.0 * pre + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
-        growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
+    pre = np.abs(PRE).sum(axis=1).max() + np.abs(c).max()
+    a = 2.0 * pre + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
+    growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
     shift = np.zeros(layout.dim)
     for i in range(layout.n):
         if layout.washout_dims[i]:
@@ -376,18 +368,21 @@ def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, c, steady: bool) 
     bases = [tangent_basis(k) for k in game.dims]
     washouts = tuple(dyn.washout_dim(s, k) for s, k in zip(specs, game.dims))
     layout = StateLayout(game.dims, tuple(dyn.aux_dim(s) for s in specs), washouts)
-    y0 = np.zeros(layout.dim)
-    for i, x in enumerate(xs):
-        y0[layout.x_slice(i)] = x
-        if steady and washouts[i]:
-            y0[layout.v_slice(i)] = bases[i].N.T @ (payoff_map(game, i, xs) + c[layout.x_slice(i)])
-    if _projection_family(specs):
-        times, states = _propagate_regions(game, specs, layout, bases, y0, cfg, c)
-    else:
-        deriv = _generic_deriv(game, specs, bases, layout, c)
-        times, states = _integrate(deriv, lambda y: None, 0.0, y0, cfg)
-    window = times >= times[-1] - 0.1 * (times[-1] - times[0])
-    converged = bool(np.max(np.abs(states[window] - states[-1])) <= CONVERGENCE_TOL)
+    # overflow surfaces only as NonFiniteStateError, raised by the checks of _integrate
+    with np.errstate(over="ignore", invalid="ignore"):
+        y0 = np.zeros(layout.dim)
+        for i, x in enumerate(xs):
+            y0[layout.x_slice(i)] = x
+            if steady and washouts[i]:
+                p = payoff_map(game, i, xs) + c[layout.x_slice(i)]
+                y0[layout.v_slice(i)] = bases[i].N.T @ p
+        if _projection_family(specs):
+            times, states = _propagate_regions(game, specs, layout, bases, y0, cfg, c)
+        else:
+            deriv = _generic_deriv(game, specs, bases, layout, c)
+            times, states = _integrate(deriv, lambda y: None, 0.0, y0, cfg)
+        window = times >= times[-1] - 0.1 * (times[-1] - times[0])
+        converged = bool(np.max(np.abs(states[window] - states[-1])) <= CONVERGENCE_TOL)
     return Trajectory(times, states, layout, converged)
 
 
@@ -438,11 +433,11 @@ class ConvergenceCheck(NamedTuple):
     hitting_time: float | None
 
 
-def detect_convergence(traj: Trajectory, target, tol: float) -> ConvergenceCheck:
-    """Whether the strategies stay within tol of the target over the final 10%.
+def detect_convergence(traj: Trajectory, target) -> ConvergenceCheck:
+    """Whether the strategies stay within CONVERGENCE_TOL of the target over the final 10%.
 
     On success the hitting time is the first recorded time from which the
-    distance never exceeds tol again.
+    distance never exceeds CONVERGENCE_TOL again.
     """
     targets = [np.asarray(ti, dtype=float) for ti in target]
     if [ti.shape for ti in targets] != [(k,) for k in traj.layout.dims]:
@@ -450,11 +445,10 @@ def detect_convergence(traj: Trajectory, target, tol: float) -> ConvergenceCheck
     dist = np.zeros(traj.times.size)
     for i, ti in enumerate(targets):
         dist = np.maximum(dist, np.max(np.abs(traj.strategy(i) - ti), axis=1))
-    span = traj.times[-1] - traj.times[0]
-    window = traj.times >= traj.times[-1] - 0.1 * span
-    if not np.all(dist[window] <= tol):
+    window = traj.times >= traj.times[-1] - 0.1 * (traj.times[-1] - traj.times[0])
+    if not np.all(dist[window] <= CONVERGENCE_TOL):
         return ConvergenceCheck(False, None)
-    below = dist <= tol
+    below = dist <= CONVERGENCE_TOL
     idx = traj.times.size - 1
     while idx > 0 and below[idx - 1]:
         idx -= 1

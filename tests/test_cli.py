@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,33 +483,46 @@ def test_simulate_blowup_exits_4(capsys, tmp_path, jordan_file):
             }
         )
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, _, err = run(
-            capsys,
-            [
-                "simulate",
-                jordan_file,
-                str(specs),
-                "--h",
-                "0.01",
-                "--horizon",
-                "20",
-                "--init",
-                "[[0.6, 0.4], [0.5, 0.5], [0.5, 0.5]]",
-                "--out",
-                str(tmp_path / "t.csv"),
-            ],
-        )
+    code, _, err = run(
+        capsys,
+        [
+            "simulate",
+            jordan_file,
+            str(specs),
+            "--h",
+            "0.01",
+            "--horizon",
+            "20",
+            "--init",
+            "[[0.6, 0.4], [0.5, 0.5], [0.5, 0.5]]",
+            "--out",
+            str(tmp_path / "t.csv"),
+        ],
+    )
     assert code == 4
     assert "numeric failure" in err
 
 
 def test_scenario_blowup_exits_4(capsys):
     # a step of 5 makes RK4 itself unstable on the jordan-single loop
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, _, err = run(capsys, ["scenario", "jordan-single", "--h", "5"])
+    code, _, err = run(capsys, ["scenario", "jordan-single", "--h", "5"])
     assert code == 4
     assert "numeric failure" in err
+
+
+def test_scenario_blowup_prints_only_the_numeric_failure(tmp_path):
+    # numpy's overflow warnings stay inside the simulator: a fresh interpreter
+    # with the default warning filters prints the typed failure and nothing else
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("PYTHONWARNINGS", None)
+    argv = ["scenario", "jordan-single", "--h", "5"]
+    code = f"import sys, gradplay.cli; sys.exit(gradplay.cli.main({argv!r}))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+    assert out.returncode == 4
+    assert out.stderr == "numeric failure: nonfinite state encountered at t = 190\n"
 
 
 def test_simulate_divergent_run_exits_1(capsys, tmp_path, gp_specs_file, jordan_file):
@@ -644,15 +661,17 @@ def test_nonfinite_parameter_exits_2(capsys, tmp_path, jordan_file, argv):
     [("verify", "--tol"), ("analyze", "--tol"), ("simulate", "--ne-tol")],
 )
 def test_nonfinite_tolerance_exits_2(capsys, tmp_path, jordan_file, command, option):
-    argv = [command, jordan_file, option, "nan"]
-    if command != "verify":
-        argv.insert(2, data_path("jordan_single.specs.json"))
-    if command == "simulate":
-        argv += ["--horizon", "1", "--out", str(tmp_path / "t.csv")]
-    code, _, err = run(capsys, argv)
-    assert code == 2
-    assert "tol must be positive and finite" in err
-    assert not (tmp_path / "t.csv").exists()
+    # a tolerance must be positive and finite; none is raised to a floor
+    for value in ("nan", "0", "-1"):
+        argv = [command, jordan_file, option, value]
+        if command != "verify":
+            argv.insert(2, data_path("jordan_single.specs.json"))
+        if command == "simulate":
+            argv += ["--horizon", "1", "--out", str(tmp_path / "t.csv")]
+        code, _, err = run(capsys, argv)
+        assert code == 2, value
+        assert "tol must be positive and finite" in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 def test_scenario_nonfinite_horizon_exits_2(capsys):

@@ -15,7 +15,7 @@ from gradplay.dynamics import (
     SmoothFictitiousPlay,
     make_anticipatory,
 )
-from gradplay.games import make_jordan, uniform_profile
+from gradplay.games import PolymatrixGame, make_jordan, uniform_profile
 from gradplay.linearize import assemble_flow_operators
 from gradplay.simplex import project_to_simplex, tangent_basis
 from gradplay.simulate import (
@@ -249,13 +249,12 @@ def test_coupled_nonfinite_time_matches_per_stage_reference(monkeypatch):
     times = {}
     for stride in (7, 64):
         cfg = SimConfig(step=0.01, horizon=50.0, record_stride=stride)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteStateError) as err:
+        with pytest.raises(NonFiniteStateError) as err:
+            simulate_coupled(g, specs, offset_init(g), cfg)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_projection_family", lambda specs: False)
+            with pytest.raises(NonFiniteStateError) as ref:
                 simulate_coupled(g, specs, offset_init(g), cfg)
-            with monkeypatch.context() as m:
-                m.setattr(sim, "_projection_family", lambda specs: False)
-                with pytest.raises(NonFiniteStateError) as ref:
-                    simulate_coupled(g, specs, offset_init(g), cfg)
         assert err.value.time == ref.value.time
         times[stride] = err.value.time
     assert times[7] == times[64] > 0
@@ -279,10 +278,20 @@ def test_nonfinite_state_aborts_with_time():
     # wildly unstable compensator on a constant payoff overflows quickly
     spec = HigherOrderGradientPlay(E=[[100.0]], F=[[1.0]], G=[[1.0]], H=[[0.0]])
     cfg = SimConfig(step=0.01, horizon=50.0, record_stride=10)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteStateError) as err:
-            simulate_open_loop(spec, np.array([1.0, 0.0]), [0.5, 0.5], cfg, v0="zero")
+    with pytest.raises(NonFiniteStateError) as err:
+        simulate_open_loop(spec, np.array([1.0, 0.0]), [0.5, 0.5], cfg, v0="zero")
     assert err.value.time > 0
+
+
+def test_overflowing_steady_start_aborts_at_time_zero():
+    # payoffs that overflow make the steady washout start non-finite: the run
+    # fails at t = 0, with no numpy warning ahead of the error
+    big = np.full((2, 2), 1.7e308)
+    g = PolymatrixGame((2, 2, 2), {(0, 1): big, (0, 2): big})
+    specs = [make_anticipatory(1.0, 1.0, 2), GradientPlay(), GradientPlay()]
+    with pytest.raises(NonFiniteStateError) as err:
+        simulate_coupled(g, specs, uniform_profile(g), SimConfig(horizon=1.0))
+    assert err.value.time == 0.0
 
 
 def test_config_validation():
@@ -370,7 +379,7 @@ def test_detect_convergence_constant_trajectory():
     g = make_jordan()
     cfg = SimConfig(step=0.01, horizon=2.0, record_stride=10)
     traj = simulate_coupled(g, [GradientPlay()] * 3, uniform_profile(g), cfg)
-    check = detect_convergence(traj, uniform_profile(g), 1e-9)
+    check = detect_convergence(traj, uniform_profile(g))
     assert check.converged
     assert check.hitting_time == 0.0
 
@@ -380,7 +389,7 @@ def test_detect_convergence_rejects_far_target():
     cfg = SimConfig(step=0.01, horizon=2.0, record_stride=10)
     traj = simulate_coupled(g, [GradientPlay()] * 3, uniform_profile(g), cfg)
     target = [np.array([1.0, 0.0])] * 3
-    assert not detect_convergence(traj, target, 1e-3).converged
+    assert not detect_convergence(traj, target).converged
 
 
 def test_detect_convergence_rejects_misshapen_target():
@@ -391,7 +400,7 @@ def test_detect_convergence_rejects_misshapen_target():
     # too few players, too many players, and a wrong strategy length
     for target in ([half], [half] * 4, [np.full(3, 1 / 3), half, half]):
         with pytest.raises(ValueError, match="target"):
-            detect_convergence(traj, target, 1e-3)
+            detect_convergence(traj, target)
 
 
 def test_divergence_from_unstable_equilibrium():
@@ -402,7 +411,7 @@ def test_divergence_from_unstable_equilibrium():
     d0 = max(np.abs(traj.strategy(i)[0] - 0.5).max() for i in range(3))
     dmax = max(np.abs(traj.strategy(i) - 0.5).max() for i in range(3))
     assert dmax > 10 * d0
-    assert not detect_convergence(traj, uniform_profile(g), 1e-3).converged
+    assert not detect_convergence(traj, uniform_profile(g)).converged
 
 
 # --- step-size robustness -------------------------------------------------------
