@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .simplex import NonFiniteInputError
+
 __all__ = [
     "PolymatrixGame",
     "NeCertificate",
@@ -120,9 +122,12 @@ def payoff_map(game: PolymatrixGame, i: int, profile) -> np.ndarray:
         raise ValueError(f"player index {i} out of range for {game.n} players")
     xs = validate_profile(game, profile)
     p = np.zeros(game.dims[i])
-    for (a, j), m in game.pair_matrices.items():
-        if a == i:
-            p += m @ xs[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (a, j), m in game.pair_matrices.items():
+            if a == i:
+                p += m @ xs[j]
+    if not np.isfinite(p).all():
+        raise NonFiniteInputError(f"payoff of player {i} is not finite")
     return p
 
 
@@ -145,13 +150,17 @@ def verify_ne(game: PolymatrixGame, profile, tol: float = NE_TOL) -> NeCertifica
     gains = []
     levels = []
     const_defects = []
-    for i, x in enumerate(xs):
-        p = payoff_map(game, i, xs)
-        u = float(x @ p)
-        gains.append(float(np.max(p)) - u)
-        alpha = float(np.mean(p))
-        levels.append(alpha)
-        const_defects.append(float(np.max(np.abs(p - alpha))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(xs):
+            p = payoff_map(game, i, xs)
+            gain = float(np.max(p) - x @ p)
+            alpha = float(np.mean(p))
+            defect = float(np.max(np.abs(p - alpha)))
+            if not (math.isfinite(gain) and math.isfinite(defect)):
+                raise NonFiniteInputError(f"utility or payoff gap of player {i} is not finite")
+            gains.append(gain)
+            levels.append(alpha)
+            const_defects.append(defect)
     completely_mixed = all(float(np.min(x)) > tol for x in xs)
     is_ne = max(gains) <= tol
     max_violation = max(gains)

@@ -218,30 +218,34 @@ def assemble_loop_family(game: PolymatrixGame, specs, direction) -> tuple:
 
 
 def assemble_flow_operators(game: PolymatrixGame, specs):
-    """Affine operators (PRE, AUX) of projection-family play in full coordinates.
+    """Affine operators (PRE, AUX) of the simulator's flow in full coordinates.
 
     The flat state y is (x, xi, v): every player's strategy, then the aux
-    states, then washout states for the higher-order players only. The flow
-    is y' = [proj(PRE y) - x; AUX y], with the projection taken per player.
+    states, then washout states for the higher-order players only. PRE y is,
+    per player, what its rule maps: the projection argument x + p + N u of
+    (higher-order) gradient play, and the payoff p of any other rule. AUX y
+    is (xi', v'). For the projection family the flow is
+    y' = [proj(PRE y) - x; AUX y], with the projection taken per player.
     """
     if len(specs) != game.n:
         raise ValueError(f"need {game.n} specs, got {len(specs)}")
-    if not all(isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs):
-        raise ValueError("flow operators exist only for (higher-order) gradient play")
     E, F, G, H, _ = _stacked_compensators(game.dims, specs)
     K = np.block([[game.pair(i, j) for j in range(game.n)] for i in range(game.n)])
     lift = np.zeros((K.shape[0], sum(k - 1 for k in game.dims)))
-    for row, k, sl in zip(np.cumsum((0,) + game.dims), game.dims, _tangent_slices(game.dims)):
-        lift[row : row + k, sl] = tangent_basis(k).N
-    washed = [
-        row
-        for s, sl in zip(specs, _tangent_slices(game.dims))
-        if isinstance(s, HigherOrderGradientPlay)
-        for row in range(sl.start, sl.stop)
-    ]
+    starts = np.cumsum((0,) + game.dims)
+    # only compensated players read their tangent payoff; a zero lift for the
+    # others keeps one that overflows (0 * inf) out of rows that never read it
+    for i, sl in enumerate(_tangent_slices(game.dims)):
+        if isinstance(specs[i], HigherOrderGradientPlay):
+            lift[starts[i] : starts[i + 1], sl] = tangent_basis(game.dims[i]).N
+    washed = np.flatnonzero(lift.any(axis=0))  # the tangent rows that have a washout
     nx = K.shape[0]
     out = np.zeros((nx + E.shape[0] + len(washed),) * 2)
     _fill_loop(out, K, lift, E, F, G, H, washed)
+    # the other rules' rows read the payoff alone: K has zero diagonal blocks
+    projected = [isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs]
+    fixed = np.flatnonzero(~np.repeat(projected, game.dims))
+    out[fixed, fixed] = 0.0
     return out[:nx], out[nx:]
 
 

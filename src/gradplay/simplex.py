@@ -21,26 +21,29 @@ class NonFiniteInputError(ValueError):
 
 
 def project_to_simplex(x) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex.
+    """Euclidean projection onto the probability simplex, of a vector or of each row of a matrix.
 
-    Uses the sort-and-threshold algorithm: sort descending, find the largest
-    support size rho whose water level keeps all supported entries positive,
-    then clip. O(k log k), deterministic.
+    Uses the sort-and-threshold algorithm per row: sort descending, find the
+    largest support size rho whose water level keeps all supported entries
+    positive, then clip. O(k log k) per row, deterministic; a row of a matrix
+    projects bit for bit as it would alone.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("project_to_simplex expects a nonempty 1-D vector")
-    if not np.all(np.isfinite(x)):
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError("project_to_simplex expects a nonempty vector or matrix of rows")
+    if not np.isfinite(x).all():
         raise NonFiniteInputError("project_to_simplex expects finite entries")
+    rows = x.reshape(-1, x.shape[-1])
+    m, k = rows.shape
     # projection commutes with constant shifts; anchoring the max at zero
     # keeps the water-level arithmetic exact for entries of any magnitude
-    x = x - np.max(x)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, x.size + 1)
-    rho = idx[u * idx > css][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(x - theta, 0.0)
+    rows = rows - rows.max(axis=1, keepdims=True)
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = u.cumsum(axis=1) - 1.0
+    # rho is the last index with u * idx > css (the first always is one)
+    rho = k - (u * np.arange(1, k + 1) > css)[:, ::-1].argmax(axis=1)
+    theta = css[np.arange(m), rho - 1] / rho
+    return np.maximum(rows - theta[:, None], 0.0).reshape(x.shape)
 
 
 @dataclass(frozen=True)

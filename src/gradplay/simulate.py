@@ -1,16 +1,17 @@
 """Coupled and open-loop integration of the learning dynamics.
 
 Players are coupled only through their payoff streams: at every integrator
-stage each player's payoff is recomputed from the current opponent strategies,
-and the per-player rules never see the game matrices directly.
+stage each player's payoff is recomputed from the current opponent strategies.
 
-Every run is fixed-step RK4, through one stepping loop. For the projection
-family (gradient play and higher-order gradient play) the only nonlinearity is
-the simplex projection, so on a fixed projection support the flow is affine
-and one RK4 step is an affine map. That map is applied block by block, per
-support region, and the steps where the support changes are taken as plain
-RK4. Other rules have no regions: every step is plain RK4, each stage through
-dynamics.derivative. The open loop is the one-player game whose payoffs are a
+Every run is fixed-step RK4, through one stepping loop and one flow. A stage
+of the flow is one matrix-vector product for the inputs of all players' rules
+and one batched update per group of players with the same rule and number of
+strategies. For the projection family (gradient play and higher-order
+gradient play) the only nonlinearity is the simplex projection, so on a fixed
+projection support the flow is affine and one RK4 step is an affine map. That
+map is applied block by block, per support region, and the steps where the
+support changes are taken as plain RK4. Other rules have no regions: every
+step is plain RK4. The open loop is the one-player game whose payoffs are a
 constant vector, and runs through the same body.
 """
 
@@ -126,34 +127,60 @@ class Trajectory:
         return [self.states[-1, self.layout.x_slice(i)].copy() for i in range(self.layout.n)]
 
 
+_PROJECTED = (dyn.GradientPlay, dyn.HigherOrderGradientPlay)
+
+
 def _projection_family(specs) -> bool:
-    return all(
-        isinstance(s, (dyn.GradientPlay, dyn.HigherOrderGradientPlay)) for s in specs
-    )
+    return all(isinstance(s, _PROJECTED) for s in specs)
 
 
-def _generic_deriv(game: PolymatrixGame, specs, bases, layout: StateLayout, c):
-    """Per-stage derivative through dynamics.derivative, on the payoffs PAY x + c."""
-    nx = layout.nx
-    PAY = np.zeros((nx, nx))
-    for (i, j), M in game.pair_matrices.items():
-        PAY[layout.x_slice(i), layout.x_slice(j)] = M
-    players = [
-        (spec, bases[i], layout.x_slice(i), layout.xi_slice(i), layout.v_slice(i))
-        for i, spec in enumerate(specs)
-    ]
+class _Flow:
+    """y' = f(y) for any mix of rules, on the state held as y - shift.
 
-    def deriv(y):
-        p_all = PAY @ y[:nx] + c
-        out = np.empty_like(y)
-        for spec, basis, xsl, xisl, vsl in players:
-            d = dyn.derivative(spec, dyn.PlayerState(y[xsl], y[xisl], y[vsl]), p_all[xsl], basis)
-            out[xsl] = d.dx
-            out[xisl] = d.dxi
-            out[vsl] = d.dv
-        return out
+    PRE y + c is, per player, the input its rule maps (assemble_flow_operators).
+    Each washout runs relative to its steady value N_i^T c_i, so the aux rows
+    are AUX y and no rounding of c reaches the aux states. Players are grouped
+    by (rule, k) into (m, k) index arrays, and a stage is one product, one
+    finite check and one batched update per group, equal row by row to
+    dynamics.derivative up to rounding.
+    """
 
-    return deriv
+    def __init__(self, game: PolymatrixGame, specs, layout: StateLayout, bases, c):
+        self.PRE, self.AUX = assemble_flow_operators(game, specs)
+        self.c = c
+        self.nx = layout.nx
+        self.shift = np.zeros(layout.dim)
+        plan = {}
+        for i, spec in enumerate(specs):
+            xsl = layout.x_slice(i)
+            if layout.washout_dims[i]:
+                self.shift[layout.v_slice(i)] = bases[i].N.T @ c[xsl]
+            rule = dyn.GradientPlay if isinstance(spec, _PROJECTED) else type(spec)
+            if rule not in (dyn.GradientPlay, dyn.Replicator, dyn.SmoothFictitiousPlay):
+                raise TypeError(f"unknown dynamics spec {rule.__name__}")
+            rows, temps = plan.setdefault((rule, game.dims[i]), ([], []))
+            rows.append(np.arange(xsl.start, xsl.stop))
+            temps.append(getattr(spec, "temperature", 0.0))
+        self.groups = [
+            (rule, np.array(r), np.array(t)[:, None]) for (rule, _), (r, t) in plan.items()
+        ]
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        z = self.PRE @ y + self.c
+        if not np.isfinite(z).all():
+            raise NonFiniteInputError("payoff entries must be finite")
+        x = y[: self.nx]
+        dx = np.empty(self.nx)
+        for rule, rows, temps in self.groups:
+            xr, zr = x[rows], z[rows]
+            if rule is dyn.Replicator:
+                dx[rows] = xr * (zr - (xr * zr).sum(axis=1, keepdims=True))
+            elif rule is dyn.SmoothFictitiousPlay:
+                e = np.exp((zr - zr.max(axis=1, keepdims=True)) / temps)
+                dx[rows] = e / e.sum(axis=1, keepdims=True) - xr
+            else:
+                dx[rows] = project_to_simplex(zr) - xr
+        return np.concatenate([dx, self.AUX @ y])
 
 
 def _rk4_step(deriv, step: int, h: float, y: np.ndarray) -> np.ndarray:
@@ -306,13 +333,8 @@ def _build_region(mask, PRE, AUX, c, bounds, h: float, length: int, growth: floa
     return _Region(powers, offsets, checks, check_offsets, limit)
 
 
-def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, y0, cfg, c):
-    """Projection-family RK4 taken as its own step map, region by region.
-
-    The payoffs carry a constant term c, and each washout runs relative to
-    its steady value N_i^T c_i. Then c enters the flow only as
-    y' = [proj(PRE y + c) - x; AUX y], and no rounding of c reaches the aux
-    states: a steady washout start keeps the compensator exactly at 0.
+def _regions(flow: _Flow, layout: StateLayout, cfg: SimConfig):
+    """region_at for projection-family RK4, taken as its own step map region by region.
 
     On a fixed projection support the dynamics are y' = A_S y + b_S, and one
     RK4 step is exactly the affine map y -> M_S y + m_S. For each support seen,
@@ -324,8 +346,7 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, 
     the support, takes that step as plain RK4 with each stage's own
     projection, and detects the support again.
     """
-    PRE, AUX = assemble_flow_operators(game, specs)
-    nx = layout.nx
+    PRE, AUX, c = flow.PRE, flow.AUX, flow.c
     bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
     length = min(cfg.record_stride, _MAX_BLOCK)
     # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
@@ -334,29 +355,21 @@ def _propagate_regions(game: PolymatrixGame, specs, layout: StateLayout, bases, 
     pre = np.abs(PRE).sum(axis=1).max() + np.abs(c).max()
     a = 2.0 * pre + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
     growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
-    shift = np.zeros(layout.dim)
-    for i in range(layout.n):
-        if layout.washout_dims[i]:
-            shift[layout.v_slice(i)] = bases[i].N.T @ c[layout.x_slice(i)]
-
-    def project(z):
-        return np.concatenate([project_to_simplex(z[lo:hi]) for lo, hi in bounds])
-
-    def deriv(y):
-        return np.concatenate([project(PRE @ y + c) - y[:nx], AUX @ y])
-
     regions = {}
 
     def region_at(y):
         if not np.abs(y).max() <= _SAFE_MAGNITUDE / growth:
             return None
-        mask = project(PRE @ y + c) > 0
+        z = PRE @ y + c
+        mask = np.empty(layout.nx, dtype=bool)
+        for _, rows, _ in flow.groups:
+            mask[rows] = project_to_simplex(z[rows]) > 0
         key = mask.tobytes()
         if key not in regions:
             regions[key] = _build_region(mask, PRE, AUX, c, bounds, cfg.step, length, growth)
         return regions[key]
 
-    return _integrate(deriv, region_at, shift, y0, cfg)
+    return region_at
 
 
 def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, c, steady: bool) -> Trajectory:
@@ -374,13 +387,14 @@ def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, c, steady: bool) 
         for i, x in enumerate(xs):
             y0[layout.x_slice(i)] = x
             if steady and washouts[i]:
-                p = payoff_map(game, i, xs) + c[layout.x_slice(i)]
+                try:
+                    p = payoff_map(game, i, xs) + c[layout.x_slice(i)]
+                except NonFiniteInputError as exc:
+                    raise NonFiniteStateError(0.0) from exc
                 y0[layout.v_slice(i)] = bases[i].N.T @ p
-        if _projection_family(specs):
-            times, states = _propagate_regions(game, specs, layout, bases, y0, cfg, c)
-        else:
-            deriv = _generic_deriv(game, specs, bases, layout, c)
-            times, states = _integrate(deriv, lambda y: None, 0.0, y0, cfg)
+        flow = _Flow(game, specs, layout, bases, c)
+        region_at = _regions(flow, layout, cfg) if _projection_family(specs) else lambda y: None
+        times, states = _integrate(flow, region_at, flow.shift, y0, cfg)
         window = times >= times[-1] - 0.1 * (times[-1] - times[0])
         converged = bool(np.max(np.abs(states[window] - states[-1])) <= CONVERGENCE_TOL)
     return Trajectory(times, states, layout, converged)
@@ -397,7 +411,8 @@ def simulate_coupled(
     If every spec is gradient play or higher-order gradient play, RK4 runs as
     its own step map on each projection-support region, with plain RK4 steps
     where the support changes; this agrees with per-stage RK4 to rounding.
-    Other specs go stage by stage through dynamics.derivative.
+    Other specs take every step as plain RK4, each stage one batched update
+    per group of players with the same rule and number of strategies.
 
     Auxiliary states start at zero, and the washout states at their steady
     value for the initial payoffs, so there is no artificial startup transient.

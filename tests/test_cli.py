@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from gradplay.dynamics import (
     SmoothFictitiousPlay,
     make_anticipatory,
 )
-from gradplay.games import make_coordination, make_jordan
+from gradplay.games import PolymatrixGame, make_coordination, make_jordan
 
 
 def data_path(name):
@@ -245,6 +246,23 @@ def test_verify_nonfinite_profile_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", str(game), "--profile", "[[NaN,0.5],[0.5,0.5]]"])
     assert code == 2
     assert "probability vector" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_overflowing_payoff_exits_2(capsys, tmp_path, command):
+    # finite pair entries of +-1.7e308 whose sum overflows player 0's payoff
+    big = [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]
+    doc = game_to_json(PolymatrixGame((2, 2, 2), {(0, 1): big, (0, 2): big}))
+    game = tmp_path / "big.json"
+    game.write_text(json.dumps(doc))
+    argv = [command, str(game)]
+    if command == "analyze":
+        argv.append(data_path("jordan_single.specs.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: payoff of player 0 is not finite\n"
 
 
 @pytest.mark.parametrize("text", ["5", '[{"a": 1}, [0.5, 0.5], [0.5, 0.5]]'])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,6 +16,7 @@ from gradplay.games import (
     validate_profile,
     verify_ne,
 )
+from gradplay.simplex import NonFiniteInputError
 
 from conftest import random_mixed_ne_game
 
@@ -110,6 +113,36 @@ def test_verify_ne_rejects_non_equilibrium():
     cert = verify_ne(g, [np.array([0.9, 0.1]), np.array([0.5, 0.5]), np.array([0.5, 0.5])])
     assert not cert.is_ne
     assert cert.max_violation > 1e-3
+
+
+BIG = 1.7e308
+
+
+def test_overflowing_payoff_raises_typed_error_without_warning():
+    # player 0 gets +-BIG from each opponent: the sums overflow to +-inf
+    big = [[BIG, BIG], [-BIG, -BIG]]
+    g = PolymatrixGame((2, 2, 2), {(0, 1): big, (0, 2): big})
+    profile = uniform_profile(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (payoff_map, utility):
+            with pytest.raises(NonFiniteInputError, match="player 0"):
+                call(g, 0, profile)
+        with pytest.raises(NonFiniteInputError, match="player 0"):
+            verify_ne(g, profile)
+        assert_array_equal(payoff_map(g, 1, profile), [0.0, 0.0])
+
+
+def test_overflowing_payoff_gap_raises_typed_error_without_warning():
+    # finite payoffs +-BIG, but on the worse strategy the gain max(p) - u
+    # and the spread around the mean level both overflow
+    g = PolymatrixGame((2, 2), {(0, 1): [[BIG, BIG], [-BIG, -BIG]]})
+    profile = [np.array([0.0, 1.0]), np.array([0.5, 0.5])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert utility(g, 0, profile) == -BIG
+        with pytest.raises(NonFiniteInputError, match="payoff gap of player 0"):
+            verify_ne(g, profile)
 
 
 def test_verify_ne_constant_payoff_on_random_mixed_equilibria():

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from gradplay.simplex import from_local, project_to_simplex, tangent_basis, to_local
+from gradplay.simplex import (
+    NonFiniteInputError,
+    from_local,
+    project_to_simplex,
+    tangent_basis,
+    to_local,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -97,6 +103,66 @@ def test_projection_affine_regime_near_interior(k):
 def test_projection_rejects_empty():
     with pytest.raises(ValueError):
         project_to_simplex(np.zeros(0))
+
+
+def sort_threshold_vector(x):
+    """The 1-D sort-and-threshold projection, written out for one vector (test-only)."""
+    x = x - np.max(x)
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, x.size + 1)
+    rho = idx[u * idx > css][-1]
+    return np.maximum(x - css[rho - 1] / rho, 0.0)
+
+
+# a few exact values, so that rows hold ties, and arbitrary floats
+ENTRIES = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 1 / 3, 0.5, 1.0, 2.0]), st.floats(-3.0, 3.0))
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda k: st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=1, max_size=5)
+    ),
+    st.sampled_from([1e-100, 1.0, 1e100]),
+)
+def test_projection_rows_match_vectors_bit_for_bit(rows, scale):
+    X = np.array(rows) * scale
+    P = project_to_simplex(X)
+    assert P.shape == X.shape
+    for x, p in zip(X, P):
+        assert_array_equal(p, project_to_simplex(x))
+        assert_array_equal(p, sort_threshold_vector(x))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_projection_rows_at_water_level_ties_match_vectors_bit_for_bit(k):
+    # the sorted entry j sits exactly on the water level (sum of the first j
+    # entries - 1) / j, where two support sizes give the same threshold
+    rng = np.random.default_rng(k)
+    X = np.empty((200, k))
+    for row in X:
+        u = np.sort(rng.random(k))[::-1] * rng.choice([0.1, 1.0, 3.0])
+        j = int(rng.integers(1, k))
+        u[j] = (u[:j].sum() - 1.0) / j
+        row[:] = rng.permutation(u)
+    for x, p in zip(X, project_to_simplex(X)):
+        assert_array_equal(p, sort_threshold_vector(x))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 2, 2), ()])
+def test_projection_rejects_empty_and_higher_rank(shape):
+    with pytest.raises(ValueError, match="nonempty"):
+        project_to_simplex(np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_nonfinite_rows(bad):
+    X = np.full((3, 2), 0.5)
+    X[2, 1] = bad
+    with pytest.raises(NonFiniteInputError):
+        project_to_simplex(X)
+    with pytest.raises(NonFiniteInputError):
+        project_to_simplex(X[2])
 
 
 def test_tangent_basis_k2_matches_convention():

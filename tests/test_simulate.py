@@ -11,13 +11,16 @@ from gradplay.cli import run_scenario, scenario_names
 from gradplay.dynamics import (
     GradientPlay,
     HigherOrderGradientPlay,
+    PlayerState,
     Replicator,
     SmoothFictitiousPlay,
+    aux_dim,
+    derivative,
     make_anticipatory,
 )
 from gradplay.games import PolymatrixGame, make_jordan, uniform_profile
 from gradplay.linearize import assemble_flow_operators
-from gradplay.simplex import project_to_simplex, tangent_basis
+from gradplay.simplex import NonFiniteInputError, project_to_simplex, tangent_basis
 from gradplay.simulate import (
     NonFiniteStateError,
     SimConfig,
@@ -211,6 +214,152 @@ def test_mixed_variants_use_generic_path():
     for i in range(3):
         assert np.all(traj.strategy(i) >= -1e-9)
         assert_allclose(traj.strategy(i).sum(axis=1), 1.0, atol=1e-9)
+
+
+# --- the stacked flow against per-player dynamics.derivative -------------------
+
+
+def per_player_rk4(game, specs, init, cfg, c=None, steady=True):
+    """Fixed-step RK4 with one dynamics.derivative call per player and stage.
+
+    The state is simulate_coupled's (x, xi, v) layout with aux states at 0
+    and washouts at their steady value N_i^T p_i (or 0 without steady); c is
+    a constant added to the payoffs. Returns (times, states) recorded every
+    record_stride steps and at the end, or the end time of the step at which
+    a stage payoff or the new state stops being finite.
+    """
+    c = np.zeros(sum(game.dims)) if c is None else c
+    bases = [tangent_basis(k) for k in game.dims]
+    x_at = np.cumsum([0] + list(game.dims))
+    xi_at = x_at[-1] + np.cumsum([0] + [aux_dim(s) for s in specs])
+    washed = [isinstance(s, HigherOrderGradientPlay) * (k - 1) for s, k in zip(specs, game.dims)]
+    v_at = xi_at[-1] + np.cumsum([0] + washed)
+
+    def payoffs(y):
+        p = [c[x_at[i] : x_at[i + 1]].copy() for i in range(game.n)]
+        for (i, j), m in game.pair_matrices.items():
+            p[i] += m @ y[x_at[j] : x_at[j + 1]]
+        return p
+
+    def f(y):
+        out = np.empty_like(y)
+        for i, (spec, p) in enumerate(zip(specs, payoffs(y))):
+            xs, xis, vs = (slice(at[i], at[i + 1]) for at in (x_at, xi_at, v_at))
+            d = derivative(spec, PlayerState(y[xs], y[xis], y[vs]), p, bases[i])
+            out[xs], out[xis], out[vs] = d
+        return out
+
+    h = cfg.step
+    n_steps = int(round(cfg.horizon / h))
+    y = np.zeros(v_at[-1])
+    y[: x_at[-1]] = np.concatenate(init)
+    for i, p in enumerate(payoffs(y)):
+        if steady and isinstance(specs[i], HigherOrderGradientPlay):
+            y[v_at[i] : v_at[i + 1]] = bases[i].N.T @ p
+    times, states = [0.0], [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            try:
+                k1 = f(y)
+                k2 = f(y + 0.5 * h * k1)
+                k3 = f(y + 0.5 * h * k2)
+                k4 = f(y + h * k3)
+            except NonFiniteInputError:
+                return step * h
+            y = y + (k1 + 2.0 * (k2 + k3) + k4) * (h / 6.0)
+            if not np.isfinite(y).all():
+                return step * h
+            if step % cfg.record_stride == 0 or step == n_steps:
+                times.append(step * h)
+                states.append(y)
+    return np.array(times), np.array(states)
+
+
+def _rule(name, k, temperature=0.4):
+    return {
+        "replicator": Replicator(),
+        "smooth_fp": SmoothFictitiousPlay(temperature),
+        "gradient": GradientPlay(),
+        "higher": make_anticipatory(5.0, 0.5, k),
+    }[name]
+
+
+RULE_NAMES = ("replicator", "smooth_fp", "gradient", "higher")
+# each rotation of the four rules over dims (2, 3, 4, 3) puts every rule on
+# every dimension once; the last game batches two players into each group
+RULE_MIXES = [
+    ((2, 3, 4, 3), [RULE_NAMES[(i + r) % 4] for i in range(4)]) for r in range(4)
+] + [
+    (
+        (3, 3, 3, 3, 2, 2, 3),
+        ["replicator", "smooth_fp", "replicator", "smooth_fp", "higher", "gradient", "gradient"],
+    )
+]
+
+
+@pytest.mark.parametrize("start", ["interior", "vertex", "tied"])
+@pytest.mark.parametrize("dims,names", RULE_MIXES)
+def test_stacked_flow_matches_per_player_derivative(dims, names, start):
+    rng = np.random.default_rng(sum(dims) + len(names))
+    game, ne = random_mixed_ne_game(rng, dims=list(dims))
+    specs = [_rule(name, k, 0.2 + 0.1 * i) for i, (name, k) in enumerate(zip(names, dims))]
+    if start == "interior":
+        init = [rng.dirichlet(np.ones(k)) for k in dims]
+    elif start == "vertex":
+        init = [np.eye(k)[i % k] for i, k in enumerate(dims)]
+    else:
+        init = ne  # every payoff vector is constant there: all entries tie
+    cfg = SimConfig(step=0.01, horizon=1.0, record_stride=7)
+    traj = simulate_coupled(game, specs, init, cfg)
+    times, states = per_player_rk4(game, specs, init, cfg)
+    assert_array_equal(traj.times, times)
+    assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", RULE_NAMES)
+@pytest.mark.parametrize("v0", ["zero", "steady"])
+def test_stacked_open_loop_matches_per_player_derivative(name, v0):
+    # one player against a constant payoff, with and without a steady washout
+    p = np.array([0.7, -0.2, 0.4])
+    x0 = [0.2, 0.5, 0.3]
+    cfg = SimConfig(step=0.01, horizon=2.0, record_stride=10)
+    traj = simulate_open_loop(_rule(name, 3), p, x0, cfg, v0=v0)
+    ref = per_player_rk4(PolymatrixGame((3,)), [_rule(name, 3)], [x0], cfg, p, v0 == "steady")
+    assert_allclose(traj.states, ref[1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,step", [("replicator", 0.01), ("smooth_fp", 3.0)])
+def test_stacked_flow_nonfinite_time_matches_per_player_derivative(name, step):
+    # steps past RK4's stability limit, on payoffs of size 300: the strategies
+    # leave the simplex and grow until they overflow
+    rng = np.random.default_rng(11)
+    pairs = {(0, 1): 300 * rng.normal(size=(2, 3)), (1, 0): 300 * rng.normal(size=(3, 2))}
+    game = PolymatrixGame((2, 3), pairs)
+    specs = [_rule(name, k) for k in game.dims]
+    init = [np.array([0.3, 0.7]), np.array([0.2, 0.3, 0.5])]
+    cfg = SimConfig(step=step, horizon=10000.0)
+    with pytest.raises(NonFiniteStateError) as err:
+        simulate_coupled(game, specs, init, cfg)
+    assert err.value.time == per_player_rk4(game, specs, init, cfg) > cfg.step
+
+
+def test_overflowing_tangent_payoff_rows_stay_out_of_rows_that_never_read_them():
+    # N^T M overflows for these entries, though the payoffs at the uniform
+    # start are 0: players without a compensator never read N^T M
+    M = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+    g = PolymatrixGame((2, 2), {(0, 1): M, (1, 0): M})
+    init = uniform_profile(g)
+    cfg = SimConfig(horizon=0.1)
+    mixes = ([Replicator()] * 2, [GradientPlay(), SmoothFictitiousPlay()], [GradientPlay()] * 2)
+    for specs in mixes:
+        traj = simulate_coupled(g, specs, init, cfg)
+        assert_allclose(traj.states, per_player_rk4(g, specs, init, cfg)[1], rtol=0, atol=1e-12)
+
+
+def test_unknown_rule_rejected():
+    g = make_jordan()
+    with pytest.raises(TypeError, match="unknown dynamics spec object"):
+        simulate_coupled(g, [Replicator(), object(), GradientPlay()], uniform_profile(g))
 
 
 def test_payoffs_recomputed_each_stage():
