@@ -241,14 +241,15 @@ def certificate_to_json(cert: NeCertificate) -> dict:
 # CSV emitters (RFC-4180-ish: comma separated, header row, \n line ends)
 
 
-def _fmt(v: float) -> str:
-    return FLOAT_FMT % v
+def _write_rows(path, head: str, fields: str, data: np.ndarray):
+    """Write head, then one line of the fields format per row of data, in one % operation."""
+    body = ((fields + "\n") * len(data)) % tuple(data.ravel().tolist())
+    Path(path).write_text(head + body, encoding="utf-8")
 
 
 def write_matrix_csv(path, M: np.ndarray):
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = [",".join(_fmt(v) for v in row) for row in M]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, "", ",".join([FLOAT_FMT] * M.shape[1]), M)
 
 
 def write_trajectory_csv(path, traj: Trajectory):
@@ -260,18 +261,17 @@ def write_trajectory_csv(path, traj: Trajectory):
         header += [f"xi{i}_{a}" for a in range(layout.aux_dims[i])]
     for i in range(layout.n):
         header += [f"v{i}_{a}" for a in range(layout.washout_dims[i])]
-    lines = [",".join(header)]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = np.column_stack([traj.times, traj.states])
+    _write_rows(path, ",".join(header) + "\n", ",".join([FLOAT_FMT] * len(header)), data)
 
 
 def write_sweep_csv(path, sweep):
-    lines = ["mu,re,im,stable"]
-    for g, ev, ok in zip(sweep.grid, sweep.eigenvalues, sweep.stable):
-        for z in ev:
-            lines.append(f"{_fmt(g)},{_fmt(z.real)},{_fmt(z.imag)},{int(ok)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sizes = [ev.size for ev in sweep.eigenvalues]
+    z = np.concatenate([np.zeros(0), *sweep.eigenvalues])
+    data = np.column_stack(
+        [np.repeat(sweep.grid, sizes), z.real, z.imag, np.repeat(sweep.stable, sizes)]
+    )
+    _write_rows(path, "mu,re,im,stable\n", f"{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT},%d", data)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ class GradientPlay:
 
 @dataclass(frozen=True)
 class Replicator:
-    """dx = diag(p - (x^T p) 1) x."""
+    """dx = diag(p - (x^T p / 1^T x) 1) x: the usual rule on the simplex, and
+    1^T dx = 0 everywhere, so rounding off the simplex does not grow."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def derivative(
     p = _check_payoff(payoff, k)
     empty = np.zeros(0)
     if isinstance(spec, Replicator):
-        return StateDerivative(x * (p - float(x @ p)), empty, empty)
+        return StateDerivative(x * (p - float(x @ p) / x.sum()), empty, empty)
     if isinstance(spec, SmoothFictitiousPlay):
         return StateDerivative(softmax(p, spec.temperature) - x, empty, empty)
     if isinstance(spec, GradientPlay):

@@ -181,10 +181,14 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
 
     There the projection acts as the identity on tangent coordinates, so J is
     the loop with lift I, K = M and a washout on every row, with the -x of
-    dx = proj(.) - x taken off the w block.
+    dx = proj(.) - x taken off the w block. Other rules raise ValueError.
     """
     if len(specs) != local.n:
         raise ValueError(f"need {local.n} specs, got {len(specs)}")
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, (GradientPlay, HigherOrderGradientPlay)):
+            name = type(spec).__name__
+            raise ValueError(f"player {i}: {name} has no closed-loop linearization")
     ell = local.matrix.shape[0]
     E, F, G, H, auxes = _stacked_compensators(local.dims, specs)
     J = np.zeros((2 * ell + E.shape[0],) * 2)

@@ -9,10 +9,11 @@ and one batched update per group of players with the same rule and number of
 strategies. For the projection family (gradient play and higher-order
 gradient play) the only nonlinearity is the simplex projection, so on a fixed
 projection support the flow is affine and one RK4 step is an affine map. That
-map is applied block by block, per support region, and the steps where the
-support changes are taken as plain RK4. Other rules have no regions: every
-step is plain RK4. The open loop is the one-player game whose payoffs are a
-constant vector, and runs through the same body.
+map is applied block by block, per support region, and one region check clears
+a run of up to _MAX_RUN blocks at once; the steps where the support changes
+are taken as plain RK4. Other rules have no regions: every step is plain RK4.
+The open loop is the one-player game whose payoffs are a constant vector, and
+runs through the same body.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ class _Flow:
         for rule, rows, temps in self.groups:
             xr, zr = x[rows], z[rows]
             if rule is dyn.Replicator:
-                dx[rows] = xr * (zr - (xr * zr).sum(axis=1, keepdims=True))
+                mean = (xr * zr).sum(axis=1, keepdims=True) / xr.sum(axis=1, keepdims=True)
+                dx[rows] = xr * (zr - mean)
             elif rule is dyn.SmoothFictitiousPlay:
                 e = np.exp((zr - zr.max(axis=1, keepdims=True)) / temps)
                 dx[rows] = e / e.sum(axis=1, keepdims=True) - xr
@@ -202,9 +204,11 @@ def _rk4_step(deriv, step: int, h: float, y: np.ndarray) -> np.ndarray:
     return y
 
 
-# Longest run of RK4 steps one cached region check covers (the record stride
-# caps it further).
+# Longest block of RK4 steps a region caches powers and margins for (the
+# record stride caps it further).
 _MAX_BLOCK = 64
+# Most blocks one region check clears at once (see _regions).
+_MAX_RUN = 64
 # A jump is taken only while a norm bound keeps every stage quantity of the
 # reference RK4 steps below this, far from overflow.
 _SAFE_MAGNITUDE = 1e300
@@ -213,40 +217,54 @@ _SAFE_MAGNITUDE = 1e300
 def _integrate(deriv, region_at, shift, y0: np.ndarray, cfg: SimConfig):
     """Fixed-step RK4 of y' = deriv(y) from y0, with the state held as y - shift.
 
-    region_at(y) returns the cached _Region of a state, or None. Inside a
-    region the steps a block check keeps are one jump, and the step that
-    leaves it is plain RK4. Outside a region or past its limit j = 0, so each
-    step is plain and a run that overflows fails at the reference's step.
-    Rules outside the projection family have no regions: every step is plain.
+    region_at(y) returns the cached _Region of a state, or None. Blocks of steps
+    end after the region's block length or at a record step. In a region the
+    state jumps from block start to block start, one check clears a run of
+    blocks, and the step that leaves the region is plain RK4. Outside a region
+    or past its limit each step is plain, so a run that overflows fails at the
+    reference's step. Rules outside the projection family have no regions.
     """
-    h = cfg.step
+    h, stride = cfg.step, cfg.record_stride
     n_steps = max(1, int(round(cfg.horizon / h)))
-    rec_steps = list(range(0, n_steps + 1, cfg.record_stride))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
+    rec_steps = [*range(0, n_steps, stride), n_steps]
     if not np.isfinite(y0).all():
         raise NonFiniteStateError(0.0)
     states = np.empty((len(rec_steps), y0.size))
     states[0] = y0
-    length = min(cfg.record_stride, _MAX_BLOCK)
+    length = min(stride, _MAX_BLOCK)
     y = y0 - shift
-    step = 0
-    region = None
-    for rec, stop in enumerate(rec_steps[1:], start=1):
-        while step < stop:
-            n = min(length, stop - step)
-            if region is None:
-                region = region_at(y)
-            plain = region is None or not np.abs(y).max() <= region.limit
-            j = 0 if plain else region.steps_kept(y, n)
+    step, rec, run, region = 0, 1, 1, None
+    while step < n_steps:
+        if region is None:
+            region = region_at(y)
+        reached, plain = [], region is None
+        if not plain:
+            bounds = [step]  # block b runs from bounds[b] to bounds[b + 1]
+            while len(bounds) <= run and bounds[-1] < n_steps:
+                end = bounds[-1]
+                bounds.append(min(end + length, (end // stride + 1) * stride, n_steps))
+            n = [e - b for b, e in zip(bounds, bounds[1:])]
+            ys = [y]
+            for m in n[:-1]:
+                ys.append(region.powers[m] @ ys[-1] + region.offsets[m])
+            kept, j = region.steps_kept(np.array(ys, order="F").T, n)  # C order for BLAS
+            if kept == len(n):
+                ys.append(region.powers[n[-1]] @ ys[-1] + region.offsets[n[-1]])
+            reached = list(zip(bounds[1 : kept + 1], ys[1 : kept + 1]))
+            y, step, plain = ys[kept], bounds[kept], kept < len(n)
+            run = min(2 * run, _MAX_RUN)
             if j:
                 y = region.powers[j] @ y + region.offsets[j]
                 step += j
-            if j < n:
-                step += 1
-                y = _rk4_step(deriv, step, h, y)
-                region = None
-        states[rec] = y + shift
+        if plain:
+            step += 1
+            y = _rk4_step(deriv, step, h, y)
+            reached.append((step, y))
+            region, run = None, 1
+        new = [x for b, x in reached if b % stride == 0 or b == n_steps]
+        if new:
+            states[rec : rec + len(new)] = np.array(new) + shift
+            rec += len(new)
     return np.array(rec_steps) * h, states
 
 
@@ -268,23 +286,28 @@ class _Region:
     check_offsets: np.ndarray
     limit: float
 
-    def steps_kept(self, y: np.ndarray, n: int) -> int:
-        """How many of the next n steps from y keep every stage projection on S.
+    def steps_kept(self, Y: np.ndarray, n: list) -> tuple:
+        """(b, j): blocks 0..b-1 and the first j steps of block b keep every stage
+        projection on S, where block i runs n[i] steps from Y[:, i] (b = len(n)
+        when all do). A block that starts past limit keeps no step.
 
         A margin a y + b below 0 by less than the bound (d + 1) eps (|a| |y| + |b|)
         on the rounding error of its own evaluation is a tie, where both supports
         give the same projected point, and counts as kept.
         """
         rows = self.checks.shape[0] // (len(self.powers) - 1)
-        a, b = self.checks[: n * rows], self.check_offsets[: n * rows]
-        margins = a @ y + b
-        ok = margins >= 0
-        if ok.all():
-            return n
-        tol = (y.size + 1) * np.finfo(float).eps
-        ok[~ok] = margins[~ok] >= -tol * (np.abs(a[~ok]) @ np.abs(y) + np.abs(b[~ok]))
-        kept = ok.reshape(n, rows).all(axis=1)
-        return n if kept.all() else int(np.argmin(kept))
+        a, b = self.checks[: max(n) * rows], self.check_offsets[: max(n) * rows, None]
+        margins = a @ Y
+        margins += b
+        if margins.min() >= 0 and np.abs(Y).max() <= self.limit:
+            return len(n), 0
+        tol = (Y.shape[0] + 1) * np.finfo(float).eps
+        bad = ~(margins >= -tol * (np.abs(a) @ np.abs(Y) + np.abs(b)))
+        # each block's leading run of kept steps; steps past its own end do not count
+        kept = np.where(bad.any(axis=0), bad.argmax(axis=0) // rows, max(n))
+        kept *= np.abs(Y).max(axis=0) <= self.limit
+        short = np.flatnonzero(kept < n)
+        return (int(short[0]), int(kept[short[0]])) if short.size else (len(n), 0)
 
 
 def _build_region(mask, PRE, AUX, c, bounds, h: float, length: int, growth: float) -> _Region:
@@ -340,11 +363,13 @@ def _regions(flow: _Flow, layout: StateLayout, cfg: SimConfig):
     RK4 step is exactly the affine map y -> M_S y + m_S. For each support seen,
     the powers of that map and the stacked KKT margins of every stage of the
     next B steps are cached (B is the record stride, at most _MAX_BLOCK).
-    _integrate then steps through them: one matrix-vector product shows
-    whether all 4B stage projections keep the support; if so the state jumps
-    to the end of the block. Otherwise it jumps to the first step that leaves
-    the support, takes that step as plain RK4 with each stage's own
-    projection, and detects the support again.
+    _integrate then jumps from block start to block start and checks a run of
+    K blocks at once: one product of the margins with the K starts shows
+    whether all 4BK stage projections keep the support. The blocks before the
+    first one that does not are kept; in that one the state jumps to the step
+    that leaves the support, takes it as plain RK4 with each stage's own
+    projection, and detects the support again. K doubles from 1 after each
+    run kept whole, up to _MAX_RUN, and falls back to 1 after a plain step.
     """
     PRE, AUX, c = flow.PRE, flow.AUX, flow.c
     bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
@@ -382,7 +407,7 @@ def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, c, steady: bool) 
     washouts = tuple(dyn.washout_dim(s, k) for s, k in zip(specs, game.dims))
     layout = StateLayout(game.dims, tuple(dyn.aux_dim(s) for s in specs), washouts)
     # overflow surfaces only as NonFiniteStateError, raised by the checks of _integrate
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         y0 = np.zeros(layout.dim)
         for i, x in enumerate(xs):
             y0[layout.x_slice(i)] = x

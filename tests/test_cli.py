@@ -19,6 +19,8 @@ from gradplay.cli import (
     specs_from_json,
     specs_to_json,
     write_matrix_csv,
+    write_sweep_csv,
+    write_trajectory_csv,
 )
 from gradplay.dynamics import (
     GradientPlay,
@@ -27,7 +29,9 @@ from gradplay.dynamics import (
     SmoothFictitiousPlay,
     make_anticipatory,
 )
+from gradplay.analysis import SweepResult
 from gradplay.games import PolymatrixGame, make_coordination, make_jordan
+from gradplay.simulate import StateLayout, Trajectory
 
 
 def data_path(name):
@@ -164,6 +168,87 @@ def test_matrix_csv_round_trips_17_digits(tmp_path):
         [[float(v) for v in line.split(",")] for line in path.read_text().strip().splitlines()]
     )
     assert_array_equal(back, M)
+
+
+# --- CSV emitters against one format operation per value ---------------------
+
+EDGE_VALUES = [-0.0, 5e-324, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan, 0.1, -1.0 / 3.0]
+
+
+def _per_value(v) -> str:
+    return "%.17g" % v
+
+
+def per_value_matrix_csv(M) -> str:
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    return "\n".join(",".join(_per_value(v) for v in row) for row in M) + "\n"
+
+
+def per_value_trajectory_csv(traj) -> str:
+    layout = traj.layout
+    header = ["t"]
+    for i in range(layout.n):
+        header += [f"x{i}_{a}" for a in range(layout.dims[i])]
+    for i in range(layout.n):
+        header += [f"xi{i}_{a}" for a in range(layout.aux_dims[i])]
+    for i in range(layout.n):
+        header += [f"v{i}_{a}" for a in range(layout.washout_dims[i])]
+    lines = [",".join(header)]
+    for t, row in zip(traj.times, traj.states):
+        lines.append(",".join([_per_value(t)] + [_per_value(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def per_value_sweep_csv(sweep) -> str:
+    lines = ["mu,re,im,stable"]
+    for g, ev, ok in zip(sweep.grid, sweep.eigenvalues, sweep.stable):
+        for z in ev:
+            lines.append(f"{_per_value(g)},{_per_value(z.real)},{_per_value(z.imag)},{int(ok)}")
+    return "\n".join(lines) + "\n"
+
+
+def _edge_block(rows, cols, shift=0):
+    return np.resize(np.roll(EDGE_VALUES, shift), rows * cols).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (4, 7)])
+def test_matrix_csv_matches_per_value_format(tmp_path, shape):
+    M = _edge_block(*shape)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M)
+    assert path.read_bytes() == per_value_matrix_csv(M).encode()
+
+
+@pytest.mark.parametrize(
+    "layout,rows",
+    [
+        (StateLayout((1,), (0,), (0,)), 1),  # one row, one state column
+        (StateLayout((1,), (0,), (0,)), 12),
+        (StateLayout((2, 3), (1, 0), (1, 0)), 1),
+        (StateLayout((2, 3), (1, 0), (1, 0)), 12),
+    ],
+)
+def test_trajectory_csv_matches_per_value_format(tmp_path, layout, rows):
+    times = np.concatenate([[-0.0, 5e-324], np.arange(rows) * 0.1])[:rows]
+    traj = Trajectory(times, _edge_block(rows, layout.dim, shift=3), layout, False)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj)
+    assert path.read_bytes() == per_value_trajectory_csv(traj).encode()
+
+
+def test_sweep_csv_matches_per_value_format(tmp_path):
+    eigenvalues = (
+        np.array([-1.0, -0.0, 5e-324]),  # real spectrum
+        np.array([-0.5 + 2.0j, -0.5 - 2.0j, 1.7e308 + 0.0j]),
+        np.array([np.nan + np.inf * 1j, -np.inf - 0.0j, 0.25 + 1e-300j]),
+        np.array([3.0]),
+    )
+    sweep = SweepResult(
+        np.array([0.01, 0.1, 1.0, 1.7e308]), eigenvalues, np.array([True, False, True, False]), ()
+    )
+    path = tmp_path / "s.csv"
+    write_sweep_csv(path, sweep)
+    assert path.read_bytes() == per_value_sweep_csv(sweep).encode()
 
 
 def test_shipped_data_files_match_builders():
@@ -333,6 +418,18 @@ def test_analyze_all_fixed_order_unstable(capsys, jordan_file, gp_specs_file):
     assert code == 1
     assert not doc["stable"]
     assert doc["spectral_abscissa"] > 0.4
+
+
+@pytest.mark.parametrize(
+    "player", [{"variant": "replicator"}, {"variant": "smooth_fp", "temperature": 0.1}]
+)
+def test_analyze_rules_outside_the_projection_family_exit_2(capsys, jordan_file, tmp_path, player):
+    specs = tmp_path / "fixed.json"
+    specs.write_text(json.dumps({"players": [player] * 3}))
+    code, out, err = run(capsys, ["analyze", jordan_file, str(specs)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: player 0: ")
+    assert err.endswith(" has no closed-loop linearization\n")
 
 
 def test_analyze_coordination_reports_parity(capsys, tmp_path):

@@ -5,7 +5,14 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from gradplay.dynamics import GradientPlay, HigherOrderGradientPlay, make_anticipatory
+from gradplay.analysis import robustness_probe
+from gradplay.dynamics import (
+    GradientPlay,
+    HigherOrderGradientPlay,
+    Replicator,
+    SmoothFictitiousPlay,
+    make_anticipatory,
+)
 from gradplay.games import (
     PolymatrixGame,
     make_coordination,
@@ -147,6 +154,24 @@ def test_closed_loop_validates_spec_count_and_shapes():
         assemble_closed_loop(local, [GradientPlay()] * 2)
     with pytest.raises(ValueError):
         assemble_closed_loop(local, [make_anticipatory(1.0, 1.0, 3)] + [GradientPlay()] * 2)
+
+
+@pytest.mark.parametrize("rule", [Replicator(), SmoothFictitiousPlay(0.1)])
+def test_closed_loop_rejects_rules_outside_the_projection_family(rule):
+    # at jordan's uniform profile the gradient-play rows give abscissa 0.5,
+    # while replicator's own loop has 0.25 and smooth FP's (T = 0.1) 1.5
+    g = make_jordan()
+    local = assemble_local_game(g, uniform_profile(g))
+    for specs in ([rule] * 3, [GradientPlay(), rule, make_anticipatory(5.0, 1.0, 2)]):
+        with pytest.raises(ValueError, match=type(rule).__name__):
+            assemble_closed_loop(local, specs)
+        with pytest.raises(ValueError, match=type(rule).__name__):
+            assemble_game_loop(g, specs)
+        with pytest.raises(ValueError, match=type(rule).__name__):
+            robustness_probe(g, specs, {(0, 1): np.eye(2)})
+        # the simulator's flow operators keep accepting every rule
+        PRE, AUX = assemble_flow_operators(g, specs)
+        assert np.isfinite(PRE).all() and np.isfinite(AUX).all()
 
 
 def test_plant_structure_and_stacking():

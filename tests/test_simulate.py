@@ -126,17 +126,8 @@ def test_presets_match_per_stage_reference(monkeypatch, name, overrides, saturat
     assert _support_left_full(fast.trajectory, game, specs) == saturates
 
 
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    lam=st.sampled_from([5.0, 50.0]),
-    stride=st.sampled_from([1, 7, 200]),
-)
-def test_region_propagator_matches_per_stage_reference(monkeypatch, seed, lam, stride):
+def _region_case(seed, lam, stride):
+    """Seeded coupled and open-loop projection-family runs of 95 steps."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     dims = [int(rng.integers(2, 5)) for _ in range(n)]
@@ -165,12 +156,120 @@ def test_region_propagator_matches_per_stage_reference(monkeypatch, seed, lam, s
             simulate_open_loop(specs[0], payoff, init[0], cfg, v0=v0),
         )
 
+    return runs
+
+
+REGION_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from([5.0, 50.0]),
+    stride=st.sampled_from([1, 7, 200]),
+)
+REGION_SETTINGS = settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@REGION_SETTINGS
+@given(**REGION_CASES)
+def test_region_propagator_matches_per_stage_reference(monkeypatch, seed, lam, stride):
+    runs = _region_case(seed, lam, stride)
     with monkeypatch.context() as m:
         m.setattr(sim, "_projection_family", lambda specs: False)
         refs = runs()
     for fast, ref in zip(runs(), refs):
         assert_array_equal(fast.times, ref.times)
         assert_allclose(fast.states, ref.states, rtol=0, atol=1e-10)
+
+
+# --- runs of record blocks against one block per region check ----------------
+
+
+def _plain_steps(monkeypatch, run):
+    """run()'s result, and the steps it took as plain RK4."""
+    steps = []
+    plain_step = sim._rk4_step
+
+    def counted(*args):
+        steps.append(args[1])
+        return plain_step(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_rk4_step", counted)
+        return run(), steps
+
+
+def _assert_runs_match_single_blocks(monkeypatch, run):
+    """run() is bit for bit the same, with the same plain steps, when one
+    region check clears one block at a time."""
+    out, steps = _plain_steps(monkeypatch, run)
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_MAX_RUN", 1)
+        ref, ref_steps = _plain_steps(monkeypatch, run)
+    for traj, single in zip(out, ref):
+        assert_array_equal(traj.times, single.times)
+        assert_array_equal(traj.states, single.states)
+    assert steps == ref_steps
+    return steps
+
+
+@REGION_SETTINGS
+@given(**REGION_CASES)
+def test_region_runs_match_single_blocks(monkeypatch, seed, lam, stride):
+    _assert_runs_match_single_blocks(monkeypatch, _region_case(seed, lam, stride))
+
+
+# the benchmark's preset items at full length: the paper presets, then the
+# three saturating variants
+BENCH_PRESETS = [
+    ("jordan-single", {}, False),
+    ("jordan-random", {}, False),
+    ("jordan-diagonal", {}, False),
+    ("jordan-rescaled", {}, False),
+    ("coordination-stabilize", {}, False),
+    ("coordination-openloop", {}, False),
+    ("jordan-diagonal", {"deltas": (0.8831, 0.4259, 0.7546), "horizon": 60.0}, True),
+    ("jordan-rescaled", {"mu": 5.0, "horizon": 30.0}, True),
+    ("jordan-rescaled", {"mu": 0.1, "horizon": 60.0}, True),
+]
+
+
+@pytest.mark.parametrize("name,overrides,saturates", BENCH_PRESETS)
+def test_presets_match_single_blocks(monkeypatch, name, overrides, saturates):
+    steps = _assert_runs_match_single_blocks(
+        monkeypatch, lambda: [run_scenario(name, overrides).trajectory]
+    )
+    assert bool(steps) == saturates
+
+
+@pytest.mark.parametrize("stride", [1, 7, 64, 65, 200])
+@pytest.mark.parametrize("mu", [1.0, 5.0])
+def test_region_runs_match_single_blocks_at_any_stride(monkeypatch, stride, mu):
+    # the rescaled loop is stable at mu = 1 and saturates at mu = 5; its run
+    # of 3007 = 31 * 97 steps is a multiple of none of these strides but 1
+    g = make_jordan(mu)
+    specs = cli._data_specs("jordan_rescaled.specs.json", g)
+    cfg = SimConfig(step=0.01, horizon=30.07, record_stride=stride)
+    steps = _assert_runs_match_single_blocks(
+        monkeypatch, lambda: [simulate_coupled(g, specs, offset_init(g), cfg)]
+    )
+    assert bool(steps) == (mu == 5.0)
+
+
+def test_region_check_clears_runs_of_blocks(monkeypatch):
+    # jordan-single records 2,000 blocks of 50 steps and leaves no region:
+    # runs of 1, 2, 4, ... 64 blocks take a few dozen checks
+    checks = []
+    steps_kept = sim._Region.steps_kept
+
+    def counted(self, Y, n):
+        checks.append(len(n))
+        return steps_kept(self, Y, n)
+
+    monkeypatch.setattr(sim._Region, "steps_kept", counted)
+    run_scenario("jordan-single")
+    assert sum(checks) == 2000 and max(checks) == sim._MAX_RUN and len(checks) < 50
 
 
 def test_open_loop_zero_margin_rest_point_matches_per_stage_reference(monkeypatch):
@@ -204,6 +303,25 @@ def test_open_loop_zero_margin_rest_point_takes_no_plain_steps(monkeypatch):
         calls.clear()
         simulate_open_loop(spec, np.ones(3), [1.0, 0.0, 0.0], cfg, v0=v0)
         assert len(calls) <= 10
+
+
+def test_replicator_conserves_strategy_mass_at_negative_mean_payoff():
+    # rock-paper-scissors less 1: the mean payoff x.p is about -1, where
+    # dx = x (p - x.p) would push rounding off the simplex at rate -x.p
+    rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    g = PolymatrixGame((3, 3), {(0, 1): rps - 1.0, (1, 0): rps - 1.0})
+    init = [np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.2, 0.6])]
+    cfg = SimConfig(step=0.1, horizon=400.0, record_stride=20)
+    traj = simulate_coupled(g, [Replicator()] * 2, init, cfg)
+    for i in range(2):
+        assert np.max(np.abs(traj.strategy(i).sum(axis=1) - 1.0)) <= 1e-12
+        assert np.min(traj.strategy(i)) > 0.1
+
+
+def test_replicator_derivative_conserves_strategy_mass_off_the_simplex():
+    x = np.array([0.5, 0.4, 0.3])
+    d = derivative(Replicator(), PlayerState(x, np.zeros(0), np.zeros(0)), [-1.0, 2.0, 0.5])
+    assert abs(d.dx.sum()) <= 1e-15
 
 
 def test_mixed_variants_use_generic_path():
@@ -257,7 +375,7 @@ def per_player_rk4(game, specs, init, cfg, c=None, steady=True):
         if steady and isinstance(specs[i], HigherOrderGradientPlay):
             y[v_at[i] : v_at[i + 1]] = bases[i].N.T @ p
     times, states = [0.0], [y]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(1, n_steps + 1):
             try:
                 k1 = f(y)
