@@ -176,7 +176,12 @@ def derivative(
     p = _check_payoff(payoff, k)
     empty = np.zeros(0)
     if isinstance(spec, Replicator):
-        return StateDerivative(x * (p - float(x @ p) / x.sum()), empty, empty)
+        # a zero strategy mass has no mean payoff, and leaves dx not finite
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            dx = x * (p - float(x @ p) / x.sum())
+        if not np.isfinite(dx).all():
+            raise NonFiniteInputError("replicator derivative is not finite (zero mass or overflow)")
+        return StateDerivative(dx, empty, empty)
     if isinstance(spec, SmoothFictitiousPlay):
         return StateDerivative(softmax(p, spec.temperature) - x, empty, empty)
     if isinstance(spec, GradientPlay):

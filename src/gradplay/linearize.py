@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import GradientPlay, HigherOrderGradientPlay, aux_dim
 from .games import PolymatrixGame, validate_profile
-from .simplex import tangent_basis
+from .simplex import NonFiniteInputError, tangent_basis
 
 __all__ = [
     "GameLocalMatrix",
@@ -153,20 +153,21 @@ def _stacked_compensators(dims, specs):
     return E, F, G, H, auxes
 
 
-def _fill_loop(out, K, lift, E, F, G, H, washed) -> None:
+def _fill_loop(out, K, lift, E, F, G, H, washed, xdiag) -> None:
     """Write the loop of (higher-order) gradient play into the zeroed matrix out.
 
     The state is (x, xi, v): coordinates x with payoffs p = K x, the aux
     states, and washouts v for the tangent rows indexed by washed; lift^T p
     is the tangent payoff and y = lift^T p - v the washout output. The rows
-    are PRE, the projection argument x + p + lift (G xi + H y), then AUX:
-    xi' = E xi + F y and v' = y.
+    are PRE, the input diag(xdiag) x + p + lift (G xi + H y), then AUX:
+    xi' = E xi + F y and v' = y. xdiag is the whole x coefficient: while
+    finite, K and lift H lift^T K have zero diagonal blocks.
     """
     m = K.shape[0]
     a = m + E.shape[0]
     TK = lift.T @ K
     LH = lift @ H
-    out[:m, :m] = K + LH @ TK + np.eye(m)
+    out[:m, :m] = K + LH @ TK + np.diag(xdiag)
     out[:m, m:a] = lift @ G
     out[:m, a:] = -LH[:, washed]
     out[m:a, :m] = F @ TK
@@ -180,8 +181,8 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
     """Closed-loop matrix for per-player dynamics around the equilibrium.
 
     There the projection acts as the identity on tangent coordinates, so J is
-    the loop with lift I, K = M and a washout on every row, with the -x of
-    dx = proj(.) - x taken off the w block. Other rules raise ValueError.
+    the loop with lift I, K = M, a washout on every row and no x term: the +x
+    of the projection argument cancels the -x of dx. Other rules raise ValueError.
     """
     if len(specs) != local.n:
         raise ValueError(f"need {local.n} specs, got {len(specs)}")
@@ -192,8 +193,7 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
     ell = local.matrix.shape[0]
     E, F, G, H, auxes = _stacked_compensators(local.dims, specs)
     J = np.zeros((2 * ell + E.shape[0],) * 2)
-    _fill_loop(J, local.matrix, np.eye(ell), E, F, G, H, slice(None))
-    J[:ell, :ell] -= np.eye(ell)
+    _fill_loop(J, local.matrix, np.eye(ell), E, F, G, H, slice(None), np.zeros(ell))
     return ClosedLoopMatrix(J, local.dims, auxes)
 
 
@@ -230,10 +230,12 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
     (higher-order) gradient play, and the payoff p of any other rule. AUX y
     is (xi', v'). For the projection family the flow is
     y' = [proj(PRE y) - x; AUX y], with the projection taken per player.
+    Raises NonFiniteInputError, naming the first player, when a player's
+    rows of PRE or AUX are not finite.
     """
     if len(specs) != game.n:
         raise ValueError(f"need {game.n} specs, got {len(specs)}")
-    E, F, G, H, _ = _stacked_compensators(game.dims, specs)
+    E, F, G, H, auxes = _stacked_compensators(game.dims, specs)
     K = np.block([[game.pair(i, j) for j in range(game.n)] for i in range(game.n)])
     lift = np.zeros((K.shape[0], sum(k - 1 for k in game.dims)))
     starts = np.cumsum((0,) + game.dims)
@@ -245,11 +247,17 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
     washed = np.flatnonzero(lift.any(axis=0))  # the tangent rows that have a washout
     nx = K.shape[0]
     out = np.zeros((nx + E.shape[0] + len(washed),) * 2)
-    _fill_loop(out, K, lift, E, F, G, H, washed)
-    # the other rules' rows read the payoff alone: K has zero diagonal blocks
+    # the projection argument carries x; the other rules' rows read the payoff alone
     projected = [isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs]
-    fixed = np.flatnonzero(~np.repeat(projected, game.dims))
-    out[fixed, fixed] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fill_loop(out, K, lift, E, F, G, H, washed, np.repeat(projected, game.dims))
+    # an overflowing N_i^T M leaves player i's flow undefined at every state
+    players = np.arange(game.n)
+    tangent = np.repeat(players, np.array(game.dims) - 1)[washed]
+    owner = np.concatenate([np.repeat(players, game.dims), np.repeat(players, auxes), tangent])
+    bad = owner[~np.isfinite(out).all(axis=1)]
+    if bad.size:
+        raise NonFiniteInputError(f"flow operators of player {bad.min()} are not finite")
     return out[:nx], out[nx:]
 
 

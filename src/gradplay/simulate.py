@@ -146,7 +146,7 @@ class _Flow:
     dynamics.derivative up to rounding.
     """
 
-    def __init__(self, game: PolymatrixGame, specs, layout: StateLayout, bases, c):
+    def __init__(self, game: PolymatrixGame, specs, layout: StateLayout, bases, c, cfg):
         self.PRE, self.AUX = assemble_flow_operators(game, specs)
         self.c = c
         self.nx = layout.nx
@@ -165,6 +165,16 @@ class _Flow:
         self.groups = [
             (rule, np.array(r), np.array(t)[:, None]) for (rule, _), (r, t) in plan.items()
         ]
+        self.regions = {} if _projection_family(specs) else None
+        self.bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
+        self.step = cfg.step
+        self.length = min(cfg.record_stride, _MAX_BLOCK)
+        # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
+        # any support (|R|_inf <= 2), so growth bounds every RK4 stage quantity.
+        # On huge payoffs it overflows to inf, which turns every jump off.
+        pre = np.abs(self.PRE).sum(axis=1).max() + np.abs(c).max()
+        a = 2.0 * pre + np.abs(self.AUX).sum(axis=1).max(initial=0.0) + 2.0
+        self.growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         z = self.PRE @ y + self.c
@@ -183,6 +193,32 @@ class _Flow:
             else:
                 dx[rows] = project_to_simplex(zr) - xr
         return np.concatenate([dx, self.AUX @ y])
+
+    def region_at(self, y: np.ndarray):
+        """The cached _Region of y's support, or None (other rules, or y past the growth bound).
+
+        On a fixed projection support the dynamics are y' = A_S y + b_S, and one
+        RK4 step is exactly the affine map y -> M_S y + m_S. For each support seen,
+        the powers of that map and the stacked KKT margins of every stage of the
+        next B steps are cached (B is the record stride, at most _MAX_BLOCK).
+        _integrate then jumps from block start to block start and checks a run of
+        K blocks at once: one product of the margins with the K starts shows
+        whether all 4BK stage projections keep the support. The blocks before the
+        first one that does not are kept; in that one the state jumps to the step
+        that leaves the support, takes it as plain RK4 with each stage's own
+        projection, and detects the support again. K doubles from 1 after each
+        run kept whole, up to _MAX_RUN, and falls back to 1 after a plain step.
+        """
+        if self.regions is None or not np.abs(y).max() <= _SAFE_MAGNITUDE / self.growth:
+            return None
+        z = self.PRE @ y + self.c
+        mask = np.empty(self.nx, dtype=bool)
+        for _, rows, _ in self.groups:
+            mask[rows] = project_to_simplex(z[rows]) > 0
+        key = mask.tobytes()
+        if key not in self.regions:
+            self.regions[key] = _build_region(self, mask)
+        return self.regions[key]
 
 
 def _rk4_step(deriv, step: int, h: float, y: np.ndarray) -> np.ndarray:
@@ -207,22 +243,22 @@ def _rk4_step(deriv, step: int, h: float, y: np.ndarray) -> np.ndarray:
 # Longest block of RK4 steps a region caches powers and margins for (the
 # record stride caps it further).
 _MAX_BLOCK = 64
-# Most blocks one region check clears at once (see _regions).
+# Most blocks one region check clears at once (see _Flow.region_at).
 _MAX_RUN = 64
 # A jump is taken only while a norm bound keeps every stage quantity of the
 # reference RK4 steps below this, far from overflow.
 _SAFE_MAGNITUDE = 1e300
 
 
-def _integrate(deriv, region_at, shift, y0: np.ndarray, cfg: SimConfig):
-    """Fixed-step RK4 of y' = deriv(y) from y0, with the state held as y - shift.
+def _integrate(flow: _Flow, y0: np.ndarray, cfg: SimConfig):
+    """Fixed-step RK4 of y' = flow(y) from y0, with the state held as y - flow.shift.
 
-    region_at(y) returns the cached _Region of a state, or None. Blocks of steps
-    end after the region's block length or at a record step. In a region the
-    state jumps from block start to block start, one check clears a run of
-    blocks, and the step that leaves the region is plain RK4. Outside a region
-    or past its limit each step is plain, so a run that overflows fails at the
-    reference's step. Rules outside the projection family have no regions.
+    Blocks of steps end after flow.length steps or at a record step. In a
+    region of flow.region_at the state jumps from block start to block start,
+    one check clears a run of blocks, and the step that leaves the region is
+    plain RK4. Outside a region or past its limit each step is plain, so a run
+    that overflows fails at the reference's step. Rules outside the projection
+    family have no regions.
     """
     h, stride = cfg.step, cfg.record_stride
     n_steps = max(1, int(round(cfg.horizon / h)))
@@ -231,18 +267,17 @@ def _integrate(deriv, region_at, shift, y0: np.ndarray, cfg: SimConfig):
         raise NonFiniteStateError(0.0)
     states = np.empty((len(rec_steps), y0.size))
     states[0] = y0
-    length = min(stride, _MAX_BLOCK)
-    y = y0 - shift
+    y = y0 - flow.shift
     step, rec, run, region = 0, 1, 1, None
     while step < n_steps:
         if region is None:
-            region = region_at(y)
+            region = flow.region_at(y)
         reached, plain = [], region is None
         if not plain:
             bounds = [step]  # block b runs from bounds[b] to bounds[b + 1]
             while len(bounds) <= run and bounds[-1] < n_steps:
                 end = bounds[-1]
-                bounds.append(min(end + length, (end // stride + 1) * stride, n_steps))
+                bounds.append(min(end + flow.length, (end // stride + 1) * stride, n_steps))
             n = [e - b for b, e in zip(bounds, bounds[1:])]
             ys = [y]
             for m in n[:-1]:
@@ -258,12 +293,12 @@ def _integrate(deriv, region_at, shift, y0: np.ndarray, cfg: SimConfig):
                 step += j
         if plain:
             step += 1
-            y = _rk4_step(deriv, step, h, y)
+            y = _rk4_step(flow, step, h, y)
             reached.append((step, y))
             region, run = None, 1
         new = [x for b, x in reached if b % stride == 0 or b == n_steps]
         if new:
-            states[rec : rec + len(new)] = np.array(new) + shift
+            states[rec : rec + len(new)] = np.array(new) + flow.shift
             rec += len(new)
     return np.array(rec_steps) * h, states
 
@@ -310,11 +345,12 @@ class _Region:
         return (int(short[0]), int(kept[short[0]])) if short.size else (len(n), 0)
 
 
-def _build_region(mask, PRE, AUX, c, bounds, h: float, length: int, growth: float) -> _Region:
+def _build_region(flow: _Flow, mask) -> _Region:
+    PRE, AUX, c, h = flow.PRE, flow.AUX, flow.c, flow.step
     nx, dim = PRE.shape
     W = np.zeros((nx, nx))
     r = np.zeros(nx)
-    for lo, hi in bounds:
+    for lo, hi in flow.bounds:
         s = mask[lo:hi]
         W[lo:hi, lo:hi] = s / s.sum()
         r[lo:hi] = 1.0 / s.sum()
@@ -341,60 +377,19 @@ def _build_region(mask, PRE, AUX, c, bounds, h: float, length: int, growth: floa
     q = np.concatenate([RP @ ts + sign * r for ts in t])
     powers = [eye]
     offsets = [np.zeros(dim)]
-    for _ in range(length):
+    for _ in range(flow.length):
         powers.append(M @ powers[-1])
         offsets.append(M @ offsets[-1] + m)
     powers = np.array(powers)
     offsets = np.array(offsets)
-    checks = (Q @ powers[:length]).reshape(-1, dim)
-    check_offsets = (offsets[:length] @ Q.T + q).ravel()
+    checks = (Q @ powers[: flow.length]).reshape(-1, dim)
+    check_offsets = (offsets[: flow.length] @ Q.T + q).ravel()
     # |state| <= P |y| + C over the block, and every stage quantity of a
     # step from a state of size Y is below growth * (Y + 1)
     P = np.abs(powers).sum(axis=2).max()
     C = np.abs(offsets).max()
-    limit = float((_SAFE_MAGNITUDE / growth - C - 1.0) / P)
+    limit = float((_SAFE_MAGNITUDE / flow.growth - C - 1.0) / P)
     return _Region(powers, offsets, checks, check_offsets, limit)
-
-
-def _regions(flow: _Flow, layout: StateLayout, cfg: SimConfig):
-    """region_at for projection-family RK4, taken as its own step map region by region.
-
-    On a fixed projection support the dynamics are y' = A_S y + b_S, and one
-    RK4 step is exactly the affine map y -> M_S y + m_S. For each support seen,
-    the powers of that map and the stacked KKT margins of every stage of the
-    next B steps are cached (B is the record stride, at most _MAX_BLOCK).
-    _integrate then jumps from block start to block start and checks a run of
-    K blocks at once: one product of the margins with the K starts shows
-    whether all 4BK stage projections keep the support. The blocks before the
-    first one that does not are kept; in that one the state jumps to the step
-    that leaves the support, takes it as plain RK4 with each stage's own
-    projection, and detects the support again. K doubles from 1 after each
-    run kept whole, up to _MAX_RUN, and falls back to 1 after a plain step.
-    """
-    PRE, AUX, c = flow.PRE, flow.AUX, flow.c
-    bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
-    length = min(cfg.record_stride, _MAX_BLOCK)
-    # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
-    # any support (|R|_inf <= 2), so growth bounds every RK4 stage quantity.
-    # On huge payoffs it overflows to inf, which turns every jump off.
-    pre = np.abs(PRE).sum(axis=1).max() + np.abs(c).max()
-    a = 2.0 * pre + np.abs(AUX).sum(axis=1).max(initial=0.0) + 2.0
-    growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
-    regions = {}
-
-    def region_at(y):
-        if not np.abs(y).max() <= _SAFE_MAGNITUDE / growth:
-            return None
-        z = PRE @ y + c
-        mask = np.empty(layout.nx, dtype=bool)
-        for _, rows, _ in flow.groups:
-            mask[rows] = project_to_simplex(z[rows]) > 0
-        key = mask.tobytes()
-        if key not in regions:
-            regions[key] = _build_region(mask, PRE, AUX, c, bounds, cfg.step, length, growth)
-        return regions[key]
-
-    return region_at
 
 
 def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, c, steady: bool) -> Trajectory:
@@ -417,9 +412,8 @@ def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, c, steady: bool) 
                 except NonFiniteInputError as exc:
                     raise NonFiniteStateError(0.0) from exc
                 y0[layout.v_slice(i)] = bases[i].N.T @ p
-        flow = _Flow(game, specs, layout, bases, c)
-        region_at = _regions(flow, layout, cfg) if _projection_family(specs) else lambda y: None
-        times, states = _integrate(flow, region_at, flow.shift, y0, cfg)
+        flow = _Flow(game, specs, layout, bases, c, cfg)
+        times, states = _integrate(flow, y0, cfg)
         window = times >= times[-1] - 0.1 * (times[-1] - times[0])
         converged = bool(np.max(np.abs(states[window] - states[-1])) <= CONVERGENCE_TOL)
     return Trajectory(times, states, layout, converged)

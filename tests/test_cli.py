@@ -350,6 +350,23 @@ def test_overflowing_payoff_exits_2(capsys, tmp_path, command):
     assert err == "error: payoff of player 0 is not finite\n"
 
 
+@pytest.mark.parametrize("other", [Replicator(), GradientPlay()], ids=["replicator", "gradient"])
+def test_simulate_overflowing_compensated_rows_exit_2(capsys, tmp_path, other):
+    # N_0^T M overflows: an input error before the first step, with no warning
+    M = [[1.5e308, -1.5e308], [-1.5e308, 1.5e308]]
+    game = tmp_path / "big.json"
+    game.write_text(json.dumps(game_to_json(PolymatrixGame((2, 2), {(0, 1): M, (1, 0): M}))))
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps(specs_to_json([make_anticipatory(1.0, 1.0, 2), other])))
+    out_csv = tmp_path / "trajectory.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["simulate", str(game), str(specs), "--out", str(out_csv)])
+    assert (code, out) == (2, "")
+    assert err == "error: flow operators of player 0 are not finite\n"
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("text", ["5", '[{"a": 1}, [0.5, 0.5], [0.5, 0.5]]'])
 def test_verify_malformed_profile_file_exits_2(capsys, jordan_file, tmp_path, text):
     profile = tmp_path / "profile.json"

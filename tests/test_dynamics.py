@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ from gradplay.dynamics import (
     modified_payoff,
     softmax,
 )
-from gradplay.simplex import tangent_basis
+from gradplay.simplex import NonFiniteInputError, tangent_basis
 
 B2 = tangent_basis(2)
 E_OVER = np.e / (np.e + 1.0)
@@ -209,3 +211,16 @@ def test_derivative_rejects_nonfinite_payoff():
         derivative(GradientPlay(), state, [np.nan, 0.0])
     with pytest.raises(ValueError):
         derivative(Replicator(), state, [np.inf, 0.0])
+
+
+@pytest.mark.parametrize(
+    "x,p",
+    [([1.0, -1.0], [1.0, 2.0]), ([2.0, -1.0], [1.7e308, -1.7e308])],
+    ids=["zero-mass", "overflow"],
+)
+def test_replicator_nonfinite_derivative_raises_typed_error_without_warning(x, p):
+    # a strategy mass of 0 has no mean payoff; x.p may overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError, match="replicator"):
+            derivative(Replicator(), PlayerState.fixed_order(x), p)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gradplay.analysis import robustness_probe
 from gradplay.dynamics import (
@@ -21,6 +21,7 @@ from gradplay.games import (
     uniform_profile,
 )
 from gradplay.linearize import (
+    GameLocalMatrix,
     assemble_closed_loop,
     assemble_flow_operators,
     assemble_game_loop,
@@ -374,3 +375,115 @@ def test_loop_family_matches_perturbed_games():
                 mats[key] = game.pair(*key) + t * d
             J = assemble_game_loop(PolymatrixGame(game.dims, mats), specs).matrix
             assert_allclose(J0 + t * J1, J, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(J))))
+
+
+# --- the loop writer's x term against the explicit +I formulas -----------------
+
+
+def _loop_with_identity(K, lift, specs, dims, washed):
+    """The loop with gradient play's +x on every x row, patched afterwards by the callers below."""
+    E, F, G, H = (
+        scipy.linalg.block_diag(*blocks)
+        for blocks in zip(*(_compensator(s, k) for s, k in zip(specs, dims)))
+    )
+    m, a = K.shape[0], K.shape[0] + E.shape[0]
+    out = np.zeros((a + len(washed),) * 2)
+    TK = lift.T @ K
+    LH = lift @ H
+    out[:m, :m] = K + LH @ TK + np.eye(m)
+    out[:m, m:a] = lift @ G
+    out[:m, a:] = -LH[:, washed]
+    out[m:a, :m] = F @ TK
+    out[m:a, m:a] = E
+    out[m:a, a:] = -F[:, washed]
+    out[a:, :m] = TK[washed]
+    out[a:, a:] = -np.eye(len(washed))
+    return out
+
+
+def _explicit_closed_loop(game, specs):
+    # the -x of dx = proj(.) - x subtracted from the +x of the projection argument
+    M = scipy.linalg.block_diag(*[np.zeros((k - 1, k - 1)) for k in game.dims])
+    at = np.cumsum([0] + [k - 1 for k in game.dims])
+    for (i, j), mat in game.pair_matrices.items():
+        Ni, Nj = tangent_basis(game.dims[i]).N, tangent_basis(game.dims[j]).N
+        M[at[i] : at[i + 1], at[j] : at[j + 1]] = Ni.T @ mat @ Nj
+    ell = M.shape[0]
+    J = _loop_with_identity(M, np.eye(ell), specs, game.dims, np.arange(ell))
+    J[:ell, :ell] -= np.eye(ell)
+    return M, J
+
+
+def _explicit_flow_operators(game, specs):
+    # +x on every x row, then zeroed on the rows of rules outside the projection family
+    K = np.block([[game.pair(i, j) for j in range(game.n)] for i in range(game.n)])
+    blocks = [
+        tangent_basis(k).N if isinstance(s, HigherOrderGradientPlay) else np.zeros((k, k - 1))
+        for s, k in zip(specs, game.dims)
+    ]
+    lift = scipy.linalg.block_diag(*blocks)
+    washed = np.flatnonzero(lift.any(axis=0))
+    out = _loop_with_identity(K, lift, specs, game.dims, washed)
+    projected = [isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs]
+    fixed = np.flatnonzero(~np.repeat(projected, game.dims))
+    out[fixed, fixed] = 0.0
+    return out[: K.shape[0]], out[K.shape[0] :]
+
+
+def _any_rule(rng, k, projection_only):
+    kind = int(rng.integers(2 if projection_only else 4))
+    if kind == 0:
+        return GradientPlay()
+    if kind == 2:
+        return Replicator()
+    if kind == 3:
+        return SmoothFictitiousPlay(float(rng.uniform(0.05, 2.0)))
+    ell = int(rng.integers(3))  # aux dimensions 0, 1 and 2
+    return HigherOrderGradientPlay(
+        E=rng.normal(size=(ell, ell)),
+        F=rng.normal(size=(ell, k - 1)),
+        G=rng.normal(size=(k - 1, ell)),
+        H=rng.normal(size=(k - 1, k - 1)),
+    )
+
+
+def test_operators_equal_the_explicit_identity_formulas():
+    # the loop writer takes the x coefficient of each row; writing +I and then
+    # subtracting it (closed loop) or zeroing it (other rules' flow rows) gives
+    # the same matrices, bit for bit
+    rng = np.random.default_rng(1717)
+    draws = {True: 0, False: 0}
+    for draw in range(240):
+        n = int(rng.integers(2, 5))
+        dims = [int(rng.integers(2, 5)) for _ in range(n)]
+        game, _ = random_mixed_ne_game(rng, n=n, dims=dims)
+        specs = [_any_rule(rng, k, draw % 2 == 0) for k in dims]
+        family = all(isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs)
+        draws[family] += 1
+        for got, want in zip(assemble_flow_operators(game, specs), _explicit_flow_operators(game, specs)):
+            assert_array_equal(got, want)
+        M, J = _explicit_closed_loop(game, specs)
+        local = GameLocalMatrix(M, game.dims)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # some draws are singular
+            plant = assemble_plant(local)
+        ell = M.shape[0]
+        A = np.block([[M, np.zeros((ell, ell))], [M, -np.eye(ell)]])
+        assert_array_equal(plant.A, A)
+        assert_array_equal(plant.B, np.eye(2 * ell, ell))
+        assert_array_equal(plant.C, A[ell:])
+        direction = {(0, 1): rng.normal(size=(dims[0], dims[1]))}
+        if not family:
+            with pytest.raises(ValueError, match="no closed-loop linearization"):
+                assemble_closed_loop(local, specs)
+            with pytest.raises(ValueError, match="no closed-loop linearization"):
+                assemble_loop_family(game, specs, direction)
+            continue
+        assert_array_equal(assemble_closed_loop(local, specs).matrix, J)
+        assert_array_equal(assemble_game_loop(game, specs).matrix, J)
+        J0, J1 = assemble_loop_family(game, specs, direction)
+        JD = _explicit_closed_loop(PolymatrixGame(game.dims, direction), specs)[1]
+        J_empty = _explicit_closed_loop(PolymatrixGame(game.dims), specs)[1]
+        assert_array_equal(J0, J)
+        assert_array_equal(J1, JD - J_empty)
+    assert min(draws.values()) >= 100

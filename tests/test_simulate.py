@@ -375,7 +375,7 @@ def per_player_rk4(game, specs, init, cfg, c=None, steady=True):
         if steady and isinstance(specs[i], HigherOrderGradientPlay):
             y[v_at[i] : v_at[i + 1]] = bases[i].N.T @ p
     times, states = [0.0], [y]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             try:
                 k1 = f(y)
@@ -472,6 +472,18 @@ def test_overflowing_tangent_payoff_rows_stay_out_of_rows_that_never_read_them()
     for specs in mixes:
         traj = simulate_coupled(g, specs, init, cfg)
         assert_allclose(traj.states, per_player_rk4(g, specs, init, cfg)[1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("other", [Replicator(), GradientPlay()], ids=["replicator", "gradient"])
+def test_overflowing_compensated_rows_are_an_input_error(monkeypatch, other):
+    # N_0^T M overflows, though every payoff at the uniform start is 0: the
+    # compensated player's flow is not finite at any state, so the run is an
+    # input error before its first step
+    M = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+    g = PolymatrixGame((2, 2), {(0, 1): M, (1, 0): M})
+    monkeypatch.setattr(sim, "_rk4_step", lambda *args: pytest.fail("took a step"))
+    with pytest.raises(NonFiniteInputError, match="flow operators of player 0 are not finite"):
+        simulate_coupled(g, [make_anticipatory(1.0, 1.0, 2), other], uniform_profile(g))
 
 
 def test_unknown_rule_rejected():
