@@ -76,7 +76,8 @@ def _tangent_slices(dims) -> list:
     return out
 
 
-def _local_matrix_raw(game: PolymatrixGame, bases) -> np.ndarray:
+def _local_matrix_raw(game: PolymatrixGame) -> np.ndarray:
+    bases = [tangent_basis(k) for k in game.dims]
     slices = _tangent_slices(game.dims)
     ell = sum(k - 1 for k in game.dims)
     M = np.zeros((ell, ell))
@@ -97,7 +98,7 @@ def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
         raise ValueError(
             "profile is not completely mixed; local coordinates are undefined at the boundary"
         )
-    M = _local_matrix_raw(game, [tangent_basis(k) for k in game.dims])
+    M = _local_matrix_raw(game)
     _warn_if_singular(M, "local game matrix")
     return GameLocalMatrix(M, game.dims)
 
@@ -114,10 +115,12 @@ class ClosedLoopMatrix:
          [  F M,    E, -F],
          [   M,     0, -I]].
 
-    Fixed-order players contribute empty aux blocks and H_i = 0. A
-    gradient-play player still keeps its washout block v_i' = (M w)_i - v_i:
-    nothing reads it, so it only adds the eigenvalue -1 with multiplicity
-    k_i - 1. The simulator's state has no washout for such players.
+    Only the first ell columns, those of w, read M, which is what
+    assemble_loop_family rests on. Fixed-order players contribute empty aux
+    blocks and H_i = 0. A gradient-play player still keeps its washout block
+    v_i' = (M w)_i - v_i: nothing reads it, so it only adds the eigenvalue -1
+    with multiplicity k_i - 1. The simulator's state has no washout for such
+    players.
     """
 
     matrix: np.ndarray
@@ -125,8 +128,17 @@ class ClosedLoopMatrix:
     aux_dims: tuple
 
 
-def _stacked_compensators(dims, specs):
-    """Block-diagonal E, F, G, H of the players' compensators, on tangent rows."""
+def _build_loop(K, lift, dims, specs, washed, xdiag):
+    """The loop of (higher-order) gradient play, and the players' aux dimensions.
+
+    The state is (x, xi, v): coordinates x with payoffs p = K x, the aux
+    states, and washouts v for the tangent rows indexed by washed; lift^T p
+    is the tangent payoff and y = lift^T p - v the washout output. E, F, G, H
+    stack the players' compensators block-diagonally on the tangent rows. The
+    rows are PRE, the input diag(xdiag) x + p + lift (G xi + H y), then AUX:
+    xi' = E xi + F y and v' = y. xdiag is the whole x coefficient: while
+    finite, K and lift H lift^T K have zero diagonal blocks.
+    """
     slices = _tangent_slices(dims)
     ell = sum(k - 1 for k in dims)
     auxes = tuple(aux_dim(s) for s in specs)
@@ -135,38 +147,23 @@ def _stacked_compensators(dims, specs):
     F = np.zeros((L, ell))
     G = np.zeros((ell, L))
     H = np.zeros((ell, ell))
-    row = 0
     for i, spec in enumerate(specs):
         if isinstance(spec, HigherOrderGradientPlay):
-            sl = slices[i]
             if spec.signal_dim != dims[i] - 1:
                 raise ValueError(
                     f"player {i}: compensator signal dimension {spec.signal_dim} "
                     f"does not match k - 1 = {dims[i] - 1}"
                 )
-            li = spec.aux_dim
-            E[row : row + li, row : row + li] = spec.E
-            F[row : row + li, sl] = spec.F
-            G[sl, row : row + li] = spec.G
+            sl, r = slices[i], slice(sum(auxes[:i]), sum(auxes[: i + 1]))  # tangent, aux rows
+            E[r, r] = spec.E
+            F[r, sl] = spec.F
+            G[sl, r] = spec.G
             H[sl, sl] = spec.H
-            row += li
-    return E, F, G, H, auxes
-
-
-def _fill_loop(out, K, lift, E, F, G, H, washed, xdiag) -> None:
-    """Write the loop of (higher-order) gradient play into the zeroed matrix out.
-
-    The state is (x, xi, v): coordinates x with payoffs p = K x, the aux
-    states, and washouts v for the tangent rows indexed by washed; lift^T p
-    is the tangent payoff and y = lift^T p - v the washout output. The rows
-    are PRE, the input diag(xdiag) x + p + lift (G xi + H y), then AUX:
-    xi' = E xi + F y and v' = y. xdiag is the whole x coefficient: while
-    finite, K and lift H lift^T K have zero diagonal blocks.
-    """
     m = K.shape[0]
-    a = m + E.shape[0]
+    a = m + L
     TK = lift.T @ K
     LH = lift @ H
+    out = np.zeros((a + TK[washed].shape[0],) * 2)
     out[:m, :m] = K + LH @ TK + np.diag(xdiag)
     out[:m, m:a] = lift @ G
     out[:m, a:] = -LH[:, washed]
@@ -175,6 +172,7 @@ def _fill_loop(out, K, lift, E, F, G, H, washed, xdiag) -> None:
     out[m:a, a:] = -F[:, washed]
     out[a:, :m] = TK[washed]
     out[a:, a:] = -np.eye(out.shape[0] - a)
+    return out, auxes
 
 
 def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
@@ -191,9 +189,7 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
             name = type(spec).__name__
             raise ValueError(f"player {i}: {name} has no closed-loop linearization")
     ell = local.matrix.shape[0]
-    E, F, G, H, auxes = _stacked_compensators(local.dims, specs)
-    J = np.zeros((2 * ell + E.shape[0],) * 2)
-    _fill_loop(J, local.matrix, np.eye(ell), E, F, G, H, slice(None), np.zeros(ell))
+    J, auxes = _build_loop(local.matrix, np.eye(ell), local.dims, specs, slice(None), np.zeros(ell))
     return ClosedLoopMatrix(J, local.dims, auxes)
 
 
@@ -203,22 +199,21 @@ def assemble_game_loop(game: PolymatrixGame, specs) -> ClosedLoopMatrix:
     For sweeps that rebuild the game at every evaluation, and for the loop
     families of assemble_loop_family.
     """
-    bases = [tangent_basis(k) for k in game.dims]
-    local = GameLocalMatrix(_local_matrix_raw(game, bases), game.dims)
-    return assemble_closed_loop(local, specs)
+    return assemble_closed_loop(GameLocalMatrix(_local_matrix_raw(game), game.dims), specs)
 
 
 def assemble_loop_family(game: PolymatrixGame, specs, direction) -> tuple:
     """Matrices (J0, J1) with J0 + t J1 the closed loop of pair matrices M + t D.
 
     direction maps player pairs (i, j) to D[i,j]. The loop is affine in the
-    pair matrices, so J1 is the loop of the direction alone less the loop of
-    the game with no pairs: the compensator and washout blocks cancel exactly.
+    pair matrices, and only its first ell (w) columns read them, so J1 is the
+    loop of the direction alone with every later column zeroed: the w columns
+    of the game with no pairs are zero.
     """
     J0 = assemble_game_loop(game, specs).matrix
-    JD = assemble_game_loop(PolymatrixGame(game.dims, direction), specs).matrix
-    J_empty = assemble_game_loop(PolymatrixGame(game.dims), specs).matrix
-    return J0, JD - J_empty
+    J1 = assemble_game_loop(PolymatrixGame(game.dims, direction), specs).matrix
+    J1[:, sum(k - 1 for k in game.dims) :] = 0.0
+    return J0, J1
 
 
 def assemble_flow_operators(game: PolymatrixGame, specs):
@@ -230,35 +225,37 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
     (higher-order) gradient play, and the payoff p of any other rule. AUX y
     is (xi', v'). For the projection family the flow is
     y' = [proj(PRE y) - x; AUX y], with the projection taken per player.
-    Raises NonFiniteInputError, naming the first player, when a player's
-    rows of PRE or AUX are not finite.
+    Raises NonFiniteInputError when a player's rows of PRE or AUX are not
+    finite, naming the first player whose payoff or tangent payoff is not.
     """
     if len(specs) != game.n:
         raise ValueError(f"need {game.n} specs, got {len(specs)}")
-    E, F, G, H, auxes = _stacked_compensators(game.dims, specs)
     K = np.block([[game.pair(i, j) for j in range(game.n)] for i in range(game.n)])
     lift = np.zeros((K.shape[0], sum(k - 1 for k in game.dims)))
     starts = np.cumsum((0,) + game.dims)
     # only compensated players read their tangent payoff; a zero lift for the
-    # others keeps one that overflows (0 * inf) out of rows that never read it
+    # others keeps one that overflows out of the loop
     for i, sl in enumerate(_tangent_slices(game.dims)):
         if isinstance(specs[i], HigherOrderGradientPlay):
             lift[starts[i] : starts[i + 1], sl] = tangent_basis(game.dims[i]).N
     washed = np.flatnonzero(lift.any(axis=0))  # the tangent rows that have a washout
-    nx = K.shape[0]
-    out = np.zeros((nx + E.shape[0] + len(washed),) * 2)
     # the projection argument carries x; the other rules' rows read the payoff alone
     projected = [isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs]
     with np.errstate(over="ignore", invalid="ignore"):
-        _fill_loop(out, K, lift, E, F, G, H, washed, np.repeat(projected, game.dims))
-    # an overflowing N_i^T M leaves player i's flow undefined at every state
-    players = np.arange(game.n)
-    tangent = np.repeat(players, np.array(game.dims) - 1)[washed]
-    owner = np.concatenate([np.repeat(players, game.dims), np.repeat(players, auxes), tangent])
-    bad = owner[~np.isfinite(out).all(axis=1)]
-    if bad.size:
+        out, auxes = _build_loop(K, lift, game.dims, specs, washed, np.repeat(projected, game.dims))
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        # 0 * inf in lift^T K and LH @ TK spreads NaN from one player's rows
+        # into others', so the name goes to a non-finite payoff row of K, else
+        # to an overflowing N_i^T M (player i's washout rows), else to any row
+        players = np.arange(game.n)
+        tangent = np.repeat(players, np.array(game.dims) - 1)[washed]
+        owner = np.concatenate([np.repeat(players, game.dims), np.repeat(players, auxes), tangent])
+        payoff = owner[: K.shape[0]][~np.isfinite(K).all(axis=1)]
+        overflowed = tangent[~finite[len(owner) - len(tangent) :]]
+        bad = next(b for b in (payoff, overflowed, owner[~finite]) if b.size)
         raise NonFiniteInputError(f"flow operators of player {bad.min()} are not finite")
-    return out[:nx], out[nx:]
+    return out[: K.shape[0]], out[K.shape[0] :]
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,11 @@ def test_robust_rank_rejects_bad_tol(tol):
         robust_rank(np.eye(3), tol=tol)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_robust_rank_of_empty_matrix_is_zero(shape):
+    assert robust_rank(np.zeros(shape)) == 0
+
+
 # --- eigenvector block support ----------------------------------------------
 
 

@@ -11,11 +11,13 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gradplay.cli import (
+    ScenarioResult,
     game_from_json,
     game_to_json,
     load_game_file,
     load_specs_file,
     main,
+    spec_to_json,
     specs_from_json,
     specs_to_json,
     write_matrix_csv,
@@ -157,6 +159,29 @@ def test_specs_validation():
             },
             g,
         )
+
+
+GRADIENT = {"variant": "gradient_play"}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"players": [{"variant": "anticipatory", "lambda": 1.0}, GRADIENT, GRADIENT]}, "missing 'gamma'"),
+        ({"players": [5, GRADIENT, GRADIENT]}, "malformed player spec"),
+        ({"player": [GRADIENT] * 3}, "spec document needs a 'players' list"),
+        ([GRADIENT] * 3, "spec document needs a 'players' list"),
+    ],
+    ids=["missing-key", "player-not-object", "no-players", "not-an-object"],
+)
+def test_malformed_specs_document_rejected(doc, message):
+    with pytest.raises(ValueError, match=message):
+        specs_from_json(doc, make_jordan())
+
+
+def test_spec_to_json_rejects_unknown_spec():
+    with pytest.raises(TypeError, match="unknown spec object"):
+        spec_to_json(object())
 
 
 def test_matrix_csv_round_trips_17_digits(tmp_path):
@@ -786,6 +811,20 @@ def test_nonfinite_parameter_exits_2(capsys, tmp_path, jordan_file, argv):
         argv = [argv[0], jordan_file, str(specs)] + out
     code, _, err = run(capsys, argv)
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("deltas", ["0.1,0.2", "0.1,0.2,0.3,0.4"])
+def test_scenario_deltas_need_three_values(capsys, deltas):
+    code, out, err = run(capsys, ["scenario", "jordan-diagonal", "--deltas", deltas])
+    assert (code, out) == (2, "")
+    assert err == "error: --deltas needs three comma-separated values\n"
+
+
+@pytest.mark.parametrize("converged", [True, False])
+def test_diverged_without_target_is_not_converged(converged):
+    # with no fixed target only a run that never settles counts as diverged
+    result = ScenarioResult("probe", None, None, converged, None, True, None)
+    assert result.diverged is not converged
 
 
 @pytest.mark.parametrize(

@@ -224,3 +224,52 @@ def test_replicator_nonfinite_derivative_raises_typed_error_without_warning(x, p
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInputError, match="replicator"):
             derivative(Replicator(), PlayerState.fixed_order(x), p)
+
+
+ANTI2 = make_anticipatory(1.0, 1.0, 2)
+ONES = {"E": [[1.0]], "F": [[1.0]], "G": [[1.0]], "H": [[1.0]]}
+FIXED = PlayerState.fixed_order([0.5, 0.5])
+AUX = PlayerState.higher_order([0.5, 0.5], [0.0], [0.0])
+LONG_XI = PlayerState.higher_order([0.5, 0.5], [0.0, 0.0], [0.0])
+NO_V = PlayerState.higher_order([0.5, 0.5], [0.0], [])
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: derivative(object(), FIXED, [0.0, 0.0]), TypeError, "unknown dynamics spec"),
+        (lambda: derivative(ANTI2, AUX, [0.0, 0.0]), ValueError, "need a tangent basis"),
+        (lambda: derivative(ANTI2, LONG_XI, [0.0, 0.0], B2), ValueError, "auxiliary state shapes"),
+        (lambda: derivative(ANTI2, NO_V, [0.0, 0.0], B2), ValueError, "auxiliary state shapes"),
+        (
+            lambda: derivative(GradientPlay(), FIXED, [0.0, 0.0, 0.0]),
+            ValueError,
+            r"payoff has shape \(3,\), expected \(2,\)",
+        ),
+        (lambda: softmax([0.0, np.inf], 1.0), NonFiniteInputError, "softmax input must be finite"),
+        (lambda: HigherOrderGradientPlay(**{**ONES, "H": [[1.0, 0.0]]}), ValueError, "H must be square"),
+        (lambda: HigherOrderGradientPlay(**{**ONES, "G": [[1.0, 2.0]]}), ValueError, "G must be 1 x 1"),
+        (lambda: modified_payoff(GradientPlay(), FIXED, [0.0, 0.0], B2), TypeError, "higher-order"),
+        (lambda: make_anticipatory(1.0, 1.0, 1), ValueError, "at least two pure strategies"),
+    ],
+    ids=[
+        "derivative-unknown-spec",
+        "derivative-no-basis",
+        "derivative-aux-shape",
+        "derivative-washout-shape",
+        "derivative-payoff-shape",
+        "softmax-nonfinite",
+        "higher-order-nonsquare-H",
+        "higher-order-misshapen-G",
+        "modified-payoff-fixed-order",
+        "anticipatory-k1",
+    ],
+)
+def test_invalid_arguments_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_vanishing_modification_nonsquare_d():
+    res = check_vanishing_modification(D=[[1.0, 0.0]], E=[[1.0]], F=[[1.0]], G=[[1.0]])
+    assert (res.ok, res.residual, res.note) == (False, np.inf, "D is not square")

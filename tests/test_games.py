@@ -264,6 +264,13 @@ def test_game_shape_validation():
         PolymatrixGame((1, 2), {})
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_payoff_map_rejects_player_out_of_range(i):
+    g = make_jordan()
+    with pytest.raises(ValueError, match=f"player index {i} out of range for 3 players"):
+        payoff_map(g, i, uniform_profile(g))
+
+
 def test_profile_validation():
     g = make_jordan()
     with pytest.raises(ValueError):

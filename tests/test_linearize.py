@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gradplay.linearize as linearize
 from gradplay.analysis import robustness_probe
 from gradplay.dynamics import (
     GradientPlay,
@@ -447,10 +448,16 @@ def _any_rule(rng, k, projection_only):
     )
 
 
+def assert_bits_equal(got, want):
+    # assert_array_equal treats -0.0 and 0.0 as equal
+    assert_array_equal(got, want)
+    assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_operators_equal_the_explicit_identity_formulas():
     # the loop writer takes the x coefficient of each row; writing +I and then
     # subtracting it (closed loop) or zeroing it (other rules' flow rows) gives
-    # the same matrices, bit for bit
+    # the same matrices, bit for bit and zero sign for zero sign
     rng = np.random.default_rng(1717)
     draws = {True: 0, False: 0}
     for draw in range(240):
@@ -461,7 +468,7 @@ def test_operators_equal_the_explicit_identity_formulas():
         family = all(isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs)
         draws[family] += 1
         for got, want in zip(assemble_flow_operators(game, specs), _explicit_flow_operators(game, specs)):
-            assert_array_equal(got, want)
+            assert_bits_equal(got, want)
         M, J = _explicit_closed_loop(game, specs)
         local = GameLocalMatrix(M, game.dims)
         with warnings.catch_warnings():
@@ -469,9 +476,9 @@ def test_operators_equal_the_explicit_identity_formulas():
             plant = assemble_plant(local)
         ell = M.shape[0]
         A = np.block([[M, np.zeros((ell, ell))], [M, -np.eye(ell)]])
-        assert_array_equal(plant.A, A)
-        assert_array_equal(plant.B, np.eye(2 * ell, ell))
-        assert_array_equal(plant.C, A[ell:])
+        assert_bits_equal(plant.A, A)
+        assert_bits_equal(plant.B, np.eye(2 * ell, ell))
+        assert_bits_equal(plant.C, A[ell:])
         direction = {(0, 1): rng.normal(size=(dims[0], dims[1]))}
         if not family:
             with pytest.raises(ValueError, match="no closed-loop linearization"):
@@ -479,11 +486,25 @@ def test_operators_equal_the_explicit_identity_formulas():
             with pytest.raises(ValueError, match="no closed-loop linearization"):
                 assemble_loop_family(game, specs, direction)
             continue
-        assert_array_equal(assemble_closed_loop(local, specs).matrix, J)
-        assert_array_equal(assemble_game_loop(game, specs).matrix, J)
+        assert_bits_equal(assemble_closed_loop(local, specs).matrix, J)
+        assert_bits_equal(assemble_game_loop(game, specs).matrix, J)
         J0, J1 = assemble_loop_family(game, specs, direction)
         JD = _explicit_closed_loop(PolymatrixGame(game.dims, direction), specs)[1]
         J_empty = _explicit_closed_loop(PolymatrixGame(game.dims), specs)[1]
-        assert_array_equal(J0, J)
-        assert_array_equal(J1, JD - J_empty)
+        assert_bits_equal(J0, J)
+        assert_bits_equal(J1, JD - J_empty)
     assert min(draws.values()) >= 100
+
+
+def test_loop_family_and_probe_assemble_two_loops(monkeypatch):
+    # J1 is the coupling columns of the direction's loop: no empty-game loop
+    calls = []
+    real = linearize.assemble_closed_loop
+    monkeypatch.setattr(linearize, "assemble_closed_loop", lambda *a: calls.append(1) or real(*a))
+    game, specs = make_jordan(), all_anticipatory_specs()
+    direction = {(0, 1): np.eye(2)}
+    assemble_loop_family(game, specs, direction)
+    assert len(calls) == 2
+    calls.clear()
+    robustness_probe(game, specs, direction, max_delta=0.1)
+    assert len(calls) == 2

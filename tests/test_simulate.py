@@ -486,6 +486,51 @@ def test_overflowing_compensated_rows_are_an_input_error(monkeypatch, other):
         simulate_coupled(g, [make_anticipatory(1.0, 1.0, 2), other], uniform_profile(g))
 
 
+@pytest.mark.parametrize("other", [Replicator(), GradientPlay()], ids=["replicator", "gradient"])
+def test_overflowing_compensated_rows_name_their_player(other):
+    # N_1^T M overflows; 0 * inf carries NaN into player 0's rows too, but the
+    # undefined flow is player 1's
+    M = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+    g = PolymatrixGame((2, 2), {(0, 1): M, (1, 0): M})
+    with pytest.raises(NonFiniteInputError, match="flow operators of player 1 are not finite"):
+        simulate_coupled(g, [other, make_anticipatory(1.0, 1.0, 2)], uniform_profile(g))
+
+
+@pytest.mark.parametrize(
+    "pair,compensated", [((0, 1), 2), ((2, 0), 0)], ids=["row-0-comp-2", "row-2-comp-0"]
+)
+def test_infinite_pair_entry_names_its_row_player(pair, compensated):
+    # lift^T K multiplies the infinite payoff row by zeros, so the compensated
+    # player's washout rows are NaN too; the undefined payoff is the row player's
+    mats = {(0, 1): np.eye(2), (1, 2): np.eye(2), (2, 0): np.eye(2)}
+    mats[pair] = np.array([[np.inf, 0.0], [0.0, 0.0]])
+    specs = [GradientPlay()] * 3
+    specs[compensated] = make_anticipatory(1.0, 1.0, 2)
+    with pytest.raises(NonFiniteInputError, match=f"flow operators of player {pair[0]} are not finite"):
+        assemble_flow_operators(PolymatrixGame((2, 2, 2), mats), specs)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("call", [assemble_flow_operators, simulate_coupled], ids=["flow", "simulate"])
+def test_wrong_number_of_specs_rejected(call, count):
+    g = make_jordan()
+    args = (uniform_profile(g),) if call is simulate_coupled else ()
+    with pytest.raises(ValueError, match=f"need 3 specs, got {count}"):
+        call(g, [GradientPlay()] * count, *args)
+
+
+def test_overflowing_steady_washout_aborts_at_time_zero_without_warning():
+    # the payoff is finite but its tangent image N^T p, the steady washout
+    # start, overflows: the start state itself is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as err:
+            simulate_open_loop(
+                make_anticipatory(1.0, 1.0, 2), [1.7e308, -1.7e308], [0.5, 0.5], v0="steady"
+            )
+    assert err.value.time == 0.0
+
+
 def test_unknown_rule_rejected():
     g = make_jordan()
     with pytest.raises(TypeError, match="unknown dynamics spec object"):

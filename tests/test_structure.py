@@ -1,5 +1,5 @@
 """Modules of the package reach each other only through public names, and
-their imports form no cycle.
+their imports form no cycle. Every module-level private name is used.
 
 Importing the package leaves scipy.linalg unloaded.
 """
@@ -110,6 +110,43 @@ def find_cycle(graph: dict) -> list:
     return []
 
 
+def _defined_names(node) -> list:
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _uses(node, name: str) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == name and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.Attribute) and node.attr == name
+
+
+def dead_private_names(package: Path) -> list:
+    """Module-level private names used nowhere in package outside their own definition.
+
+    A use is a load of the name or an attribute of that name, in any scope.
+    """
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    found = []
+    for file, tree in trees.items():
+        for stmt in tree.body:
+            own = {id(n) for n in ast.walk(stmt)}
+            for name in filter(_private, _defined_names(stmt)):
+                used = any(
+                    _uses(n, name) and id(n) not in own
+                    for other in trees.values()
+                    for n in ast.walk(other)
+                )
+                if not used:
+                    found.append(f"{file}:{stmt.lineno}: {name}")
+    return found
+
+
 def test_package_found():
     assert {"games", "linearize", "simulate", "cli"} <= MODULES
 
@@ -151,6 +188,23 @@ def test_detector_flags_import_cycle(tmp_path):
     assert find_cycle(graph) == ["a", "b", "c", "a"]
     (tmp_path / "c.py").write_text("import numpy\n")
     assert find_cycle(import_graph(tmp_path)) == []
+
+
+def test_no_dead_private_names():
+    assert dead_private_names(PACKAGE) == []
+
+
+def test_detector_flags_dead_private_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n"
+        "_UNUSED: int = 4\n"
+        "def _helper(n):\n"
+        "    return _helper(n - 1) if n else _LIMIT\n"
+        "class _Box:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from . import a\n\ndef f():\n    return a._Box()\n")
+    assert dead_private_names(tmp_path) == ["a.py:2: _UNUSED", "a.py:3: _helper"]
 
 
 def test_import_leaves_scipy_linalg_unloaded():
