@@ -182,16 +182,12 @@ def check_mode_support(local: GameLocalMatrix) -> ModeSupportReport:
     lam, VL, VR = scipy.linalg.eig(M, left=True, right=True)
     scale = max(1.0, float(np.max(np.abs(lam))))
     entries = []
-    ok_all = True
-    indeterminate_any = False
     for idx, lv in enumerate(lam):
         if lv.real < -STABILITY_TOL:
             continue
         mult = int(np.sum(np.abs(lam - lv) <= 1e-8 * scale))
         if mult > 1:
             entries.append(ModeSupportEntry(lv, mult, (), (), False, True))
-            indeterminate_any = True
-            ok_all = False
             continue
         left = VL[:, idx]
         right = VR[:, idx]
@@ -207,8 +203,8 @@ def check_mode_support(local: GameLocalMatrix) -> ModeSupportReport:
             if ln <= MODE_BLOCK_TOL or rn <= MODE_BLOCK_TOL:
                 ok = False
         entries.append(ModeSupportEntry(lv, 1, tuple(lnorms), tuple(rnorms), ok, False))
-        ok_all = ok_all and ok
-    return ModeSupportReport(ok_all and not indeterminate_any, indeterminate_any, tuple(entries))
+    satisfied = all(e.ok for e in entries)  # an indeterminate entry is not ok
+    return ModeSupportReport(satisfied, any(e.indeterminate for e in entries), tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -136,10 +136,6 @@ def game_from_json(doc: dict) -> PolymatrixGame:
     return PolymatrixGame(dims, mats)
 
 
-def _matrix_rows(M: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(M)]
-
-
 def spec_to_json(spec) -> dict:
     if isinstance(spec, dyn.GradientPlay):
         return {"variant": "gradient_play"}
@@ -150,10 +146,10 @@ def spec_to_json(spec) -> dict:
     if isinstance(spec, dyn.HigherOrderGradientPlay):
         return {
             "variant": "higher_order",
-            "E": _matrix_rows(spec.E),
-            "F": _matrix_rows(spec.F),
-            "G": _matrix_rows(spec.G),
-            "H": _matrix_rows(spec.H),
+            "E": spec.E.tolist(),
+            "F": spec.F.tolist(),
+            "G": spec.G.tolist(),
+            "H": spec.H.tolist(),
         }
     raise TypeError(f"unknown spec {type(spec).__name__}")
 
@@ -422,12 +418,9 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None) -> Scen
     verdict = spectral_abscissa(assemble_game_loop(game, specs).matrix)
     if target is not None:
         converged, hit = detect_convergence(traj, target)
-    else:
+    else:  # the rule of gradplay simulate: settled, at a certified equilibrium
+        converged = traj.converged and verify_ne(game, traj.final_profile(), tol=1e-3).is_ne
         hit = None
-        converged = False
-        if traj.converged:
-            cert = verify_ne(game, traj.final_profile(), tol=1e-3)
-            converged = cert.is_ne
     consistent = verdict.stable == converged
     sweep = None
     if preset.sweep:
@@ -537,12 +530,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.mu_min <= 0 or args.mu_max < args.mu_min or args.points < 1:
         raise ValueError("need 0 < mu-min <= mu-max and points >= 1")
-    probe_game = make_jordan(1.0)
-    specs = load_specs_file(args.specs, probe_game)
-    if args.points == 1:
-        grid = np.array([args.mu_min])
-    else:
-        grid = np.logspace(np.log10(args.mu_min), np.log10(args.mu_max), args.points)
+    specs = load_specs_file(args.specs, make_jordan(1.0))  # checked against the template's dims
+    grid = default_gain_grid(args.mu_min, args.mu_max, args.points)
     sweep = _jordan_sweep(specs, grid)
     write_sweep_csv(args.out, sweep)
     _emit(

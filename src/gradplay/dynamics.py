@@ -81,7 +81,8 @@ class HigherOrderGradientPlay:
         dv  = y
 
     Shapes with aux dimension l and signal dimension r = k - 1:
-    E is l x l, F is l x r, G is r x l, H is r x r.
+    E is l x l, F is l x r, G is r x l, H is r x r. With l = 0 the
+    compensator is the static gain u = H y.
     """
 
     E: np.ndarray
@@ -94,6 +95,8 @@ class HigherOrderGradientPlay:
         F = np.atleast_2d(np.asarray(self.F, dtype=float))
         G = np.atleast_2d(np.asarray(self.G, dtype=float))
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
+        if E.size == F.size == G.size == 0:  # a static gain; numpy reads JSON's [] as 1 x 0
+            E, F, G = E.reshape(0, 0), F.reshape(0, H.shape[0]), G.reshape(H.shape[0], 0)
         if not all(np.isfinite(M).all() for M in (E, F, G, H)):
             raise ValueError("E, F, G and H must have finite entries")
         if E.shape[0] != E.shape[1]:

@@ -203,7 +203,7 @@ def make_coordination() -> PolymatrixGame:
 
 
 def perturb_jordan_diagonal(d1: float, d2: float, d3: float) -> PolymatrixGame:
-    """Anti-coordination game with d_i added on the diagonal of each pair matrix.
+    """make_jordan(1.0) with d1, d2, d3 added on the diagonals of pairs (0, 1), (1, 2), (2, 0).
 
     For d_i in [0, 1) the uniform profile remains a completely mixed Nash
     equilibrium (the payoff vectors stay constant).
@@ -211,14 +211,9 @@ def perturb_jordan_diagonal(d1: float, d2: float, d3: float) -> PolymatrixGame:
     ds = (float(d1), float(d2), float(d3))
     if not all(0.0 <= d < 1.0 for d in ds):
         raise ValueError("diagonal perturbations must lie in [0, 1)")
-    return PolymatrixGame(
-        dims=(2, 2, 2),
-        pair_matrices={
-            (0, 1): _ANTI + ds[0] * np.eye(2),
-            (1, 2): _ANTI + ds[1] * np.eye(2),
-            (2, 0): _ANTI + ds[2] * np.eye(2),
-        },
-    )
+    game = make_jordan(1.0)
+    cycle = zip(game.pair_matrices.items(), ds)
+    return PolymatrixGame(game.dims, {key: m + d * np.eye(2) for (key, m), d in cycle})
 
 
 def _polar_gaussians(rng, count: int) -> np.ndarray:

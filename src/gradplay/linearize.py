@@ -91,16 +91,22 @@ def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
 
     The matrix itself depends only on the pair matrices and tangent bases; the
     profile is required to certify that local coordinates are valid (a
-    boundary profile has no tangent-space neighbourhood).
+    boundary profile has no tangent-space neighbourhood). Raises
+    NonFiniteInputError naming the first pair, in sorted order, whose reduced
+    block N_i^T M[i,j] N_j is not finite.
     """
     xs = validate_profile(game, ne_profile)
     if any(float(np.min(x)) <= MIXED_TOL for x in xs):
         raise ValueError(
             "profile is not completely mixed; local coordinates are undefined at the boundary"
         )
-    M = _local_matrix_raw(game)
-    _warn_if_singular(M, "local game matrix")
-    return GameLocalMatrix(M, game.dims)
+    with np.errstate(over="ignore", invalid="ignore"):
+        local = GameLocalMatrix(_local_matrix_raw(game), game.dims)
+    if not np.isfinite(local.matrix).all():
+        bad = next(p for p in sorted(game.pair_matrices) if not np.isfinite(local.block(*p)).all())
+        raise NonFiniteInputError(f"reduced coupling block {bad} is not finite")
+    _warn_if_singular(local.matrix, "local game matrix")
+    return local
 
 
 @dataclass(frozen=True)

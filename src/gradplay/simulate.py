@@ -166,7 +166,6 @@ class _Flow:
             (rule, np.array(r), np.array(t)[:, None]) for (rule, _), (r, t) in plan.items()
         ]
         self.regions = {} if _projection_family(specs) else None
-        self.bounds = [(layout.x_slice(i).start, layout.x_slice(i).stop) for i in range(layout.n)]
         self.step = cfg.step
         self.length = min(cfg.record_stride, _MAX_BLOCK)
         # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
@@ -350,10 +349,10 @@ def _build_region(flow: _Flow, mask) -> _Region:
     nx, dim = PRE.shape
     W = np.zeros((nx, nx))
     r = np.zeros(nx)
-    for lo, hi in flow.bounds:
-        s = mask[lo:hi]
-        W[lo:hi, lo:hi] = s / s.sum()
-        r[lo:hi] = 1.0 / s.sum()
+    for _, rows, _ in flow.groups:  # (m, k) rows of m players; each block row is s / |S|
+        s = mask[rows]
+        W[rows[:, :, None], rows[:, None, :]] = (s / s.sum(axis=1, keepdims=True))[:, None]
+        r[rows] = 1.0 / s.sum(axis=1, keepdims=True)
     # With theta = (1_S^T z - 1) / |S| per player, R z + r = z - theta. The
     # projection of z is (R z + r) on S and 0 off S exactly when that residual
     # is >= 0 on S and <= 0 off S; sign turns both into ">= 0" margins. With

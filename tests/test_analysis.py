@@ -169,23 +169,79 @@ def test_mode_support_jordan_satisfied():
     assert len(report.entries) == 2
 
 
+def _decoupled_coordination_pairs():
+    return PolymatrixGame(
+        (2, 2, 2, 2),
+        {(0, 1): np.eye(2), (1, 0): np.eye(2), (2, 3): 2.0 * np.eye(2), (3, 2): 2.0 * np.eye(2)},
+    )
+
+
 def test_mode_support_decoupled_block_violated():
     # two decoupled coordination pairs with distinct couplings: each unstable
     # eigenvector lives on a single pair's block
-    g = PolymatrixGame(
-        (2, 2, 2, 2),
-        {
-            (0, 1): np.eye(2),
-            (1, 0): np.eye(2),
-            (2, 3): 2.0 * np.eye(2),
-            (3, 2): 2.0 * np.eye(2),
-        },
-    )
+    g = _decoupled_coordination_pairs()
     local = assemble_local_game(g, uniform_profile(g))
     report = check_mode_support(local)
     assert not report.satisfied
     assert not report.indeterminate
     assert any(not entry.ok for entry in report.entries)
+
+
+def test_mode_support_agrees_with_per_player_pbh():
+    # Two independent algorithms: block norms of scipy's left and right
+    # eigenvectors of M, and SVD rank tests on the plant A = [[M, 0], [M, -I]].
+    # At an eigenvalue lam of M other than -1, A's left eigenvector is (p, 0)
+    # with p M = lam p, and C_i maps A's right eigenvector to
+    # lam^2 / (1 + lam) w_i with M w = lam w. So where every unstable
+    # eigenvalue is simple and away from 0 and -1, "every player's PBH tests
+    # pass" and "every mode has support on every block" are the same verdict.
+    rng = np.random.default_rng(20261019)
+    games = [_decoupled_coordination_pairs()]
+    profiles = [uniform_profile(games[0])]
+    for draw in range(200):
+        n = int(rng.integers(2, 6))
+        dims = [int(rng.integers(2, 5)) for _ in range(n)]
+        if draw % 2:
+            game, profile = random_mixed_ne_game(rng, n=n, dims=dims)
+        else:
+            # players 0..s-1 and s..n-1 as two groups, decoupled, one-way coupled
+            # (the second reads the first) or fully coupled: the first two leave
+            # some mode off some block (assemble_local_game needs no equilibrium)
+            n, s = n + 2, int(rng.integers(2, n + 1))
+            reads = [(0, 0), (1, 1), (1, 0), (0, 1)][: 2 + draw % 6 // 2]
+            pairs = [
+                (i, j) for i in range(n) for j in range(n) if i != j and (i >= s, j >= s) in reads
+            ]
+            k = dims[0]
+            game = PolymatrixGame((k,) * n, {p: rng.normal(size=(k, k)) for p in pairs})
+            profile = uniform_profile(game)
+        games.append(game)
+        profiles.append(profile)
+    verdicts = []
+    for game, profile in zip(games, profiles):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            local = assemble_local_game(game, profile)
+        if caught:  # singular M: 0 is an eigenvalue
+            continue
+        lam = np.linalg.eigvals(local.matrix)
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        unstable = lam[lam.real >= -gradplay.analysis.STABILITY_TOL]
+        nearest = [np.sort(np.abs(lam - z))[1] for z in unstable]  # the closest other eigenvalue
+        away = min(np.min(np.abs(unstable)), np.min(np.abs(unstable + 1)))
+        if min(nearest) <= 1e-6 * scale or away <= 1e-6:
+            continue
+        plant = assemble_plant(local)
+        pbh = all(
+            pbh_stabilizable(plant.A, B).ok and pbh_detectable(plant.A, C).ok
+            for B, C in zip(plant.B_blocks, plant.C_blocks)
+        )
+        support = check_mode_support(local)
+        assert not support.indeterminate
+        assert support.satisfied == pbh
+        verdicts.append(pbh)
+    assert verdicts[0] is False  # the decoupled pairs fail both tests
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
 def test_mode_support_ignores_stable_eigenvalues():

@@ -126,6 +126,51 @@ def test_specs_round_trip_all_variants():
     assert_allclose(loaded[0].H, [[0.25]])
 
 
+@pytest.mark.parametrize("aux", [0, 1, 2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_specs_round_trip_keeps_aux_dimension(aux, k):
+    # aux 0 is a static gain: E, F and G have no entries, and JSON writes them as
+    # [], [] and [[]] * (k - 1), which numpy alone reads back as 1 x 0 arrays
+    rng = np.random.default_rng(10 * aux + k)
+    r = k - 1
+    spec = HigherOrderGradientPlay(
+        E=rng.normal(size=(aux, aux)),
+        F=rng.normal(size=(aux, r)),
+        G=rng.normal(size=(r, aux)),
+        H=rng.normal(size=(r, r)),
+    )
+    game = PolymatrixGame((k, 2), {})
+    doc = json.loads(json.dumps(specs_to_json([spec, GradientPlay()])))
+    (loaded, _) = specs_from_json(doc, game)
+    for name in "EFGH":
+        before, after = getattr(spec, name), getattr(loaded, name)
+        assert after.shape == before.shape
+        assert_array_equal(after, before)
+    assert loaded.aux_dim == aux
+
+
+STATIC_GAIN_SPECS = {
+    "players": [
+        {"variant": "higher_order", "E": [], "F": [], "G": [[]], "H": [[2.0]]},
+        {"variant": "gradient_play"},
+        {"variant": "gradient_play"},
+    ]
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_static_gain_spec_file_runs(capsys, jordan_file, tmp_path, command):
+    specs = tmp_path / "static.json"
+    specs.write_text(json.dumps(STATIC_GAIN_SPECS))
+    argv = [command, jordan_file, str(specs)]
+    if command == "simulate":
+        argv += ["--horizon", "1", "--out", str(tmp_path / "trajectory.csv")]
+    code, out, err = run(capsys, argv)
+    assert code in (0, 1), err
+    assert err == ""
+    json.loads(out)
+
+
 def test_specs_anticipatory_expansion():
     g = make_jordan()
     doc = {
@@ -373,6 +418,20 @@ def test_overflowing_payoff_exits_2(capsys, tmp_path, command):
         code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: payoff of player 0 is not finite\n"
+
+
+def test_analyze_overflowing_reduced_coupling_exits_2(capsys, tmp_path):
+    # every payoff at the uniform profile is 0, but N_i^T M N_j overflows
+    M = [[1.5e308, -1.5e308], [-1.5e308, 1.5e308]]
+    game = tmp_path / "big.json"
+    game.write_text(json.dumps(game_to_json(PolymatrixGame((2, 2), {(0, 1): M, (1, 0): M}))))
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps(specs_to_json([make_anticipatory(1.0, 1.0, 2), GradientPlay()])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["analyze", str(game), str(specs)])
+    assert (code, out) == (2, "")
+    assert err == "error: reduced coupling block (0, 1) is not finite\n"
 
 
 @pytest.mark.parametrize("other", [Replicator(), GradientPlay()], ids=["replicator", "gradient"])

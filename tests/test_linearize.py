@@ -30,7 +30,7 @@ from gradplay.linearize import (
     assemble_loop_family,
     assemble_plant,
 )
-from gradplay.simplex import project_to_simplex, tangent_basis
+from gradplay.simplex import NonFiniteInputError, project_to_simplex, tangent_basis
 
 from conftest import finite_difference_loop, random_mixed_ne_game, rescaled_jordan_split
 
@@ -508,3 +508,16 @@ def test_loop_family_and_probe_assemble_two_loops(monkeypatch):
     calls.clear()
     robustness_probe(game, specs, direction, max_delta=0.1)
     assert len(calls) == 2
+
+
+def test_overflowing_reduced_coupling_names_its_first_pair():
+    # pairs (1, 2) and (2, 0) overflow in N_i^T M N_j, (0, 1) does not; the
+    # error names the first bad pair in sorted order, with no numpy warning
+    big = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+    mats = {(2, 0): big, (0, 1): np.eye(2), (1, 2): big}
+    game = PolymatrixGame((2, 2, 2), mats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"^reduced coupling block \(1, 2\) is not finite$"
+        with pytest.raises(NonFiniteInputError, match=message):
+            assemble_local_game(game, uniform_profile(game))
