@@ -59,7 +59,6 @@ from .linearize import (
     GameLocalMatrix,
     assemble_closed_loop,
     assemble_flow_operators,
-    assemble_game_loop,
     assemble_local_game,
     assemble_loop_family,
     assemble_plant,

@@ -17,7 +17,6 @@ import numpy as np
 
 from .games import PolymatrixGame
 from .linearize import DecentralizedPlant, GameLocalMatrix, assemble_loop_family
-from .simplex import tangent_basis
 
 __all__ = [
     "StabilityVerdict",
@@ -402,9 +401,8 @@ def strong_stabilizability_2x2(game: PolymatrixGame) -> ParityResult:
     """Parity screen on a two-player game with binary strategies."""
     if game.n != 2 or game.dims != (2, 2):
         raise ValueError("parity screen applies to two players with two strategies each")
-    N = tangent_basis(2).N
-    m12 = float((N.T @ game.pair(0, 1) @ N)[0, 0])
-    m21 = float((N.T @ game.pair(1, 0) @ N)[0, 0])
+    M = GameLocalMatrix.from_game(game).matrix
+    m12, m21 = float(M[0, 1]), float(M[1, 0])
     if abs(m12 * m21) <= PARITY_TOL:
         raise ValueError(
             "m12 * m21 vanishes: the mixed equilibrium is not isolated"

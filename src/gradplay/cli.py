@@ -40,7 +40,7 @@ from .games import (
     uniform_profile,
     verify_ne,
 )
-from .linearize import assemble_closed_loop, assemble_game_loop, assemble_local_game, assemble_plant
+from .linearize import GameLocalMatrix, assemble_closed_loop, assemble_local_game, assemble_plant
 from .simplex import tangent_basis
 from .simulate import (
     NonFiniteStateError,
@@ -321,7 +321,9 @@ def _offset_profile(game: PolymatrixGame) -> list:
 
 def _jordan_sweep(specs, grid) -> SweepResult:
     """Sweep the Jordan game's payoff scale over grid, assembling its loop at every point."""
-    return gain_sweep(lambda g: assemble_game_loop(make_jordan(g), specs).matrix, grid)
+    return gain_sweep(
+        lambda g: assemble_closed_loop(GameLocalMatrix.from_game(make_jordan(g)), specs).matrix, grid
+    )
 
 
 def _take(overrides: dict, allowed: dict) -> dict:
@@ -415,7 +417,7 @@ def run_scenario(name: str, overrides: dict | None = None, out_dir=None) -> Scen
     cfg = SimConfig(step=o["h"], horizon=o["horizon"], record_stride=preset.stride)
     target = uniform_profile(game) if preset.uniform_target else None
     traj = simulate_coupled(game, specs, _offset_profile(game), cfg)
-    verdict = spectral_abscissa(assemble_game_loop(game, specs).matrix)
+    verdict = spectral_abscissa(assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix)
     if target is not None:
         converged, hit = detect_convergence(traj, target)
     else:  # the rule of gradplay simulate: settled, at a certified equilibrium
@@ -652,7 +654,3 @@ def main(argv=None) -> int:
     except NonFiniteStateError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

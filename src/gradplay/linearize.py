@@ -24,7 +24,6 @@ __all__ = [
     "DecentralizedPlant",
     "assemble_local_game",
     "assemble_closed_loop",
-    "assemble_game_loop",
     "assemble_loop_family",
     "assemble_flow_operators",
     "assemble_plant",
@@ -56,6 +55,26 @@ class GameLocalMatrix:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.matrix[self.block_slice(i), self.block_slice(j)]
 
+    @classmethod
+    def from_game(cls, game: PolymatrixGame) -> GameLocalMatrix:
+        """Reduced coupling straight from the pair matrices, with no profile check.
+
+        Raises NonFiniteInputError naming the first pair, in sorted order,
+        whose reduced block N_i^T M[i,j] N_j is not finite.
+        """
+        N = {k: tangent_basis(k).N for k in set(game.dims)}
+        slices = _tangent_slices(game.dims)
+        ell = sum(k - 1 for k in game.dims)
+        M = np.zeros((ell, ell))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (i, j), mat in game.pair_matrices.items():
+                M[slices[i], slices[j]] = N[game.dims[i]].T @ mat @ N[game.dims[j]]
+        local = cls(M, game.dims)
+        if not np.isfinite(M).all():
+            bad = next(p for p in sorted(game.pair_matrices) if not np.isfinite(local.block(*p)).all())
+            raise NonFiniteInputError(f"reduced coupling block {bad} is not finite")
+        return local
+
 
 def _warn_if_singular(M: np.ndarray, what: str):
     sv = np.linalg.svd(M, compute_uv=False)
@@ -76,35 +95,20 @@ def _tangent_slices(dims) -> list:
     return out
 
 
-def _local_matrix_raw(game: PolymatrixGame) -> np.ndarray:
-    bases = [tangent_basis(k) for k in game.dims]
-    slices = _tangent_slices(game.dims)
-    ell = sum(k - 1 for k in game.dims)
-    M = np.zeros((ell, ell))
-    for (i, j), mat in game.pair_matrices.items():
-        M[slices[i], slices[j]] = bases[i].N.T @ mat @ bases[j].N
-    return M
-
-
 def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
     """Reduced coupling matrix at a completely mixed equilibrium profile.
 
     The matrix itself depends only on the pair matrices and tangent bases; the
     profile is required to certify that local coordinates are valid (a
     boundary profile has no tangent-space neighbourhood). Raises
-    NonFiniteInputError naming the first pair, in sorted order, whose reduced
-    block N_i^T M[i,j] N_j is not finite.
+    NonFiniteInputError as GameLocalMatrix.from_game does.
     """
     xs = validate_profile(game, ne_profile)
     if any(float(np.min(x)) <= MIXED_TOL for x in xs):
         raise ValueError(
             "profile is not completely mixed; local coordinates are undefined at the boundary"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        local = GameLocalMatrix(_local_matrix_raw(game), game.dims)
-    if not np.isfinite(local.matrix).all():
-        bad = next(p for p in sorted(game.pair_matrices) if not np.isfinite(local.block(*p)).all())
-        raise NonFiniteInputError(f"reduced coupling block {bad} is not finite")
+    local = GameLocalMatrix.from_game(game)
     _warn_if_singular(local.matrix, "local game matrix")
     return local
 
@@ -167,17 +171,18 @@ def _build_loop(K, lift, dims, specs, washed, xdiag):
             H[sl, sl] = spec.H
     m = K.shape[0]
     a = m + L
-    TK = lift.T @ K
-    LH = lift @ H
-    out = np.zeros((a + TK[washed].shape[0],) * 2)
-    out[:m, :m] = K + LH @ TK + np.diag(xdiag)
-    out[:m, m:a] = lift @ G
-    out[:m, a:] = -LH[:, washed]
-    out[m:a, :m] = F @ TK
-    out[m:a, m:a] = E
-    out[m:a, a:] = -F[:, washed]
-    out[a:, :m] = TK[washed]
-    out[a:, a:] = -np.eye(out.shape[0] - a)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check what they need finite
+        TK = lift.T @ K
+        LH = lift @ H
+        out = np.zeros((a + TK[washed].shape[0],) * 2)
+        out[:m, :m] = K + LH @ TK + np.diag(xdiag)
+        out[:m, m:a] = lift @ G
+        out[:m, a:] = -LH[:, washed]
+        out[m:a, :m] = F @ TK
+        out[m:a, m:a] = E
+        out[m:a, a:] = -F[:, washed]
+        out[a:, :m] = TK[washed]
+        out[a:, a:] = -np.eye(out.shape[0] - a)
     return out, auxes
 
 
@@ -199,15 +204,6 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
     return ClosedLoopMatrix(J, local.dims, auxes)
 
 
-def assemble_game_loop(game: PolymatrixGame, specs) -> ClosedLoopMatrix:
-    """Closed-loop matrix straight from the pair matrices, with no profile check.
-
-    For sweeps that rebuild the game at every evaluation, and for the loop
-    families of assemble_loop_family.
-    """
-    return assemble_closed_loop(GameLocalMatrix(_local_matrix_raw(game), game.dims), specs)
-
-
 def assemble_loop_family(game: PolymatrixGame, specs, direction) -> tuple:
     """Matrices (J0, J1) with J0 + t J1 the closed loop of pair matrices M + t D.
 
@@ -216,8 +212,9 @@ def assemble_loop_family(game: PolymatrixGame, specs, direction) -> tuple:
     loop of the direction alone with every later column zeroed: the w columns
     of the game with no pairs are zero.
     """
-    J0 = assemble_game_loop(game, specs).matrix
-    J1 = assemble_game_loop(PolymatrixGame(game.dims, direction), specs).matrix
+    J0 = assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix
+    D = GameLocalMatrix.from_game(PolymatrixGame(game.dims, direction))
+    J1 = assemble_closed_loop(D, specs).matrix
     J1[:, sum(k - 1 for k in game.dims) :] = 0.0
     return J0, J1
 
@@ -247,8 +244,7 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
     washed = np.flatnonzero(lift.any(axis=0))  # the tangent rows that have a washout
     # the projection argument carries x; the other rules' rows read the payoff alone
     projected = [isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, auxes = _build_loop(K, lift, game.dims, specs, washed, np.repeat(projected, game.dims))
+    out, auxes = _build_loop(K, lift, game.dims, specs, washed, np.repeat(projected, game.dims))
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         # 0 * inf in lift^T K and LH @ TK spreads NaN from one player's rows

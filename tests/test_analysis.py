@@ -524,6 +524,16 @@ def test_parity_degenerate_coupling_rejected():
         strong_stabilizability_2x2(make_jordan())
 
 
+def test_parity_screen_reads_the_reduced_coupling():
+    # m12 and m21 are the off-diagonal entries of the generic reduced coupling
+    rng = np.random.default_rng(2020)
+    for _ in range(200):
+        game, _ = random_mixed_ne_game(rng, n=2, dims=[2, 2])
+        M = GameLocalMatrix.from_game(game).matrix
+        res = strong_stabilizability_2x2(game)
+        assert res.m12 == M[0, 1] and res.m21 == M[1, 0]
+
+
 # --- robustness probe -------------------------------------------------------------
 
 

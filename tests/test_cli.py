@@ -741,6 +741,36 @@ def test_scenario_blowup_prints_only_the_numeric_failure(tmp_path):
     assert out.stderr == "numeric failure: nonfinite state encountered at t = 190\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["verify", data_path("jordan.game.json")], 0, ""),
+        (
+            ["sweep", "jordan", data_path("jordan_rescaled.specs.json"), "--mu-min", "1e300"]
+            + ["--mu-max", "1e308", "--points", "3"],
+            2,
+            "error: Array must not contain infs or NaNs\n",
+        ),
+    ],
+    ids=["verify", "overflowing-sweep"],
+)
+def test_module_run_prints_only_its_own_errors(tmp_path, argv, code, stderr):
+    # `python -m gradplay` in a fresh interpreter with the default warning
+    # filters: no runpy warning, and no numpy warning from an overflowing loop
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("PYTHONWARNINGS", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "gradplay", *argv],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == code
+    assert out.stderr == stderr
+
+
 def test_simulate_divergent_run_exits_1(capsys, tmp_path, gp_specs_file, jordan_file):
     out_csv = tmp_path / "t.csv"
     code, out, _ = run(

@@ -6,7 +6,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gradplay.linearize as linearize
-from gradplay.analysis import robustness_probe
+from gradplay.analysis import robustness_probe, strong_stabilizability_2x2
 from gradplay.dynamics import (
     GradientPlay,
     HigherOrderGradientPlay,
@@ -25,7 +25,6 @@ from gradplay.linearize import (
     GameLocalMatrix,
     assemble_closed_loop,
     assemble_flow_operators,
-    assemble_game_loop,
     assemble_local_game,
     assemble_loop_family,
     assemble_plant,
@@ -168,7 +167,7 @@ def test_closed_loop_rejects_rules_outside_the_projection_family(rule):
         with pytest.raises(ValueError, match=type(rule).__name__):
             assemble_closed_loop(local, specs)
         with pytest.raises(ValueError, match=type(rule).__name__):
-            assemble_game_loop(g, specs)
+            assemble_closed_loop(GameLocalMatrix.from_game(g), specs)
         with pytest.raises(ValueError, match=type(rule).__name__):
             robustness_probe(g, specs, {(0, 1): np.eye(2)})
         # the simulator's flow operators keep accepting every rule
@@ -230,7 +229,7 @@ def test_rescaled_jordan_gain_identity():
     specs = all_anticipatory_specs()
     A, B, C = rescaled_jordan_split(specs)
     for mu in (0.1, 1.0, 5.0, 60.0):
-        J = assemble_game_loop(make_jordan(mu), specs).matrix
+        J = assemble_closed_loop(GameLocalMatrix.from_game(make_jordan(mu)), specs).matrix
         assert_allclose(A - mu * (B @ C), J, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(J))))
         ev1 = np.sort_complex(np.linalg.eigvals(J))
         ev2 = np.sort_complex(np.linalg.eigvals(A - mu * (B @ C)))
@@ -307,7 +306,12 @@ def test_simulator_flow_linearizes_to_closed_loop():
             v0 + r for i in higher for r in range(offsets[i], offsets[i + 1])
         ]
         assert_allclose(J_sim, loop.matrix[np.ix_(keep, keep)], rtol=0, atol=1e-12)
-        assert_allclose(assemble_game_loop(game, specs).matrix, loop.matrix, rtol=0, atol=0)
+        assert_allclose(
+            assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix,
+            loop.matrix,
+            rtol=0,
+            atol=0,
+        )
 
 
 def _compensator(spec, k):
@@ -374,7 +378,9 @@ def test_loop_family_matches_perturbed_games():
             mats = dict(game.pair_matrices)
             for key, d in direction.items():
                 mats[key] = game.pair(*key) + t * d
-            J = assemble_game_loop(PolymatrixGame(game.dims, mats), specs).matrix
+            J = assemble_closed_loop(
+                GameLocalMatrix.from_game(PolymatrixGame(game.dims, mats)), specs
+            ).matrix
             assert_allclose(J0 + t * J1, J, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(J))))
 
 
@@ -487,7 +493,7 @@ def test_operators_equal_the_explicit_identity_formulas():
                 assemble_loop_family(game, specs, direction)
             continue
         assert_bits_equal(assemble_closed_loop(local, specs).matrix, J)
-        assert_bits_equal(assemble_game_loop(game, specs).matrix, J)
+        assert_bits_equal(assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix, J)
         J0, J1 = assemble_loop_family(game, specs, direction)
         JD = _explicit_closed_loop(PolymatrixGame(game.dims, direction), specs)[1]
         J_empty = _explicit_closed_loop(PolymatrixGame(game.dims), specs)[1]
@@ -511,13 +517,25 @@ def test_loop_family_and_probe_assemble_two_loops(monkeypatch):
 
 
 def test_overflowing_reduced_coupling_names_its_first_pair():
-    # pairs (1, 2) and (2, 0) overflow in N_i^T M N_j, (0, 1) does not; the
-    # error names the first bad pair in sorted order, with no numpy warning
+    # in the three-player game pairs (1, 2) and (2, 0) overflow in
+    # N_i^T M N_j, (0, 1) does not; in the two-player game both pairs do. The
+    # error names the first bad pair in sorted order, with no numpy warning,
+    # on every route from a game to its reduced coupling
     big = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
     mats = {(2, 0): big, (0, 1): np.eye(2), (1, 2): big}
     game = PolymatrixGame((2, 2, 2), mats)
+    pair = PolymatrixGame((2, 2), {(0, 1): big, (1, 0): big})
+    specs, direction = [make_anticipatory(1, 1, 2), GradientPlay()], {(0, 1): np.eye(2)}
+    routes = [
+        ((1, 2), lambda: assemble_local_game(game, uniform_profile(game))),
+        ((0, 1), lambda: GameLocalMatrix.from_game(pair)),
+        ((0, 1), lambda: assemble_loop_family(pair, specs, direction)),
+        ((0, 1), lambda: robustness_probe(pair, specs, direction)),
+        ((0, 1), lambda: strong_stabilizability_2x2(pair)),
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        message = r"^reduced coupling block \(1, 2\) is not finite$"
-        with pytest.raises(NonFiniteInputError, match=message):
-            assemble_local_game(game, uniform_profile(game))
+        for (i, j), route in routes:
+            message = rf"^reduced coupling block \({i}, {j}\) is not finite$"
+            with pytest.raises(NonFiniteInputError, match=message):
+                route()
