@@ -17,6 +17,7 @@ import numpy as np
 
 from .games import PolymatrixGame
 from .linearize import DecentralizedPlant, GameLocalMatrix, assemble_loop_family
+from .simplex import NonFiniteInputError
 
 __all__ = [
     "StabilityVerdict",
@@ -53,16 +54,7 @@ PARITY_TOL = 1e-12  # smallest |m12 m21| of an isolated 2x2 equilibrium
 SWEEP_REFINE_WIDTH = 1e-4  # width of a gain_sweep crossing bracket
 PROBE_GAP = 1e-3  # width of a robustness_probe bracket
 PROBE_SCAN_POINTS = 16  # scales of robustness_probe's upward scan
-
-
-def _sorted_eigenvalues(M: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvals(M)
-    order = np.lexsort((-ev.imag, -ev.real))
-    return ev[order]
-
-
-def _is_stable(M: np.ndarray) -> bool:
-    return float(np.max(np.linalg.eigvals(M).real)) < -STABILITY_TOL
+_SWEEP_BLOCK = 256  # grid points whose spectra gain_sweep computes in one stacked call
 
 
 @dataclass(frozen=True)
@@ -81,7 +73,8 @@ def spectral_abscissa(M) -> StabilityVerdict:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    ev = _sorted_eigenvalues(M)
+    ev = np.linalg.eigvals(M)
+    ev = ev[np.lexsort((-ev.imag, -ev.real))]
     alpha = float(np.max(ev.real))
     return StabilityVerdict(alpha, alpha < -STABILITY_TOL, ev)
 
@@ -343,15 +336,36 @@ def _bisect_flip(build_matrix, lo: float, hi: float, lo_flag: bool, width: float
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if _is_stable(build_matrix(mid)) == lo_flag:
+        mid_flag = float(np.max(np.linalg.eigvals(build_matrix(mid)).real)) < -STABILITY_TOL
+        if mid_flag == lo_flag:
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
+def _sweep_block(build_matrix, gains: np.ndarray) -> tuple:
+    """Sorted spectra and stability flags at gains from one stacked eigvals call."""
+    loops = np.stack([build_matrix(g) for g in gains])
+    finite = np.isfinite(loops).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteInputError(f"the loop at gain {float(gains[np.argmin(finite)])} is not finite")
+    ev = np.linalg.eigvals(loops)
+    ev = np.take_along_axis(ev, np.lexsort((-ev.imag, -ev.real), axis=-1), axis=-1)
+    # a row with no imaginary part is real, as eigvals returns it for one real matrix
+    complex_input = np.iscomplexobj(loops)
+    rows = [row if complex_input or row.imag.any() else row.real.copy() for row in ev]
+    return rows, ev.real.max(axis=1) < -STABILITY_TOL
+
+
 def gain_sweep(build_matrix: Callable[[float], np.ndarray], grid) -> SweepResult:
-    """Sweep a scalar gain, recording spectra and bracketing stability flips."""
+    """Sweep a scalar gain, recording spectra and bracketing stability flips.
+
+    build_matrix is called once per grid point in grid order, then once per
+    bisection step. Every grid matrix must share one shape, since the spectra
+    are computed in stacked blocks; a matrix that is not finite raises
+    NonFiniteInputError naming the first such gain.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-D array")
@@ -364,10 +378,10 @@ def gain_sweep(build_matrix: Callable[[float], np.ndarray], grid) -> SweepResult
 
     eigenvalues = []
     stable = np.zeros(grid.size, dtype=bool)
-    for idx, g in enumerate(grid):
-        ev = _sorted_eigenvalues(build_matrix(g))
-        eigenvalues.append(ev)
-        stable[idx] = float(np.max(ev.real)) < -STABILITY_TOL
+    for start in range(0, grid.size, _SWEEP_BLOCK):
+        block = slice(start, start + _SWEEP_BLOCK)
+        rows, stable[block] = _sweep_block(build_matrix, grid[block])
+        eigenvalues += rows
     crossings = []
     for idx in range(grid.size - 1):
         if stable[idx] != stable[idx + 1]:
@@ -431,9 +445,9 @@ def robustness_probe(
     The game matrices are perturbed as M[i,j] + delta * direction[i,j]; the
     closed loop is affine in delta, J0 + delta J1, and is assembled once (the
     reduced coupling depends only on the matrices and tangent bases, not on
-    where the equilibrium sits).  An upward scan of PROBE_SCAN_POINTS scales
-    finds the first unstable one, then bisection tightens the bracket to
-    PROBE_GAP.
+    where the equilibrium sits).  The nominal loop and an upward scan of
+    PROBE_SCAN_POINTS scales are evaluated as one stack; bisection from the
+    first unstable scale tightens the bracket to PROBE_GAP.
     """
     if not (math.isfinite(max_delta) and max_delta > 0):
         raise ValueError(f"max_delta must be positive and finite, got {max_delta}")
@@ -441,20 +455,18 @@ def robustness_probe(
         if not np.all(np.isfinite(np.asarray(d, dtype=float))):
             raise ValueError(f"direction {key} has non-finite entries")
     J0, J1 = assemble_loop_family(game, specs, direction)
-    # the loop is affine in delta, so finite at both ends means finite between
+    scan = np.linspace(0.0, max_delta, PROBE_SCAN_POINTS + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(J0 + max_delta * J1)):
-            raise ValueError(f"the loop at max_delta = {max_delta} overflows")
-
-    def loop(delta: float) -> np.ndarray:
-        return J0 + delta * J1
-
-    if not _is_stable(loop(0.0)):
+        loops = J0 + scan[:, None, None] * J1
+    if not np.all(np.isfinite(loops)):
+        raise ValueError(f"the loop at max_delta = {max_delta} overflows")
+    stable = np.linalg.eigvals(loops).real.max(axis=1) < -STABILITY_TOL
+    if not stable[0]:
         raise ValueError("nominal closed loop is unstable; nothing to certify")
-    lo = 0.0
-    for d in np.linspace(0.0, max_delta, PROBE_SCAN_POINTS + 1)[1:]:
-        if not _is_stable(loop(float(d))):
-            lo, hi = _bisect_flip(loop, lo, float(d), True, PROBE_GAP)
-            return RobustnessResult(lo, hi, max_delta)
-        lo = float(d)
-    return RobustnessResult(max_delta, None, max_delta)
+    if stable.all():
+        return RobustnessResult(max_delta, None, max_delta)
+    first = int(np.argmin(stable))
+    lo, hi = _bisect_flip(
+        lambda delta: J0 + delta * J1, float(scan[first - 1]), float(scan[first]), True, PROBE_GAP
+    )
+    return RobustnessResult(lo, hi, max_delta)

@@ -106,7 +106,7 @@ def validate_profile(game: PolymatrixGame, profile) -> list:
         if x.shape != (game.dims[i],):
             raise ValueError(f"strategy {i} has shape {x.shape}, expected ({game.dims[i]},)")
         # "not <=" so that a NaN or infinite entry (sum NaN or infinite) fails too
-        if np.min(x) < -1e-12 or not abs(float(np.sum(x)) - 1.0) <= 1e-12:
+        if x.min() < -1e-12 or not abs(float(x.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"strategy {i} is not a probability vector")
         out.append(x)
     return out

@@ -104,7 +104,7 @@ def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
     NonFiniteInputError as GameLocalMatrix.from_game does.
     """
     xs = validate_profile(game, ne_profile)
-    if any(float(np.min(x)) <= MIXED_TOL for x in xs):
+    if any(float(x.min()) <= MIXED_TOL for x in xs):
         raise ValueError(
             "profile is not completely mixed; local coordinates are undefined at the boundary"
         )

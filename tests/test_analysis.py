@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gradplay.analysis
+import gradplay.linearize
 from gradplay.analysis import (
+    PROBE_GAP,
+    PROBE_SCAN_POINTS,
+    STABILITY_TOL,
+    SWEEP_REFINE_WIDTH,
     check_mode_support,
     decentralized_stabilizable,
     default_gain_grid,
@@ -30,8 +36,10 @@ from gradplay.linearize import (
     GameLocalMatrix,
     assemble_closed_loop,
     assemble_local_game,
+    assemble_loop_family,
     assemble_plant,
 )
+from gradplay.simplex import NonFiniteInputError
 
 from conftest import (
     exhaustive_fixed_modes,
@@ -481,6 +489,118 @@ def test_sweep_bracket_stops_at_adjacent_floats():
     assert lo < 1.5e15 <= hi and np.nextafter(lo, np.inf) == hi
 
 
+# Per-point references for the stacked sweep and probe: one eigvals call and
+# one sort per matrix.
+
+
+def per_point_is_stable(M):
+    return float(np.max(np.linalg.eigvals(M).real)) < -STABILITY_TOL
+
+
+def per_point_bisect(build, lo, hi, lo_flag, width):
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if per_point_is_stable(build(mid)) == lo_flag:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def per_point_sweep(build, grid):
+    eigenvalues, stable = [], []
+    for g in grid:
+        ev = np.linalg.eigvals(build(g))
+        ev = ev[np.lexsort((-ev.imag, -ev.real))]
+        eigenvalues.append(ev)
+        stable.append(float(np.max(ev.real)) < -STABILITY_TOL)
+    crossings = [
+        per_point_bisect(build, float(grid[i]), float(grid[i + 1]), stable[i], SWEEP_REFINE_WIDTH)
+        for i in range(len(grid) - 1)
+        if stable[i] != stable[i + 1]
+    ]
+    return eigenvalues, stable, crossings
+
+
+def assert_sweep_matches_per_point(build, grid):
+    res = gain_sweep(build, grid)
+    eigenvalues, stable, crossings = per_point_sweep(build, grid)
+    assert len(res.eigenvalues) == len(eigenvalues)
+    for got, want in zip(res.eigenvalues, eigenvalues):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert res.stable.dtype == bool and res.stable.tolist() == stable
+    assert list(res.crossings) == crossings
+    return res
+
+
+def test_stacked_sweep_matches_per_point_on_rescaled_jordan():
+    # 600 points make blocks of 256, 256 and 88
+    specs = all_anticipatory_specs()
+    res = assert_sweep_matches_per_point(
+        lambda g: loop_for_scale(g, specs), default_gain_grid(points=600)
+    )
+    assert len(res.crossings) == 2
+
+
+def real_then_complex(g):
+    # eigenvalues g - 2 +- sqrt(1 - g): real below g = 1, complex above, and
+    # unstable above g = 2
+    return np.array([[g - 2.0, 1.0], [1.0 - g, g - 2.0]])
+
+
+def test_stacked_sweep_matches_per_point_real_and_complex_rows():
+    grid = np.linspace(0.05, 4.0, 300)
+    res = assert_sweep_matches_per_point(real_then_complex, grid)
+    dtypes = {ev.dtype for ev in res.eigenvalues[:256]}
+    assert dtypes == {np.dtype(float), np.dtype(complex)}  # both within the first block
+    [(lo, hi)] = res.crossings
+    assert lo < 2.0 <= hi
+    # a complex matrix keeps complex eigenvalues, real or not
+    assert_sweep_matches_per_point(lambda g: real_then_complex(g).astype(complex), grid)
+
+
+def test_sweep_call_contract():
+    # every grid point in grid order, then one call per bisection step
+    calls = []
+
+    def build(g):
+        calls.append(g)
+        return real_then_complex(g)
+
+    grid = np.linspace(0.05, 4.0, 300)
+    res = gain_sweep(build, grid)
+    assert calls[: grid.size] == grid.tolist()
+    i = int(np.flatnonzero(res.stable[:-1] != res.stable[1:])[0])
+    lo, hi = float(grid[i]), float(grid[i + 1])
+    steps = []
+    while hi - lo > SWEEP_REFINE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        steps.append(mid)
+        lo, hi = (mid, hi) if per_point_is_stable(real_then_complex(mid)) else (lo, mid)
+    assert calls[grid.size :] == steps
+    assert res.crossings == ((lo, hi),)
+
+
+@pytest.mark.parametrize("bad", [3, 260, 299], ids=["first-block", "second-block", "last"])
+def test_sweep_names_first_nonfinite_gain(bad):
+    grid = np.linspace(1.0, 3.0, 300)
+
+    def build(g):
+        # not finite at grid[bad] and at every 7th gain after it
+        return np.full((2, 2), np.inf) if g in grid[bad::7] else -np.eye(2)
+
+    message = re.escape(f"the loop at gain {float(grid[bad])} is not finite")
+    with pytest.raises(NonFiniteInputError, match=message):
+        gain_sweep(build, grid)
+
+
+def test_sweep_rejects_matrices_of_different_shapes():
+    with pytest.raises(ValueError):
+        gain_sweep(lambda g: -np.eye(2 if g < 2 else 3), [1.0, 3.0])
+
+
 # --- parity screen ---------------------------------------------------------------
 
 
@@ -590,3 +710,69 @@ def test_robustness_probe_rejects_nonfinite_input(kwargs, name):
     args = {"direction": {(0, 1): np.eye(2)}, "max_delta": 1.0, **kwargs}
     with pytest.raises(ValueError, match=name):
         robustness_probe(make_jordan(), single_anticipatory_specs(), **args)
+
+
+def per_scale_probe(game, specs, direction, max_delta=1.0):
+    J0, J1 = assemble_loop_family(game, specs, direction)
+    loop = lambda delta: J0 + delta * J1
+    assert per_point_is_stable(loop(0.0))
+    lo = 0.0
+    for d in np.linspace(0.0, max_delta, PROBE_SCAN_POINTS + 1)[1:]:
+        if not per_point_is_stable(loop(float(d))):
+            return per_point_bisect(loop, lo, float(d), True, PROBE_GAP)
+        lo = float(d)
+    return max_delta, None
+
+
+def unit_direction(rng, game):
+    mats = {key: rng.normal(size=m.shape) for key, m in sorted(game.pair_matrices.items())}
+    norm = np.sqrt(sum(float(np.sum(m * m)) for m in mats.values()))
+    return {key: m / norm for key, m in mats.items()}
+
+
+def test_stacked_probe_matches_per_scale_scan_on_jordan():
+    rng = np.random.default_rng(2121)
+    game, specs = make_jordan(), single_anticipatory_specs()
+    found = 0
+    for _ in range(24):
+        direction = unit_direction(rng, game)
+        res = robustness_probe(game, specs, direction, max_delta=2.0)
+        assert (res.certified_delta, res.first_unstable_delta) == per_scale_probe(
+            game, specs, direction, max_delta=2.0
+        )
+        found += res.first_unstable_delta is not None
+    assert 0 < found < 24  # both outcomes occur (13 of 24 find a boundary)
+
+
+def test_stacked_probe_matches_per_scale_scan_on_random_games():
+    rng = np.random.default_rng(2122)
+    kept = found = 0
+    for n, k in [(2, 2), (3, 2), (4, 2), (2, 3)] * 25:
+        game, _ = random_mixed_ne_game(rng, n=n, dims=[k] * n)
+        specs = [make_anticipatory(5.0, 1.0, k) for _ in range(n)]
+        J0, _ = assemble_loop_family(game, specs, {})
+        if not per_point_is_stable(J0):
+            continue
+        kept += 1
+        direction = unit_direction(rng, game)
+        res = robustness_probe(game, specs, direction, max_delta=2.0)
+        assert (res.certified_delta, res.first_unstable_delta) == per_scale_probe(
+            game, specs, direction, max_delta=2.0
+        )
+        found += res.first_unstable_delta is not None
+    # 18 of the 100 draws have a stable nominal loop; 8 of those find a boundary
+    assert kept >= 15 and 0 < found < kept
+
+
+def test_robustness_probe_assembles_two_loops(monkeypatch):
+    calls = []
+    assemble = gradplay.linearize.assemble_closed_loop
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(gradplay.linearize, "assemble_closed_loop", counting)
+    d = {(0, 1): 0.8831 * np.eye(2), (1, 2): 0.4259 * np.eye(2), (2, 0): 0.7546 * np.eye(2)}
+    res = robustness_probe(make_jordan(), single_anticipatory_specs(), d)
+    assert res.first_unstable_delta is not None and len(calls) == 2

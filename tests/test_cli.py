@@ -749,7 +749,7 @@ def test_scenario_blowup_prints_only_the_numeric_failure(tmp_path):
             ["sweep", "jordan", data_path("jordan_rescaled.specs.json"), "--mu-min", "1e300"]
             + ["--mu-max", "1e308", "--points", "3"],
             2,
-            "error: Array must not contain infs or NaNs\n",
+            "error: the loop at gain 1e+308 is not finite\n",
         ),
     ],
     ids=["verify", "overflowing-sweep"],
