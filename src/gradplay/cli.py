@@ -10,6 +10,7 @@ import argparse
 import json
 import numbers
 import sys
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -487,9 +488,10 @@ def _cmd_analyze(args) -> int:
         )
         return EXIT_PRECONDITION
     local = assemble_local_game(game, profile)
-    loop = assemble_closed_loop(local, specs)
-    verdict = spectral_abscissa(loop.matrix)
-    plant = assemble_plant(local)
+    verdict = spectral_abscissa(assemble_closed_loop(local, specs).matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # assemble_local_game has warned
+        plant = assemble_plant(local)
     support = check_mode_support(local)
     dec = decentralized_stabilizable(plant)
     report = {

@@ -9,6 +9,7 @@ also gives the simulator's affine flow operators in full coordinates.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -87,12 +88,8 @@ def _warn_if_singular(M: np.ndarray, what: str):
 
 
 def _tangent_slices(dims) -> list:
-    out = []
-    start = 0
-    for k in dims:
-        out.append(slice(start, start + k - 1))
-        start += k - 1
-    return out
+    ends = list(itertools.accumulate((k - 1 for k in dims), initial=0))
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
@@ -264,11 +261,12 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
 class DecentralizedPlant:
     """Open-loop plant seen by the compensators, split per player.
 
-    A = [[M, 0], [M, -I]] on state (w, v); player i injects through
-    B_i = (S_i; 0) and measures y_i = (M_i-row, -S_i^T)(w; v), where S_i
-    selects player i's tangent block.  Stacking all B_i gives (I; 0) and
-    stacking all C_i gives (M, -I), the washout rows of A, so each block is a
-    slice of one of these.
+    A is the loop of plain gradient play (ClosedLoopMatrix, no xi). Player i
+    injects through B_i = (S_i; 0), S_i selecting its tangent block, and
+    measures C_i, A's washout rows of that block. At each lam != -1 the block
+    -(1 + lam) I is invertible, so player i's PBH tests and those of its
+    single-channel sub-plant [[M, 0], [S_i^T M, -I]], (S_i; 0), (S_i^T M, -I)
+    both reduce to [M - lam I, S_i] and [M - lam I; lam S_i^T M].
     """
 
     A: np.ndarray
@@ -291,13 +289,12 @@ class DecentralizedPlant:
 
 def assemble_plant(local: GameLocalMatrix) -> DecentralizedPlant:
     """Build the decentralized plant from the reduced coupling matrix."""
-    M = local.matrix
-    ell = M.shape[0]
-    _warn_if_singular(M, "local game matrix")
-    A = np.block([[M, np.zeros((ell, ell))], [M, -np.eye(ell)]])
+    _warn_if_singular(local.matrix, "local game matrix")
+    A = assemble_closed_loop(local, [GradientPlay()] * local.n).matrix
+    ell = local.matrix.shape[0]
     B = np.eye(2 * ell, ell)
     C = A[ell:]  # y = M w - v, the washout rows
-    slices = [local.block_slice(i) for i in range(local.n)]
+    slices = _tangent_slices(local.dims)
     return DecentralizedPlant(
         A, tuple(B[:, sl] for sl in slices), tuple(C[sl] for sl in slices), local.dims
     )

@@ -128,6 +128,55 @@ def test_pbh_single_player_channels():
         assert pbh_detectable(plant.A, plant.C_blocks[i]).ok
 
 
+def _single_channel_pbh(M, sl):
+    # player i alone: A = [[M, 0], [S_i^T M, -I]], B = (S_i; 0), C = (S_i^T M, -I)
+    S = np.eye(len(M))[:, sl]
+    k = S.shape[1]
+    A = np.block([[M, np.zeros((len(M), k))], [S.T @ M, -np.eye(k)]])
+    B = np.vstack([S, np.zeros((k, k))])
+    C = np.hstack([S.T @ M, -np.eye(k)])
+    return pbh_stabilizable(A, B), pbh_detectable(A, C)
+
+
+def _channel_verdicts(local):
+    # each player's (ok, witness count) pairs on the full plant, checked
+    # against the same pairs on that player's single-channel sub-plant
+    plant = assemble_plant(local)
+    out = []
+    for i in range(local.n):
+        full = (pbh_stabilizable(plant.A, plant.B_blocks[i]), pbh_detectable(plant.A, plant.C_blocks[i]))
+        got = [(r.ok, len(r.witnesses)) for r in full]
+        assert got == [(r.ok, len(r.witnesses)) for r in _single_channel_pbh(local.matrix, local.block_slice(i))]
+        out.append(got)
+    return out
+
+
+def test_per_player_pbh_is_the_single_channel_verdict():
+    # seeded equilibrium games with nonsingular M: 72 of 200 draws kept,
+    # 235 channels, every one passing both tests
+    rng = np.random.default_rng(11)
+    kept, channels = 0, []
+    for _ in range(200):
+        game, _ = random_mixed_ne_game(rng)
+        local = GameLocalMatrix.from_game(game)
+        sv = np.linalg.svd(local.matrix, compute_uv=False)
+        if sv[-1] <= SINGULAR_RTOL * sv[0]:
+            continue
+        kept += 1
+        channels += _channel_verdicts(local)
+    assert (kept, len(channels)) == (72, 235)
+    assert all(stab[0] and det[0] for stab, det in channels)
+    # two strongly connected pairs {0, 1} and {2, 3}, where player 0 also reads
+    # player 2: inputs of 0 and 1 cannot reach the modes of {2, 3}, and outputs
+    # of 2 and 3 cannot see those of {0, 1}
+    rng = np.random.default_rng(3)
+    pairs = [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2)]
+    for _ in range(100):
+        game = PolymatrixGame((2,) * 4, {p: rng.normal(size=(2, 2)) for p in pairs})
+        verdicts = _channel_verdicts(GameLocalMatrix.from_game(game))
+        assert [(stab[0], det[0]) for stab, det in verdicts] == [(False, True)] * 2 + [(True, False)] * 2
+
+
 def test_pbh_counterexamples_with_witness():
     A = np.diag([1.0, -1.0])
     res = pbh_stabilizable(A, np.array([[0.0], [1.0]]))

@@ -521,6 +521,23 @@ def test_analyze_all_fixed_order_unstable(capsys, jordan_file, gp_specs_file):
     assert doc["spectral_abscissa"] > 0.4
 
 
+def test_analyze_warns_once_on_a_singular_coupling(capsys, tmp_path):
+    # player 2 has no payoffs, so its block row of M is zero
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    game = tmp_path / "singular.json"
+    game.write_text(json.dumps(game_to_json(PolymatrixGame((2, 2, 2), {(0, 1): swap, (1, 0): swap}))))
+    specs = tmp_path / "gp.json"
+    specs.write_text(json.dumps({"players": [{"variant": "gradient_play"}] * 3}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, ["analyze", str(game), str(specs)])
+    doc = json.loads(out)
+    assert code == 1 and not doc["pbh"]["detectable"]  # w_2 sits at 0 unseen
+    assert [str(w.message) for w in caught if "singular" in str(w.message)] == [
+        "local game matrix is singular to working precision; the equilibrium is not isolated"
+    ]
+
+
 @pytest.mark.parametrize(
     "player", [{"variant": "replicator"}, {"variant": "smooth_fp", "temperature": 0.1}]
 )

@@ -482,7 +482,10 @@ def test_operators_equal_the_explicit_identity_formulas():
             plant = assemble_plant(local)
         ell = M.shape[0]
         A = np.block([[M, np.zeros((ell, ell))], [M, -np.eye(ell)]])
-        assert_bits_equal(plant.A, A)
+        # the plant is the loop of plain gradient play, whose upper-right
+        # block is -H = -0.0: equal in value to the block form, not in sign
+        assert_bits_equal(plant.A, assemble_closed_loop(local, [GradientPlay()] * len(dims)).matrix)
+        assert_array_equal(plant.A, A)
         assert_bits_equal(plant.B, np.eye(2 * ell, ell))
         assert_bits_equal(plant.C, A[ell:])
         direction = {(0, 1): rng.normal(size=(dims[0], dims[1]))}
