@@ -7,6 +7,7 @@ error, 3 precondition failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import numbers
 import sys
@@ -517,16 +518,16 @@ def _cmd_analyze(args) -> int:
         },
         "decentralized": {"ok": dec.ok, "failures": len(dec.failures)},
     }
-    if game.n == 2 and game.dims == (2, 2):
-        parity = strong_stabilizability_2x2(game)
-        report["parity"] = {
-            "verdict": parity.verdict,
-            "not_strongly_stabilizable": parity.strongly_stabilizable_obstructed,
-            "m12": parity.m12,
-            "m21": parity.m21,
-        }
-    else:
-        report["parity"] = None
+    report["parity"] = None  # the screen applies to an isolated 2 x 2 equilibrium only
+    if game.dims == (2, 2):
+        with contextlib.suppress(ValueError):  # m12 * m21 vanishes
+            parity = strong_stabilizability_2x2(game)
+            report["parity"] = {
+                "verdict": parity.verdict,
+                "not_strongly_stabilizable": parity.strongly_stabilizable_obstructed,
+                "m12": parity.m12,
+                "m21": parity.m21,
+            }
     _emit(report)
     return EXIT_OK if verdict.stable else EXIT_NEGATIVE
 

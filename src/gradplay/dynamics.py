@@ -19,6 +19,7 @@ __all__ = [
     "SmoothFictitiousPlay",
     "HigherOrderGradientPlay",
     "DynamicsSpec",
+    "PROJECTED",
     "PlayerState",
     "StateDerivative",
     "softmax",
@@ -51,11 +52,20 @@ def softmax(v, temperature: float) -> np.ndarray:
 class GradientPlay:
     """Projected payoff ascent: dx = proj(x + p) - x."""
 
+    @staticmethod
+    def update(x, z, temps):
+        return project_to_simplex(z) - x
+
 
 @dataclass(frozen=True)
 class Replicator:
     """dx = diag(p - (x^T p / 1^T x) 1) x: the usual rule on the simplex, and
     1^T dx = 0 everywhere, so rounding off the simplex does not grow."""
+
+    @staticmethod
+    def update(x, z, temps):
+        mean = (x * z).sum(axis=1, keepdims=True) / x.sum(axis=1, keepdims=True)
+        return x * (z - mean)
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,11 @@ class SmoothFictitiousPlay:
     def __post_init__(self):
         if not 0 < self.temperature < np.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+
+    @staticmethod
+    def update(x, z, temps):
+        e = np.exp((z - z.max(axis=1, keepdims=True)) / temps)
+        return e / e.sum(axis=1, keepdims=True) - x
 
 
 @dataclass(frozen=True)
@@ -89,6 +104,7 @@ class HigherOrderGradientPlay:
     F: np.ndarray
     G: np.ndarray
     H: np.ndarray
+    update = staticmethod(GradientPlay.update)  # one (update, k) group with gradient play
 
     def __post_init__(self):
         E = np.atleast_2d(np.asarray(self.E, dtype=float))
@@ -124,6 +140,7 @@ class HigherOrderGradientPlay:
 
 
 DynamicsSpec = Union[GradientPlay, Replicator, SmoothFictitiousPlay, HigherOrderGradientPlay]
+PROJECTED = (GradientPlay, HigherOrderGradientPlay)  # their input is x + p (+ N u), not p
 
 
 def aux_dim(spec: DynamicsSpec) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GradientPlay, HigherOrderGradientPlay, aux_dim
+from .dynamics import PROJECTED, GradientPlay, HigherOrderGradientPlay, aux_dim
 from .games import PolymatrixGame, validate_profile
 from .simplex import NonFiniteInputError, tangent_basis
 
@@ -193,9 +193,8 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
     if len(specs) != local.n:
         raise ValueError(f"need {local.n} specs, got {len(specs)}")
     for i, spec in enumerate(specs):
-        if not isinstance(spec, (GradientPlay, HigherOrderGradientPlay)):
-            name = type(spec).__name__
-            raise ValueError(f"player {i}: {name} has no closed-loop linearization")
+        if not isinstance(spec, PROJECTED):
+            raise ValueError(f"player {i}: {type(spec).__name__} has no closed-loop linearization")
     ell = local.matrix.shape[0]
     J, auxes = _build_loop(local.matrix, np.eye(ell), local.dims, specs, slice(None), np.zeros(ell))
     return ClosedLoopMatrix(J, local.dims, auxes)
@@ -239,8 +238,7 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
         if isinstance(specs[i], HigherOrderGradientPlay):
             lift[starts[i] : starts[i + 1], sl] = tangent_basis(game.dims[i]).N
     washed = np.flatnonzero(lift.any(axis=0))  # the tangent rows that have a washout
-    # the projection argument carries x; the other rules' rows read the payoff alone
-    projected = [isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs]
+    projected = [isinstance(s, PROJECTED) for s in specs]
     out, auxes = _build_loop(K, lift, game.dims, specs, washed, np.repeat(projected, game.dims))
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():

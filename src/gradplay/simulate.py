@@ -64,6 +64,8 @@ class SimConfig:
         # written as "not 0 < value < inf" so that NaN fails too
         if not (0 < self.step < np.inf and 0 < self.horizon < np.inf):
             raise ValueError("step and horizon must be positive and finite")
+        if not float(self.horizon) / float(self.step) < np.inf:
+            raise ValueError("the step count horizon / step must be finite")
         stride = self.record_stride
         if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
             raise ValueError("record_stride must be an integer of at least 1")
@@ -128,11 +130,8 @@ class Trajectory:
         return [self.states[-1, self.layout.x_slice(i)].copy() for i in range(self.layout.n)]
 
 
-_PROJECTED = (dyn.GradientPlay, dyn.HigherOrderGradientPlay)
-
-
 def _projection_family(specs) -> bool:
-    return all(isinstance(s, _PROJECTED) for s in specs)
+    return all(isinstance(s, dyn.PROJECTED) for s in specs)
 
 
 class _Flow:
@@ -141,9 +140,9 @@ class _Flow:
     PRE y + c is, per player, the input its rule maps (assemble_flow_operators).
     Each washout runs relative to its steady value N_i^T c_i, so the aux rows
     are AUX y and no rounding of c reaches the aux states. Players are grouped
-    by (rule, k) into (m, k) index arrays, and a stage is one product, one
-    finite check and one batched update per group, equal row by row to
-    dynamics.derivative up to rounding.
+    by (spec.update, k) into (m, k) index arrays, and a stage is one product,
+    one finite check and one call of the group's batched update, equal row by
+    row to dynamics.derivative up to rounding.
     """
 
     def __init__(self, game: PolymatrixGame, specs, layout: StateLayout, bases, c, cfg):
@@ -156,15 +155,12 @@ class _Flow:
             xsl = layout.x_slice(i)
             if layout.washout_dims[i]:
                 self.shift[layout.v_slice(i)] = bases[i].N.T @ c[xsl]
-            rule = dyn.GradientPlay if isinstance(spec, _PROJECTED) else type(spec)
-            if rule not in (dyn.GradientPlay, dyn.Replicator, dyn.SmoothFictitiousPlay):
-                raise TypeError(f"unknown dynamics spec {rule.__name__}")
-            rows, temps = plan.setdefault((rule, game.dims[i]), ([], []))
+            if not isinstance(spec, dyn.DynamicsSpec):
+                raise TypeError(f"unknown dynamics spec {type(spec).__name__}")
+            rows, temps = plan.setdefault((spec.update, game.dims[i]), ([], []))
             rows.append(np.arange(xsl.start, xsl.stop))
             temps.append(getattr(spec, "temperature", 0.0))
-        self.groups = [
-            (rule, np.array(r), np.array(t)[:, None]) for (rule, _), (r, t) in plan.items()
-        ]
+        self.groups = [(f, np.array(r), np.array(t)[:, None]) for (f, _), (r, t) in plan.items()]
         self.regions = {} if _projection_family(specs) else None
         self.step = cfg.step
         self.length = min(cfg.record_stride, _MAX_BLOCK)
@@ -179,18 +175,9 @@ class _Flow:
         z = self.PRE @ y + self.c
         if not np.isfinite(z).all():
             raise NonFiniteInputError("payoff entries must be finite")
-        x = y[: self.nx]
         dx = np.empty(self.nx)
-        for rule, rows, temps in self.groups:
-            xr, zr = x[rows], z[rows]
-            if rule is dyn.Replicator:
-                mean = (xr * zr).sum(axis=1, keepdims=True) / xr.sum(axis=1, keepdims=True)
-                dx[rows] = xr * (zr - mean)
-            elif rule is dyn.SmoothFictitiousPlay:
-                e = np.exp((zr - zr.max(axis=1, keepdims=True)) / temps)
-                dx[rows] = e / e.sum(axis=1, keepdims=True) - xr
-            else:
-                dx[rows] = project_to_simplex(zr) - xr
+        for update, rows, temps in self.groups:
+            dx[rows] = update(y[rows], z[rows], temps)  # the rows index x, which leads y
         return np.concatenate([dx, self.AUX @ y])
 
     def region_at(self, y: np.ndarray):

@@ -562,6 +562,24 @@ def test_analyze_coordination_reports_parity(capsys, tmp_path):
     assert doc["parity"]["verdict"] == "not_strongly_stabilizable"
 
 
+def test_analyze_reports_no_parity_when_the_2x2_equilibrium_is_not_isolated(capsys, tmp_path):
+    # m21 = 0, so m12 * m21 vanishes: the uniform profile is a mixed equilibrium
+    # but not an isolated one, and the parity screen does not apply
+    game = tmp_path / "one_pair.json"
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    game.write_text(json.dumps(game_to_json(PolymatrixGame((2, 2), {(0, 1): swap}))))
+    specs = tmp_path / "gp.json"
+    specs.write_text(json.dumps({"players": [{"variant": "gradient_play"}] * 2}))
+    assert run(capsys, ["verify", str(game)])[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the singular coupling
+        code, out, err = run(capsys, ["analyze", str(game), str(specs)])
+    doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert doc["parity"] is None
+    assert set(doc["decentralized"]) == {"ok", "failures"}
+
+
 def test_analyze_boundary_profile_exits_3(capsys, tmp_path):
     path = tmp_path / "coord.json"
     path.write_text(json.dumps(game_to_json(make_coordination())))
@@ -827,6 +845,24 @@ def test_simulate_nonfinite_horizon_exits_2(capsys, tmp_path, jordan_file, horiz
     assert code == 2
     assert "finite" in err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", data_path("jordan.game.json"), data_path("jordan_single.specs.json")],
+        ["scenario", "jordan-single"],
+    ],
+    ids=["simulate", "scenario"],
+)
+def test_overflowing_step_count_exits_2_before_integrating(capsys, monkeypatch, tmp_path, argv):
+    for name in ("simulate_coupled", "simulate_open_loop"):
+        monkeypatch.setattr(f"gradplay.cli.{name}", lambda *a, **k: pytest.fail("integrated"))
+    out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "simulate" else []
+    code, stdout, err = run(capsys, argv + ["--h", "1e-300", "--horizon", "1e300", *out])
+    assert (code, stdout) == (2, "")
+    assert err == "error: the step count horizon / step must be finite\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- scenario -------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from gradplay.dynamics import (
+    PROJECTED,
     GradientPlay,
     HigherOrderGradientPlay,
     PlayerState,
@@ -273,3 +274,43 @@ def test_invalid_arguments_raise(call, error, message):
 def test_vanishing_modification_nonsquare_d():
     res = check_vanishing_modification(D=[[1.0, 0.0]], E=[[1.0]], F=[[1.0]], G=[[1.0]])
     assert (res.ok, res.residual, res.note) == (False, np.inf, "D is not square")
+
+
+# rows of a batched update: interior, vertex, all payoffs tied, top two tied
+ROWS_X = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.25, 0.25, 0.5], [0.6, 0.1, 0.3]])
+ROWS_P = np.array([[0.3, -0.1, 0.7], [-0.4, 0.9, 0.2], [0.6, 0.6, 0.6], [0.8, 0.8, -0.3]])
+ROWS_T = np.array([0.1, 0.35, 1.0, 4.0])  # smooth FP's temperature on each row
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda T: GradientPlay(),
+        lambda T: Replicator(),
+        lambda T: SmoothFictitiousPlay(T),
+        lambda T: make_anticipatory(2.0, 0.5, 3),
+    ],
+    ids=["gradient", "replicator", "smooth_fp", "higher_order"],
+)
+def test_batched_update_matches_derivative_row_by_row(make):
+    rng = np.random.default_rng(3)
+    B3 = tangent_basis(3)
+    specs = [make(T) for T in ROWS_T]
+    z = np.empty_like(ROWS_X)
+    want = np.empty_like(ROWS_X)
+    for r, (spec, x, p) in enumerate(zip(specs, ROWS_X, ROWS_P)):
+        if isinstance(spec, HigherOrderGradientPlay):
+            state = PlayerState.higher_order(x, rng.normal(size=spec.aux_dim), rng.normal(size=2))
+            z[r] = x + modified_payoff(spec, state, p, B3)  # the projection argument
+        else:
+            state = PlayerState.fixed_order(x)
+            z[r] = x + p if isinstance(spec, PROJECTED) else p
+        want[r] = derivative(spec, state, p, B3).dx
+    assert all(s.update is specs[0].update for s in specs)
+    assert_allclose(specs[0].update(ROWS_X, z, ROWS_T[:, None]), want, rtol=0, atol=1e-12)
+
+
+def test_gradient_play_shares_its_update_with_the_compensated_rule():
+    assert GradientPlay().update is make_anticipatory(1.0, 1.0, 2).update
+    updates = {GradientPlay().update, Replicator().update, SmoothFictitiousPlay().update}
+    assert len(updates) == 3

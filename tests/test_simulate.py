@@ -636,6 +636,14 @@ def test_config_validation():
             SimConfig(horizon=bad)
 
 
+def test_config_rejects_a_step_count_that_overflows():
+    for step, horizon in ((1e-300, 1e300), (5e-324, 1.0)):
+        with pytest.raises(ValueError, match="step count horizon / step must be finite"):
+            SimConfig(step=step, horizon=horizon)
+    # huge but finite is what was asked for; the constructor starts no integration
+    assert SimConfig(step=1e-300, horizon=1.0).horizon == 1.0
+
+
 def test_open_loop_rejects_nonfinite_start():
     for x0 in ([np.nan, 0.5], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="probability vector"):

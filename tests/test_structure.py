@@ -1,7 +1,8 @@
 """Modules of the package reach each other only through public names, and
 their imports form no cycle. Every module-level private name is used.
 
-Importing the package leaves scipy.linalg unloaded.
+Importing the package leaves scipy.linalg unloaded, and the learning rules
+are decided in dynamics alone: the simulator names no rule class.
 """
 
 import ast
@@ -216,3 +217,42 @@ def test_import_leaves_scipy_linalg_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+RULES = {"GradientPlay", "HigherOrderGradientPlay", "Replicator", "SmoothFictitiousPlay"}
+
+
+def names_in(path: Path) -> set:
+    """Identifiers, attribute names, imported names and string constants in path's code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_rule_decision_stays_in_dynamics():
+    # the simulator calls each rule's own update; only the spec schema builds the rules
+    assert names_in(PACKAGE / "simulate.py") & RULES == set()
+    fixed_order = {"Replicator", "SmoothFictitiousPlay"}
+    outside = {"dynamics", "cli", "__init__"}
+    found = {p.stem: names_in(p) & fixed_order for p in sorted(PACKAGE.glob("*.py"))}
+    assert {m: names for m, names in found.items() if names and m not in outside} == {}
+
+
+def test_detector_finds_rule_names(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from .dynamics import Replicator as R\n"
+        "from . import dynamics as dyn\n"
+        "def f(s):\n"
+        "    return isinstance(s, dyn.SmoothFictitiousPlay) or getattr(dyn, 'GradientPlay')\n"
+        "# HigherOrderGradientPlay in a comment is not a name\n"
+    )
+    assert names_in(src) & RULES == {"Replicator", "SmoothFictitiousPlay", "GradientPlay"}
