@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .games import PolymatrixGame
-from .linearize import DecentralizedPlant, GameLocalMatrix, assemble_loop_family
+from .linearize import SINGULAR_RTOL, DecentralizedPlant, GameLocalMatrix, assemble_loop_family
 from .simplex import NonFiniteInputError
 
 __all__ = [
@@ -45,7 +45,7 @@ STABILITY_TOL = 1e-8  # stable iff every eigenvalue has real part < -STABILITY_T
 SCREEN_SEED = 20240101  # seed of the fixed-mode screen's random decentralized gains
 SCREEN_DRAWS = 2  # random decentralized gains drawn by the fixed-mode screen
 SCREEN_TOL = 1e-6  # relative distance at which a gain has moved an eigenvalue of A
-SCREEN_REPEAT_TOL = 1e-8  # relative radius of a repeated eigenvalue, never screened out
+SCREEN_REPEAT_TOL = 1e-8  # relative radius of a repeated eigenvalue (screen, mode support)
 MODE_BLOCK_TOL = 1e-8  # relative eigenvector block norm that counts as no support
 MARKOV_ORDER = 8  # highest m of the reported C A^m B
 MARKOV_ZERO_TOL = 1e-4  # relative radius of the zero-eigenvalue cluster
@@ -72,7 +72,7 @@ def spectral_abscissa(M) -> StabilityVerdict:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteInputError("matrix entries must be finite")
     ev = np.linalg.eigvals(M)
     ev = ev[np.lexsort((-ev.imag, -ev.real))]
     alpha = float(np.max(ev.real))
@@ -92,9 +92,22 @@ def robust_rank(M: np.ndarray, tol: float | None = None) -> int:
     return int(np.sum(sv > tol))
 
 
-def _unstable_eigenvalues(A: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvals(A)
-    return ev[ev.real >= -STABILITY_TOL]
+def _spectrum(A: np.ndarray, ev=None) -> tuple:
+    """Eigenvalues of A (ev if given), the mask of those rank tests visit, and A's scale.
+
+    Rank tests visit Re >= -STABILITY_TOL; scale = max(1, n max|A|), and
+    eigenvalues within SCREEN_REPEAT_TOL * scale repeat. Rounding spreads a
+    defective zero wider, about eps^(1/m) at multiplicity m, yet the rank drops
+    only at 0: so where the eigenvalues within MARKOV_ZERO_TOL * scale of 0
+    spread wider and A is singular by its SVD, each of them is taken as 0.
+    """
+    ev = np.linalg.eigvals(A) if ev is None else ev
+    scale = max(1.0, A.shape[0] * float(np.max(np.abs(A))))
+    near = np.abs(ev) <= MARKOV_ZERO_TOL * scale
+    if near.any() and np.abs(ev[near]).max() > SCREEN_REPEAT_TOL * scale:
+        sv = np.linalg.svd(A, compute_uv=False)
+        ev = np.where(near & (sv[-1] <= SINGULAR_RTOL * sv[0]), 0, ev)
+    return ev, ev.real >= -STABILITY_TOL, scale
 
 
 def _rank_drops(A: np.ndarray, unstable, B: np.ndarray, C: np.ndarray) -> list:
@@ -126,7 +139,8 @@ def pbh_stabilizable(A, B) -> PbhResult:
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    witnesses = _rank_drops(A, _unstable_eigenvalues(A), B, np.zeros((0, A.shape[0])))
+    ev, unstable, _ = _spectrum(A)
+    witnesses = _rank_drops(A, ev[unstable], B, np.zeros((0, A.shape[0])))
     return PbhResult(not witnesses, tuple(witnesses))
 
 
@@ -137,7 +151,8 @@ def pbh_detectable(A, C) -> PbhResult:
     """
     A = np.asarray(A, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    witnesses = _rank_drops(A, _unstable_eigenvalues(A), np.zeros((A.shape[0], 0)), C)
+    ev, unstable, _ = _spectrum(A)
+    witnesses = _rank_drops(A, ev[unstable], np.zeros((A.shape[0], 0)), C)
     return PbhResult(not witnesses, tuple(witnesses))
 
 
@@ -170,31 +185,21 @@ def check_mode_support(local: GameLocalMatrix) -> ModeSupportReport:
     """Check block support of left/right eigenvectors for Re >= 0 eigenvalues."""
     import scipy.linalg  # only this needs left eigenvectors; keeps scipy out of import gradplay
 
-    M = local.matrix
-    lam, VL, VR = scipy.linalg.eig(M, left=True, right=True)
-    scale = max(1.0, float(np.max(np.abs(lam))))
+    lam, VL, VR = scipy.linalg.eig(local.matrix, left=True, right=True)
+    lam, unstable, scale = _spectrum(local.matrix, lam)
+    slices = [local.block_slice(i) for i in range(local.n)]
     entries = []
-    for idx, lv in enumerate(lam):
-        if lv.real < -STABILITY_TOL:
-            continue
-        mult = int(np.sum(np.abs(lam - lv) <= 1e-8 * scale))
+    for lv, left, right in zip(lam[unstable], VL.T[unstable], VR.T[unstable]):
+        mult = int(np.sum(np.abs(lam - lv) <= SCREEN_REPEAT_TOL * scale))
         if mult > 1:
             entries.append(ModeSupportEntry(lv, mult, (), (), False, True))
             continue
-        left = VL[:, idx]
-        right = VR[:, idx]
-        lnorms = []
-        rnorms = []
-        ok = True
-        for i in range(local.n):
-            sl = local.block_slice(i)
-            ln = float(np.linalg.norm(left[sl])) / float(np.linalg.norm(left))
-            rn = float(np.linalg.norm(right[sl])) / float(np.linalg.norm(right))
-            lnorms.append(ln)
-            rnorms.append(rn)
-            if ln <= MODE_BLOCK_TOL or rn <= MODE_BLOCK_TOL:
-                ok = False
-        entries.append(ModeSupportEntry(lv, 1, tuple(lnorms), tuple(rnorms), ok, False))
+        lnorms, rnorms = (
+            tuple(float(np.linalg.norm(v[sl])) / float(np.linalg.norm(v)) for sl in slices)
+            for v in (left, right)
+        )
+        ok = not any(x <= MODE_BLOCK_TOL for x in lnorms + rnorms)
+        entries.append(ModeSupportEntry(lv, 1, lnorms, rnorms, ok, False))
     satisfied = all(e.ok for e in entries)  # an indeterminate entry is not ok
     return ModeSupportReport(satisfied, any(e.indeterminate for e in entries), tuple(entries))
 
@@ -241,9 +246,8 @@ def decentralized_stabilizable(plant: DecentralizedPlant) -> DecentralizedCheck:
     """
     A = plant.A
     n = A.shape[0]
-    ev = np.linalg.eigvals(A)
-    unstable = ev[ev.real >= -STABILITY_TOL]
-    scale = max(1.0, n * float(np.max(np.abs(A))))
+    ev, mask, scale = _spectrum(A)
+    unstable = ev[mask]
     rng = np.random.default_rng(SCREEN_SEED)
     moved = np.zeros(unstable.size, dtype=bool)
     for _ in range(SCREEN_DRAWS):
@@ -459,7 +463,7 @@ def robustness_probe(
     with np.errstate(over="ignore", invalid="ignore"):
         loops = J0 + scan[:, None, None] * J1
     if not np.all(np.isfinite(loops)):
-        raise ValueError(f"the loop at max_delta = {max_delta} overflows")
+        raise NonFiniteInputError(f"the loop at max_delta = {max_delta} overflows")
     stable = np.linalg.eigvals(loops).real.max(axis=1) < -STABILITY_TOL
     if not stable[0]:
         raise ValueError("nominal closed loop is unstable; nothing to certify")

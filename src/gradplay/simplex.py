@@ -17,7 +17,7 @@ __all__ = [
 
 
 class NonFiniteInputError(ValueError):
-    """A projection or learning-rule input has an infinite or NaN entry."""
+    """A numeric input, or a matrix built from one, has an infinite or NaN entry."""
 
 
 def project_to_simplex(x) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 
@@ -429,6 +430,69 @@ def test_decentralized_defective_fixed_mode_reaches_rank_tests(monkeypatch):
     assert all(abs(f.eigenvalue) < 1e-12 for f in dec.failures)
 
 
+# dims (2,) * 5: M has a defective triple eigenvalue at 0, and three of its
+# entries that are 0 in exact arithmetic come out as 2.2e-17
+DEFECTIVE_ZERO_PAIRS = {
+    (0, 2): [[0, -1], [1, 0]],
+    (0, 3): [[-1, -1], [0, 0]],
+    (1, 0): [[1, -1], [0, -1]],
+    (1, 3): [[0, -1], [1, 0]],
+    (2, 0): [[-1, 1], [0, 0]],
+    (2, 3): [[-1, -1], [0, 1]],
+    (3, 2): [[-1, -2], [2, 0]],
+    (3, 4): [[0, -1], [1, 1]],
+    (4, 1): [[0, 0], [0, -1]],
+}
+
+
+def test_rounded_defective_zero_is_a_fixed_mode_of_every_rank_test():
+    # eigvals spreads the triple zero over a cluster of radius 1.8e-6, where
+    # every bordered matrix keeps full rank; the rank drops only at 0 itself
+    mats = {p: np.array(m, dtype=float) for p, m in DEFECTIVE_ZERO_PAIRS.items()}
+    local = GameLocalMatrix.from_game(PolymatrixGame((2,) * 5, mats))
+    with pytest.warns(UserWarning, match="singular"):
+        plant = assemble_plant(local)
+    cluster = np.sort(np.abs(np.linalg.eigvals(local.matrix)))[:3]
+    assert cluster.min() > 1e-6
+    det = pbh_detectable(plant.A, plant.C)
+    assert not det.ok
+    assert len(det.witnesses) == 3 and all(w == 0 for w in det.witnesses)
+    dec = decentralized_stabilizable(plant)
+    assert not dec.ok and all(f.eigenvalue == 0 for f in dec.failures)
+    # 0 is a fixed mode of every partition whose inputs leave out player 0
+    partitions = [
+        (Q, tuple(i for i in range(5) if i not in Q))
+        for size in range(6)
+        for Q in itertools.combinations(range(5), size)
+    ]
+    assert [(f.input_players, f.output_players) for f in dec.failures] == [
+        p for p in partitions if 0 not in p[0] for _ in range(3)
+    ]
+    support = check_mode_support(local)
+    assert support.indeterminate and not support.satisfied
+    assert [e.multiplicity for e in support.entries if e.eigenvalue == 0] == [3, 3, 3]
+
+
+def test_fixed_mode_iff_equilibrium_not_isolated_on_sparse_integer_games():
+    # the paper's first claim read through Wang & Davison: an unstable fixed
+    # mode of the plant exists exactly when M is singular
+    rng = np.random.default_rng(7)
+    isolated_draws = 0
+    for _ in range(400):
+        n, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        mats = {p: np.round(rng.normal(size=(k, k))) for p in pairs if rng.random() < 0.5}
+        local = GameLocalMatrix.from_game(PolymatrixGame((k,) * n, mats))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the singular draws
+            plant = assemble_plant(local)
+        top = max((float(np.max(np.abs(m))) for m in mats.values()), default=0.0)
+        isolated = bool(np.linalg.svd(local.matrix, compute_uv=False)[-1] > SINGULAR_RTOL * top)
+        assert decentralized_stabilizable(plant).ok == isolated, (n, k, sorted(mats))
+        isolated_draws += isolated
+    assert isolated_draws == 90
+
+
 def test_decentralized_screen_is_deterministic():
     rng = np.random.default_rng(7)
     with warnings.catch_warnings():
@@ -759,6 +823,27 @@ def test_robustness_probe_rejects_nonfinite_input(kwargs, name):
     args = {"direction": {(0, 1): np.eye(2)}, "max_delta": 1.0, **kwargs}
     with pytest.raises(ValueError, match=name):
         robustness_probe(make_jordan(), single_anticipatory_specs(), **args)
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (
+            lambda: spectral_abscissa(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+            "matrix entries must be finite",
+        ),
+        (
+            lambda: robustness_probe(
+                make_jordan(), single_anticipatory_specs(), STABLE_DIRECTION, max_delta=1e308
+            ),
+            "the loop at max_delta = 1e+308 overflows",
+        ),
+    ],
+    ids=["spectral_abscissa", "robustness_probe"],
+)
+def test_nonfinite_numeric_failures_are_typed(fail, message):
+    with pytest.raises(NonFiniteInputError, match=re.escape(message)):
+        fail()
 
 
 def per_scale_probe(game, specs, direction, max_delta=1.0):

@@ -538,6 +538,38 @@ def test_analyze_warns_once_on_a_singular_coupling(capsys, tmp_path):
     ]
 
 
+def test_analyze_finds_the_fixed_mode_of_a_rounded_defective_zero(capsys, tmp_path):
+    # each row player's lowest-j pair is shifted by -outer(p_i - mean(p_i), 1),
+    # p_i its payoffs at the uniform profile, which so becomes a completely
+    # mixed equilibrium; M has a defective triple zero that eigvals spreads
+    # over a radius of 1.8e-6
+    pairs = {
+        (0, 2): [[1, 0], [0, -1]],
+        (0, 3): [[-1, -1], [0, 0]],
+        (1, 0): [[1.25, -0.75], [-0.25, -1.25]],
+        (1, 3): [[0, -1], [1, 0]],
+        (2, 0): [[-0.25, 1.75], [-0.75, -0.75]],
+        (2, 3): [[-1, -1], [0, 1]],
+        (3, 2): [[1, 0], [0, -2]],
+        (3, 4): [[0, -1], [1, 1]],
+        (4, 1): [[-0.25, -0.25], [0.25, -0.75]],
+    }
+    game = tmp_path / "defective_zero.json"
+    mats = {p: np.array(m, dtype=float) for p, m in pairs.items()}
+    game.write_text(json.dumps(game_to_json(PolymatrixGame((2,) * 5, mats))))
+    specs = tmp_path / "gp.json"
+    specs.write_text(json.dumps({"players": [{"variant": "gradient_play"}] * 5}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the singular coupling
+        code, out, _ = run(capsys, ["analyze", str(game), str(specs)])
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["certificate"]["is_ne"] and doc["certificate"]["completely_mixed"]
+    assert not doc["decentralized"]["ok"]
+    assert not doc["pbh"]["detectable"]
+    assert doc["mode_support"]["indeterminate"]
+
+
 @pytest.mark.parametrize(
     "player", [{"variant": "replicator"}, {"variant": "smooth_fp", "temperature": 0.1}]
 )
