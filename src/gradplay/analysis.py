@@ -93,21 +93,24 @@ def robust_rank(M: np.ndarray, tol: float | None = None) -> int:
 
 
 def _spectrum(A: np.ndarray, ev=None) -> tuple:
-    """Eigenvalues of A (ev if given), the mask of those rank tests visit, and A's scale.
+    """(ev, unstable, scale, zero, rounded): A's eigenvalues (ev if given) for rank tests.
 
-    Rank tests visit Re >= -STABILITY_TOL; scale = max(1, n max|A|), and
-    eigenvalues within SCREEN_REPEAT_TOL * scale repeat. Rounding spreads a
-    defective zero wider, about eps^(1/m) at multiplicity m, yet the rank drops
-    only at 0: so where the eigenvalues within MARKOV_ZERO_TOL * scale of 0
-    spread wider and A is singular by its SVD, each of them is taken as 0.
+    Rank tests visit the unstable mask, Re >= -STABILITY_TOL; eigenvalues within
+    SCREEN_REPEAT_TOL * scale repeat, scale = max(1, n max|A|); the zero mask
+    holds those within MARKOV_ZERO_TOL * max(1, max|ev|) of 0. Rounding spreads
+    a defective zero about eps^(1/m) at multiplicity m, yet the rank drops only
+    at 0: so where A is singular by its SVD but no eigenvalue lies within the
+    repeat radius of 0, rounded is true and rank tests visit 0 too.
     """
     ev = np.linalg.eigvals(A) if ev is None else ev
     scale = max(1.0, A.shape[0] * float(np.max(np.abs(A))))
-    near = np.abs(ev) <= MARKOV_ZERO_TOL * scale
-    if near.any() and np.abs(ev[near]).max() > SCREEN_REPEAT_TOL * scale:
+    dist = np.abs(ev)
+    zero = dist <= MARKOV_ZERO_TOL * max(1.0, float(dist.max()))
+    rounded = zero.any() and dist.min() > SCREEN_REPEAT_TOL * scale
+    if rounded:
         sv = np.linalg.svd(A, compute_uv=False)
-        ev = np.where(near & (sv[-1] <= SINGULAR_RTOL * sv[0]), 0, ev)
-    return ev, ev.real >= -STABILITY_TOL, scale
+        rounded = bool(sv[-1] <= SINGULAR_RTOL * sv[0])
+    return ev, ev.real >= -STABILITY_TOL, scale, zero, rounded
 
 
 def _rank_drops(A: np.ndarray, unstable, B: np.ndarray, C: np.ndarray) -> list:
@@ -139,8 +142,9 @@ def pbh_stabilizable(A, B) -> PbhResult:
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    ev, unstable, _ = _spectrum(A)
-    witnesses = _rank_drops(A, ev[unstable], B, np.zeros((0, A.shape[0])))
+    ev, unstable, _, _, rounded = _spectrum(A)
+    points = np.append(ev[unstable], 0) if rounded else ev[unstable]
+    witnesses = _rank_drops(A, points, B, np.zeros((0, A.shape[0])))
     return PbhResult(not witnesses, tuple(witnesses))
 
 
@@ -151,8 +155,9 @@ def pbh_detectable(A, C) -> PbhResult:
     """
     A = np.asarray(A, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    ev, unstable, _ = _spectrum(A)
-    witnesses = _rank_drops(A, ev[unstable], np.zeros((A.shape[0], 0)), C)
+    ev, unstable, _, _, rounded = _spectrum(A)
+    points = np.append(ev[unstable], 0) if rounded else ev[unstable]
+    witnesses = _rank_drops(A, points, np.zeros((A.shape[0], 0)), C)
     return PbhResult(not witnesses, tuple(witnesses))
 
 
@@ -172,8 +177,8 @@ class ModeSupportReport:
 
     A single player's channel can reach every unstable mode only when both the
     left and right eigenvectors have nonzero components in each player's
-    block.  Repeated (possibly defective) unstable eigenvalues are reported as
-    indeterminate rather than resolved through generalized eigenvectors.
+    block.  Repeated (possibly defective) unstable eigenvalues and a rounded
+    zero cluster are indeterminate, not resolved through generalized eigenvectors.
     """
 
     satisfied: bool
@@ -186,11 +191,11 @@ def check_mode_support(local: GameLocalMatrix) -> ModeSupportReport:
     import scipy.linalg  # only this needs left eigenvectors; keeps scipy out of import gradplay
 
     lam, VL, VR = scipy.linalg.eig(local.matrix, left=True, right=True)
-    lam, unstable, scale = _spectrum(local.matrix, lam)
+    lam, unstable, scale, zero, rounded = _spectrum(local.matrix, lam)
     slices = [local.block_slice(i) for i in range(local.n)]
     entries = []
-    for lv, left, right in zip(lam[unstable], VL.T[unstable], VR.T[unstable]):
-        mult = int(np.sum(np.abs(lam - lv) <= SCREEN_REPEAT_TOL * scale))
+    for lv, z, left, right in zip(lam[unstable], zero[unstable], VL.T[unstable], VR.T[unstable]):
+        mult = int(np.sum(zero if rounded and z else np.abs(lam - lv) <= SCREEN_REPEAT_TOL * scale))
         if mult > 1:
             entries.append(ModeSupportEntry(lv, mult, (), (), False, True))
             continue
@@ -246,7 +251,7 @@ def decentralized_stabilizable(plant: DecentralizedPlant) -> DecentralizedCheck:
     """
     A = plant.A
     n = A.shape[0]
-    ev, mask, scale = _spectrum(A)
+    ev, mask, scale, _, rounded = _spectrum(A)
     unstable = ev[mask]
     rng = np.random.default_rng(SCREEN_SEED)
     moved = np.zeros(unstable.size, dtype=bool)
@@ -258,6 +263,8 @@ def decentralized_stabilizable(plant: DecentralizedPlant) -> DecentralizedCheck:
         moved |= np.min(np.abs(unstable[:, None] - closed), axis=1) > SCREEN_TOL * scale
     repeated = np.sum(np.abs(unstable[:, None] - ev) <= SCREEN_REPEAT_TOL * scale, axis=1) > 1
     unstable = unstable[repeated | ~moved]
+    if rounded:  # rounding moves a fixed mode at 0 too far for the screen to judge
+        unstable = np.append(unstable, 0)
     if not unstable.size:
         return DecentralizedCheck(True, n, ())
     players = range(plant.n)
@@ -306,10 +313,7 @@ def markov_report(A, B, C) -> MarkovReport:
         norms.append(float(np.max(np.abs(C @ X))) if X.size else 0.0)
         X = A @ X
     first = next((m for m, v in enumerate(norms) if v > MARKOV_NONZERO_TOL), None)
-    ev = np.linalg.eigvals(A)
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    zero_mult = int(np.sum(np.abs(ev) <= MARKOV_ZERO_TOL * scale))
-    return MarkovReport(tuple(norms), first, zero_mult)
+    return MarkovReport(tuple(norms), first, int(np.sum(_spectrum(A)[3])))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import gradplay.linearize
 from gradplay.analysis import (
     PROBE_GAP,
     PROBE_SCAN_POINTS,
+    SCREEN_REPEAT_TOL,
     STABILITY_TOL,
     SWEEP_REFINE_WIDTH,
     check_mode_support,
@@ -324,6 +325,23 @@ def test_mode_support_repeated_eigenvalue_indeterminate():
     assert report.indeterminate and not report.satisfied
 
 
+def test_mode_support_repeat_radius_scales_with_the_matrix():
+    # an almost defective pair at +-3.1e-8i lies inside the repeat radius
+    # SCREEN_REPEAT_TOL * n max|M| = 1.6e-7, though outside 1e-8 times the
+    # spectral radius 3; so its eigenvectors, almost parallel, are not read
+    # as those of two simple eigenvalues
+    H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    H = np.kron(np.kron(H2, H2), H2) / np.sqrt(8)
+    T = np.diag([0.0, 0.0, -2.0, -3.0, -2.0, -3.0, -2.0, -3.0])
+    T[0, 1], T[1, 0] = 1.0, -1e-15
+    M = H @ T @ H
+    report = check_mode_support(GameLocalMatrix(M, (2,) * 8))
+    gap = abs(report.entries[0].eigenvalue - report.entries[1].eigenvalue)
+    assert SCREEN_REPEAT_TOL * 3 < gap < SCREEN_REPEAT_TOL * 8 * np.abs(M).max()
+    assert [(e.multiplicity, e.indeterminate) for e in report.entries] == [(2, True), (2, True)]
+    assert report.indeterminate and not report.satisfied
+
+
 # --- decentralized rank condition ---------------------------------------------
 
 
@@ -455,8 +473,7 @@ def test_rounded_defective_zero_is_a_fixed_mode_of_every_rank_test():
     cluster = np.sort(np.abs(np.linalg.eigvals(local.matrix)))[:3]
     assert cluster.min() > 1e-6
     det = pbh_detectable(plant.A, plant.C)
-    assert not det.ok
-    assert len(det.witnesses) == 3 and all(w == 0 for w in det.witnesses)
+    assert not det.ok and det.witnesses == (0,)
     dec = decentralized_stabilizable(plant)
     assert not dec.ok and all(f.eigenvalue == 0 for f in dec.failures)
     # 0 is a fixed mode of every partition whose inputs leave out player 0
@@ -466,11 +483,35 @@ def test_rounded_defective_zero_is_a_fixed_mode_of_every_rank_test():
         for Q in itertools.combinations(range(5), size)
     ]
     assert [(f.input_players, f.output_players) for f in dec.failures] == [
-        p for p in partitions if 0 not in p[0] for _ in range(3)
+        p for p in partitions if 0 not in p[0]
     ]
+    # the two unstable members of the cluster cannot be told from the zero
     support = check_mode_support(local)
     assert support.indeterminate and not support.satisfied
-    assert [e.multiplicity for e in support.entries if e.eigenvalue == 0] == [3, 3, 3]
+    members = [e for e in support.entries if abs(e.eigenvalue) < 1e-5]
+    assert [(e.multiplicity, e.indeterminate) for e in members] == [(3, True), (3, True)]
+    assert all(not e.indeterminate for e in support.entries if abs(e.eigenvalue) > 0.1)
+
+
+def test_small_eigenvalue_beside_a_zero_keeps_its_own_witness():
+    # an exact zero: 1e-5 is visited as it is, and e1 cannot reach it
+    diag = pbh_stabilizable(np.diag([0.0, 1e-5]), [[1.0], [0.0]])
+    assert not diag.ok and diag.witnesses == (1e-5,)
+    # a defective triple zero rounded over a radius of 6e-6, beside a simple
+    # eigenvalue at 1e-5: the input reaches the zero's chain but not 1e-5
+    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    T = np.diag([1.0, 1.0, 0.0], 1)
+    T[3, 3] = 1e-5
+    A = Q @ T @ Q.T
+    assert np.abs(np.linalg.eigvals(A)).min() > 1e-6
+    stab = pbh_stabilizable(A, Q[:, [2]])
+    assert not stab.ok and len(stab.witnesses) == 1
+    assert abs(stab.witnesses[0] - 1e-5) < 1e-12
+    det = pbh_detectable(A.T, Q[:, [2]].T)
+    assert not det.ok and len(det.witnesses) == 1
+    assert abs(det.witnesses[0] - 1e-5) < 1e-12
+    # where the input misses the chain too, 0 is a witness beside 1e-5
+    assert 0 in pbh_stabilizable(A, Q[:, [3]]).witnesses
 
 
 def test_fixed_mode_iff_equilibrium_not_isolated_on_sparse_integer_games():
