@@ -79,17 +79,23 @@ def spectral_abscissa(M) -> StabilityVerdict:
     return StabilityVerdict(alpha, alpha < -STABILITY_TOL, ev)
 
 
-def robust_rank(M: np.ndarray, tol: float | None = None) -> int:
-    """Numerical rank from singular values; default threshold max(dims)*eps*s_max."""
-    M = np.atleast_2d(np.asarray(M, dtype=float if not np.iscomplexobj(M) else complex))
-    if M.size == 0:
-        return 0
+def robust_rank(M: np.ndarray, tol: float | None = None) -> int | np.ndarray:
+    """Numerical rank from singular values; default threshold max(m, n)*eps*s_max.
+
+    A stack (..., m, n) gives an array of ranks, each by the same rule; a
+    matrix gives an int.
+    """
     if tol is not None and not 0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
-    sv = np.linalg.svd(M, compute_uv=False)
-    if tol is None:
-        tol = max(M.shape) * np.finfo(float).eps * sv[0]
-    return int(np.sum(sv > tol))
+    M = np.atleast_2d(np.asarray(M, dtype=float if not np.iscomplexobj(M) else complex))
+    if M.size == 0:
+        ranks = np.zeros(M.shape[:-2], dtype=int)
+    else:
+        sv = np.linalg.svd(M, compute_uv=False)
+        if tol is None:
+            tol = max(M.shape[-2:]) * np.finfo(float).eps * sv[..., :1]
+        ranks = np.sum(sv > tol, axis=-1)
+    return int(ranks) if M.ndim == 2 else ranks
 
 
 def _spectrum(A: np.ndarray, ev=None) -> tuple:
@@ -113,15 +119,26 @@ def _spectrum(A: np.ndarray, ev=None) -> tuple:
     return ev, ev.real >= -STABILITY_TOL, scale, zero, rounded
 
 
-def _rank_drops(A: np.ndarray, unstable, B: np.ndarray, C: np.ndarray) -> list:
-    """The lam in unstable where [[A - lam I, B], [C, 0]] has rank below n."""
+def _rank_drops(A: np.ndarray, points, B: np.ndarray, C: np.ndarray) -> list:
+    """The lam in points where [[A - lam I, B], [C, 0]] has rank below n.
+
+    A, B and C are real, so the matrix at conj(lam) is the conjugate of the
+    one at lam, with the same singular values: each pair is tested once, at
+    Re lam + i|Im lam|. Real points are tested in real arithmetic, and each
+    dtype in one stacked robust_rank call.
+    """
     n = A.shape[0]
-    bottom = np.hstack([C, np.zeros((C.shape[0], B.shape[1]))])
-    return [
-        lam
-        for lam in unstable
-        if robust_rank(np.vstack([np.hstack([A - lam * np.eye(n), B]), bottom])) < n
-    ]
+    bordered = np.block([[A, B], [C, np.zeros((C.shape[0], B.shape[1]))]])
+    keys, inverse = np.unique(points.real + 1j * np.abs(points.imag), return_inverse=True)
+    drops = np.zeros(keys.size, dtype=bool)
+    real = keys.imag == 0
+    diag = np.arange(n)
+    for mask, lams in ((real, keys.real[real]), (~real, keys[~real])):
+        if lams.size:
+            stack = np.repeat(bordered[None].astype(lams.dtype), lams.size, axis=0)
+            stack[:, diag, diag] -= lams[:, None]
+            drops[mask] = robust_rank(stack) < n
+    return list(points[drops[inverse]])
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,22 @@ def finite_difference_loop(game, specs, ne, h=1e-6):
     return J
 
 
+def per_point_rank_drops(A, B, C):
+    """The lam of A with Re >= -STABILITY_TOL, in eigvals order, where the
+    bordered matrix [[A - lam I, B], [C, 0]] has rank below dim(A).
+
+    One robust_rank call per eigenvalue, each pair member on its own.
+    """
+    n = A.shape[0]
+    ev = np.linalg.eigvals(A)
+    bottom = np.hstack([C, np.zeros((C.shape[0], B.shape[1]))])
+    return [
+        lam
+        for lam in ev[ev.real >= -STABILITY_TOL]
+        if robust_rank(np.vstack([np.hstack([A - lam * np.eye(n), B]), bottom])) < n
+    ]
+
+
 def exhaustive_fixed_modes(plant):
     """Fixed-mode witnesses (lam, Q, R) of a decentralized plant, by brute force.
 
@@ -98,10 +114,7 @@ def exhaustive_fixed_modes(plant):
     lam is a witness when [[A - lam I, B|Q], [C|R, 0]] has rank below dim(A).
     No screen: every eigenvalue meets every partition.
     """
-    A = plant.A
-    n = A.shape[0]
-    ev = np.linalg.eigvals(A)
-    unstable = ev[ev.real >= -STABILITY_TOL]
+    n = plant.A.shape[0]
     players = range(plant.n)
     out = []
     for qsize in range(plant.n + 1):
@@ -109,11 +122,7 @@ def exhaustive_fixed_modes(plant):
             R = tuple(i for i in players if i not in Q)
             BQ = np.hstack([np.zeros((n, 0))] + [plant.B_blocks[q] for q in Q])
             CR = np.vstack([np.zeros((0, n))] + [plant.C_blocks[r] for r in R])
-            bottom = np.hstack([CR, np.zeros((CR.shape[0], BQ.shape[1]))])
-            for lam in unstable:
-                bordered = np.vstack([np.hstack([A - lam * np.eye(n), BQ]), bottom])
-                if robust_rank(bordered) < n:
-                    out.append((lam, Q, R))
+            out += [(lam, Q, R) for lam in per_point_rank_drops(plant.A, BQ, CR)]
     return out
 
 

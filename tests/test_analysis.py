@@ -46,6 +46,7 @@ from gradplay.simplex import NonFiniteInputError
 from conftest import (
     exhaustive_fixed_modes,
     finite_difference_loop,
+    per_point_rank_drops,
     random_mixed_ne_game,
     rescaled_jordan_split,
 )
@@ -189,6 +190,31 @@ def test_pbh_counterexamples_with_witness():
     assert res.witnesses[0] == pytest.approx(1.0)
 
 
+def test_pbh_returns_both_members_of_a_fixed_pair_in_eigvals_order():
+    # the pair is tested once, yet both members come back, as eigvals lists them
+    A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    e3 = np.array([[0.0], [0.0], [1.0]])
+    assert pbh_stabilizable(A, e3).witnesses == (1j, -1j)
+    assert pbh_detectable(A.T, e3.T).witnesses == (1j, -1j)
+
+
+def test_pbh_on_real_and_complex_points_matches_the_per_point_reference():
+    # unstable 0.3 +- 2i, +-i, 0.5 and 1.5 beside a stable -1, rotated; the
+    # input reaches 0.3 +- 2i and 1.5 only
+    T = np.zeros((7, 7))
+    T[:2, :2] = [[0.3, 2.0], [-2.0, 0.3]]
+    T[2:4, 2:4] = [[0.0, 1.0], [-1.0, 0.0]]
+    T[4:, 4:] = np.diag([0.5, 1.5, -1.0])
+    Q = np.linalg.qr(np.random.default_rng(1).normal(size=(7, 7)))[0]
+    A = Q @ T @ Q.T
+    B = Q[:, [0, 5]]
+    stab = pbh_stabilizable(A, B)
+    assert len(stab.witnesses) == 3 and sum(w.imag == 0 for w in stab.witnesses) == 1
+    assert stab.witnesses == tuple(per_point_rank_drops(A, B, np.zeros((0, 7))))
+    det = pbh_detectable(A.T, B.T)
+    assert det.witnesses == tuple(per_point_rank_drops(A.T, np.zeros((7, 0)), B.T))
+
+
 def test_robust_rank_threshold_decade_invariance():
     # verdicts on the named plants do not depend on the threshold within a
     # decade around 1e-10 * largest singular value
@@ -207,15 +233,47 @@ def test_robust_rank_threshold_decade_invariance():
             assert len(ranks) == 1
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-12])
-def test_robust_rank_rejects_bad_tol(tol):
+BAD_TOLS = [float("nan"), float("inf"), -float("inf"), -1e-12]
+
+
+@pytest.mark.parametrize(
+    "tol, shape",
+    [pytest.param(tol, (3, 3), id=str(tol)) for tol in BAD_TOLS]
+    + [pytest.param(tol, (0, 3), id=f"{tol}-empty") for tol in BAD_TOLS],
+)
+def test_robust_rank_rejects_bad_tol(tol, shape):
     with pytest.raises(ValueError, match="tol"):
-        robust_rank(np.eye(3), tol=tol)
+        robust_rank(np.eye(*shape), tol=tol)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_robust_rank_of_empty_matrix_is_zero(shape):
     assert robust_rank(np.zeros(shape)) == 0
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_robust_rank_of_a_stack_is_the_rank_of_each_matrix(dtype):
+    # ranks 0..4 of 4 x 5 products, each at its own scale: the threshold
+    # follows each matrix's own largest singular value
+    rng = np.random.default_rng(3)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if dtype is complex else x
+
+    stack = np.stack(
+        [draw(4, r) @ draw(r, 5) * scale for r in range(5) for scale in (1e-20, 1.0, 1e20)]
+    )
+    ranks = robust_rank(stack)
+    assert ranks.tolist() == [robust_rank(m) for m in stack] == [r for r in range(5) for _ in range(3)]
+    assert robust_rank(stack.reshape(3, 5, 4, 5)).tolist() == ranks.reshape(3, 5).tolist()
+    assert type(robust_rank(stack[-1])) is int
+
+
+@pytest.mark.parametrize("shape", [(4, 0, 3), (4, 3, 0), (0, 3, 3)])
+def test_robust_rank_of_a_stack_with_an_empty_dimension(shape):
+    ranks = robust_rank(np.zeros(shape))
+    assert ranks.shape == shape[:1] and not ranks.any()
 
 
 # --- eigenvector block support ----------------------------------------------
@@ -427,6 +485,22 @@ def test_decentralized_screen_matches_exhaustive_reference():
     assert draws[True] >= 50 and draws[False] >= 50
     assert fixed[True] == 0
     assert fixed[False] >= draws[False] // 2
+
+
+def test_pbh_matches_the_per_point_reference_on_random_plants():
+    # the draws of test_decentralized_screen_matches_exhaustive_reference,
+    # each full and per-player PBH test against one rank test per eigenvalue
+    rng = np.random.default_rng(2024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(300):
+            g, profile = random_mixed_ne_game(rng, singular=trial % 3 == 0)
+            plant = assemble_plant(assemble_local_game(g, profile))
+            A, n = plant.A, plant.A.shape[0]
+            no_B, no_C = np.zeros((n, 0)), np.zeros((0, n))
+            for B, C in [(plant.B, plant.C)] + list(zip(plant.B_blocks, plant.C_blocks)):
+                assert pbh_stabilizable(A, B).witnesses == tuple(per_point_rank_drops(A, B, no_C))
+                assert pbh_detectable(A, C).witnesses == tuple(per_point_rank_drops(A, no_B, C))
 
 
 def test_decentralized_defective_fixed_mode_reaches_rank_tests(monkeypatch):
