@@ -42,10 +42,7 @@ __all__ = [
 ]
 
 STABILITY_TOL = 1e-8  # stable iff every eigenvalue has real part < -STABILITY_TOL
-SCREEN_SEED = 20240101  # seed of the fixed-mode screen's random decentralized gains
-SCREEN_DRAWS = 2  # random decentralized gains drawn by the fixed-mode screen
-SCREEN_TOL = 1e-6  # relative distance at which a gain has moved an eigenvalue of A
-SCREEN_REPEAT_TOL = 1e-8  # relative radius of a repeated eigenvalue (screen, mode support)
+REPEAT_TOL = 1e-8  # relative radius of a repeated eigenvalue (mode support)
 MODE_BLOCK_TOL = 1e-8  # relative eigenvector block norm that counts as no support
 MARKOV_ORDER = 8  # highest m of the reported C A^m B
 MARKOV_ZERO_TOL = 1e-4  # relative radius of the zero-eigenvalue cluster
@@ -55,6 +52,7 @@ SWEEP_REFINE_WIDTH = 1e-4  # width of a gain_sweep crossing bracket
 PROBE_GAP = 1e-3  # width of a robustness_probe bracket
 PROBE_SCAN_POINTS = 16  # scales of robustness_probe's upward scan
 _SWEEP_BLOCK = 256  # grid points whose spectra gain_sweep computes in one stacked call
+_last_spectrum = (None, None)  # (key, result) of the last _spectrum(A) that solved for ev
 
 
 @dataclass(frozen=True)
@@ -98,25 +96,41 @@ def robust_rank(M: np.ndarray, tol: float | None = None) -> int | np.ndarray:
     return int(ranks) if M.ndim == 2 else ranks
 
 
+def _singular(A: np.ndarray) -> bool:
+    """A is singular by its own SVD: sigma_min(A) <= SINGULAR_RTOL * sigma_max(A)."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    return bool(sv[-1] <= SINGULAR_RTOL * sv[0])
+
+
 def _spectrum(A: np.ndarray, ev=None) -> tuple:
     """(ev, unstable, scale, zero, rounded): A's eigenvalues (ev if given) for rank tests.
 
     Rank tests visit the unstable mask, Re >= -STABILITY_TOL; eigenvalues within
-    SCREEN_REPEAT_TOL * scale repeat, scale = max(1, n max|A|); the zero mask
-    holds those within MARKOV_ZERO_TOL * max(1, max|ev|) of 0. Rounding spreads
-    a defective zero about eps^(1/m) at multiplicity m, yet the rank drops only
-    at 0: so where A is singular by its SVD but no eigenvalue lies within the
-    repeat radius of 0, rounded is true and rank tests visit 0 too.
+    REPEAT_TOL * scale repeat, scale = max(1, n max|A|); the zero mask holds
+    those within MARKOV_ZERO_TOL * max(1, max|ev|) of 0. Rounding spreads a
+    defective zero about eps^(1/m) at multiplicity m, yet the rank drops only
+    at 0: so where A is singular but no eigenvalue is exactly 0, rounded is
+    true and rank tests visit 0 too. Without ev, the last result is kept, with
+    read-only arrays, so the rank tests of one plant solve one eigenproblem.
     """
-    ev = np.linalg.eigvals(A) if ev is None else ev
+    global _last_spectrum
+    key = None
+    if ev is None:
+        key = (A.shape, A.dtype, A.tobytes())
+        last_key, last = _last_spectrum  # one read: another thread may replace the slot
+        if last_key == key:
+            return last
+        ev = np.linalg.eigvals(A)
     scale = max(1.0, A.shape[0] * float(np.max(np.abs(A))))
     dist = np.abs(ev)
     zero = dist <= MARKOV_ZERO_TOL * max(1.0, float(dist.max()))
-    rounded = zero.any() and dist.min() > SCREEN_REPEAT_TOL * scale
-    if rounded:
-        sv = np.linalg.svd(A, compute_uv=False)
-        rounded = bool(sv[-1] <= SINGULAR_RTOL * sv[0])
-    return ev, ev.real >= -STABILITY_TOL, scale, zero, rounded
+    rounded = bool(dist.min() > 0) and _singular(A)
+    out = (ev, ev.real >= -STABILITY_TOL, scale, zero, rounded)
+    if key is not None:
+        for arr in (ev, out[1], zero):
+            arr.flags.writeable = False
+        _last_spectrum = (key, out)
+    return out
 
 
 def _rank_drops(A: np.ndarray, points, B: np.ndarray, C: np.ndarray) -> list:
@@ -128,7 +142,8 @@ def _rank_drops(A: np.ndarray, points, B: np.ndarray, C: np.ndarray) -> list:
     dtype in one stacked robust_rank call.
     """
     n = A.shape[0]
-    bordered = np.block([[A, B], [C, np.zeros((C.shape[0], B.shape[1]))]])
+    bordered = np.zeros((n + C.shape[0], n + B.shape[1]))
+    bordered[:n, :n], bordered[:n, n:], bordered[n:, :n] = A, B, C
     keys, inverse = np.unique(points.real + 1j * np.abs(points.imag), return_inverse=True)
     drops = np.zeros(keys.size, dtype=bool)
     real = keys.imag == 0
@@ -158,11 +173,7 @@ def pbh_stabilizable(A, B) -> PbhResult:
     This is the fixed-mode test with every player in the input set.
     """
     A = np.asarray(A, dtype=float)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    ev, unstable, _, _, rounded = _spectrum(A)
-    points = np.append(ev[unstable], 0) if rounded else ev[unstable]
-    witnesses = _rank_drops(A, points, B, np.zeros((0, A.shape[0])))
-    return PbhResult(not witnesses, tuple(witnesses))
+    return _pbh(A, np.atleast_2d(np.asarray(B, dtype=float)), np.zeros((0, A.shape[0])))
 
 
 def pbh_detectable(A, C) -> PbhResult:
@@ -171,10 +182,12 @@ def pbh_detectable(A, C) -> PbhResult:
     This is the fixed-mode test with every player in the output set.
     """
     A = np.asarray(A, dtype=float)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    return _pbh(A, np.zeros((A.shape[0], 0)), np.atleast_2d(np.asarray(C, dtype=float)))
+
+
+def _pbh(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> PbhResult:
     ev, unstable, _, _, rounded = _spectrum(A)
-    points = np.append(ev[unstable], 0) if rounded else ev[unstable]
-    witnesses = _rank_drops(A, points, np.zeros((A.shape[0], 0)), C)
+    witnesses = _rank_drops(A, np.append(ev[unstable], 0) if rounded else ev[unstable], B, C)
     return PbhResult(not witnesses, tuple(witnesses))
 
 
@@ -209,19 +222,20 @@ def check_mode_support(local: GameLocalMatrix) -> ModeSupportReport:
 
     lam, VL, VR = scipy.linalg.eig(local.matrix, left=True, right=True)
     lam, unstable, scale, zero, rounded = _spectrum(local.matrix, lam)
-    slices = [local.block_slice(i) for i in range(local.n)]
-    entries = []
-    for lv, z, left, right in zip(lam[unstable], zero[unstable], VL.T[unstable], VR.T[unstable]):
-        mult = int(np.sum(zero if rounded and z else np.abs(lam - lv) <= SCREEN_REPEAT_TOL * scale))
-        if mult > 1:
-            entries.append(ModeSupportEntry(lv, mult, (), (), False, True))
-            continue
-        lnorms, rnorms = (
-            tuple(float(np.linalg.norm(v[sl])) / float(np.linalg.norm(v)) for sl in slices)
-            for v in (left, right)
-        )
-        ok = not any(x <= MODE_BLOCK_TOL for x in lnorms + rnorms)
-        entries.append(ModeSupportEntry(lv, 1, lnorms, rnorms, ok, False))
+    mult = np.sum(np.abs(lam[unstable, None] - lam) <= REPEAT_TOL * scale, axis=1)
+    if rounded:
+        mult[zero[unstable]] = np.sum(zero)
+    owner = np.repeat(np.eye(local.n), np.subtract(local.dims, 1), axis=1)  # [i, r]: r in block i
+    norms = [  # per unstable eigenvalue, the block norms of its left and its right eigenvector
+        (np.sqrt(owner @ (V.real**2 + V.imag**2)) / np.linalg.norm(V, axis=0)).T.tolist()
+        for V in (VL[:, unstable], VR[:, unstable])
+    ]
+    entries = [
+        ModeSupportEntry(lv, int(m), (), (), False, True)
+        if m > 1
+        else ModeSupportEntry(lv, 1, tuple(ln), tuple(rn), min(ln + rn) > MODE_BLOCK_TOL, False)
+        for lv, m, ln, rn in zip(lam[unstable], mult, *norms)
+    ]
     satisfied = all(e.ok for e in entries)  # an indeterminate entry is not ok
     return ModeSupportReport(satisfied, any(e.indeterminate for e in entries), tuple(entries))
 
@@ -248,42 +262,22 @@ class DecentralizedCheck:
 def decentralized_stabilizable(plant: DecentralizedPlant) -> DecentralizedCheck:
     """Rank condition for decentralized stabilization over all player partitions.
 
-    For every split of players into an input set Q and output set R and every
-    eigenvalue of A with Re >= -STABILITY_TOL, the bordered matrix
-    [[A - lam I, B|Q], [C|R, 0]] must have rank at least n; a drop below n at
-    an unstable eigenvalue is a fixed mode that no decentralized compensation
-    can move.  Rank loss away from eigenvalues of A is impossible since
-    A - lam I is then invertible.  Q = all players reproduces the PBH
-    stabilizability test and R = all players the PBH detectability test.
-
-    The fixed modes are the eigenvalues of A that stay eigenvalues of
-    A + sum_i B_i K_i C_i for every block-diagonal gain (Wang & Davison 1973;
-    Davison 1976).  So a screen first draws SCREEN_DRAWS such gains from
-    SCREEN_SEED and clears each simple unstable eigenvalue that one of them
-    moves farther than SCREEN_TOL * scale.  A cleared eigenvalue is not a
-    fixed mode, so no partition can drop rank there (Anderson & Clements
-    1981), and the result is exact: the rank tests still decide every
-    eigenvalue that is not cleared.  Repeated eigenvalues are never cleared,
-    since rounding moves a fixed mode of multiplicity m by about eps^(1/m).
+    For every split of players into an input set Q and output set R, the
+    bordered matrix [[A - lam I, B|Q], [C|R, 0]] must keep rank n at every lam
+    with Re >= -STABILITY_TOL; a drop is a fixed mode that no decentralized
+    compensation can move (Wang & Davison 1973).  By the closed form in
+    DecentralizedPlant's docstring, fixed modes lie only at 0 and exist
+    exactly when A is singular.  So a nonsingular A (by its SVD) returns ok
+    with no spectrum and no rank test; otherwise the partitions are tested at
+    the unstable members of the zero cluster, plus 0 as in the PBH tests, so
+    the failures with Q = all and R = all are the PBH witnesses.
     """
     A = plant.A
     n = A.shape[0]
-    ev, mask, scale, _, rounded = _spectrum(A)
-    unstable = ev[mask]
-    rng = np.random.default_rng(SCREEN_SEED)
-    moved = np.zeros(unstable.size, dtype=bool)
-    for _ in range(SCREEN_DRAWS):
-        closed_loop = A.astype(float)
-        for b, c in zip(plant.B_blocks, plant.C_blocks):
-            closed_loop += b @ rng.standard_normal((b.shape[1],) * 2) @ c
-        closed = np.linalg.eigvals(closed_loop)
-        moved |= np.min(np.abs(unstable[:, None] - closed), axis=1) > SCREEN_TOL * scale
-    repeated = np.sum(np.abs(unstable[:, None] - ev) <= SCREEN_REPEAT_TOL * scale, axis=1) > 1
-    unstable = unstable[repeated | ~moved]
-    if rounded:  # rounding moves a fixed mode at 0 too far for the screen to judge
-        unstable = np.append(unstable, 0)
-    if not unstable.size:
+    if not _singular(A):
         return DecentralizedCheck(True, n, ())
+    ev, unstable, _, zero, rounded = _spectrum(A)
+    points = np.append(ev[unstable & zero], 0) if rounded else ev[unstable & zero]
     players = range(plant.n)
     failures = []
     for qsize in range(plant.n + 1):
@@ -291,7 +285,7 @@ def decentralized_stabilizable(plant: DecentralizedPlant) -> DecentralizedCheck:
             R = tuple(i for i in players if i not in Q)
             BQ = np.hstack([plant.B_blocks[q] for q in Q]) if Q else np.zeros((n, 0))
             CR = np.vstack([plant.C_blocks[r] for r in R]) if R else np.zeros((0, n))
-            failures += [FixedModeWitness(lam, Q, R) for lam in _rank_drops(A, unstable, BQ, CR)]
+            failures += [FixedModeWitness(lam, Q, R) for lam in _rank_drops(A, points, BQ, CR)]
     return DecentralizedCheck(not failures, n, tuple(failures))
 
 

@@ -259,12 +259,17 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
 class DecentralizedPlant:
     """Open-loop plant seen by the compensators, split per player.
 
-    A is the loop of plain gradient play (ClosedLoopMatrix, no xi). Player i
-    injects through B_i = (S_i; 0), S_i selecting its tangent block, and
-    measures C_i, A's washout rows of that block. At each lam != -1 the block
-    -(1 + lam) I is invertible, so player i's PBH tests and those of its
-    single-channel sub-plant [[M, 0], [S_i^T M, -I]], (S_i; 0), (S_i^T M, -I)
-    both reduce to [M - lam I, S_i] and [M - lam I; lam S_i^T M].
+    A = [[M, 0], [M, -I]] is the loop of plain gradient play (ClosedLoopMatrix,
+    no xi). Player i injects through B_i = (S_i; 0), S_i selecting its tangent
+    block, and measures C_i = S_i^T [M, -I], A's washout rows of that block.
+    Fixed modes in closed form: for disjoint inputs Q and outputs R,
+    eliminating v at lam != -1 gives rank [[A - lam I, B_Q], [C_R, 0]] = ell +
+    rank [[M - lam I, S_Q], [lam/(1 + lam) S_R^T M, 0]]; with Q or R = {i} and
+    the other empty, these are also the PBH tests of player i's sub-plant
+    [[M, 0], [S_i^T M, -I]]. At lam != 0 a kernel vector (w, u) of the latter
+    has (M w)_R = 0, so lam w_R = 0 and u is fixed by w_Q: no rank loss. At
+    lam = 0 the output rows vanish: Q fails exactly when rank [M, S_Q] < ell.
+    So fixed modes lie only at 0 and exist exactly when M, so A, is singular.
     """
 
     A: np.ndarray

@@ -90,19 +90,28 @@ def finite_difference_loop(game, specs, ne, h=1e-6):
     return J
 
 
-def per_point_rank_drops(A, B, C):
-    """The lam of A with Re >= -STABILITY_TOL, in eigvals order, where the
-    bordered matrix [[A - lam I, B], [C, 0]] has rank below dim(A).
+def rank_test_points(A):
+    """The lam of A with Re >= -STABILITY_TOL, in eigvals order, then 0 unless
+    some eigenvalue is exactly 0: rounding can move a defective zero off 0,
+    where the rank drops, and at 0 of a nonsingular A it never drops."""
+    ev = np.linalg.eigvals(A)
+    return list(ev[ev.real >= -STABILITY_TOL]) + ([] if (ev == 0).any() else [0])
 
-    One robust_rank call per eigenvalue, each pair member on its own.
+
+def per_point_rank_drops(A, B, C, points=None):
+    """The points (rank_test_points(A) if None) where the bordered matrix
+    [[A - lam I, B], [C, 0]] has rank below dim(A).
+
+    One robust_rank call per point, each pair member on its own.
     """
     n = A.shape[0]
-    ev = np.linalg.eigvals(A)
-    bottom = np.hstack([C, np.zeros((C.shape[0], B.shape[1]))])
+    bordered = np.block([[A, B], [C, np.zeros((C.shape[0], B.shape[1]))]])
+    shift = np.eye(*bordered.shape)
+    shift[n:] = 0
     return [
         lam
-        for lam in ev[ev.real >= -STABILITY_TOL]
-        if robust_rank(np.vstack([np.hstack([A - lam * np.eye(n), B]), bottom])) < n
+        for lam in (rank_test_points(A) if points is None else points)
+        if robust_rank(bordered - lam * shift) < n
     ]
 
 
@@ -110,11 +119,12 @@ def exhaustive_fixed_modes(plant):
     """Fixed-mode witnesses (lam, Q, R) of a decentralized plant, by brute force.
 
     For every split of the players into an input set Q and an output set R,
-    and every eigenvalue lam of A with Re >= -STABILITY_TOL, in that order,
-    lam is a witness when [[A - lam I, B|Q], [C|R, 0]] has rank below dim(A).
-    No screen: every eigenvalue meets every partition.
+    and every point of rank_test_points(A), in that order, lam is a witness
+    when [[A - lam I, B|Q], [C|R, 0]] has rank below dim(A). No closed form:
+    every unstable eigenvalue, and 0, meets every partition.
     """
     n = plant.A.shape[0]
+    points = rank_test_points(plant.A)
     players = range(plant.n)
     out = []
     for qsize in range(plant.n + 1):
@@ -122,7 +132,7 @@ def exhaustive_fixed_modes(plant):
             R = tuple(i for i in players if i not in Q)
             BQ = np.hstack([np.zeros((n, 0))] + [plant.B_blocks[q] for q in Q])
             CR = np.vstack([np.zeros((0, n))] + [plant.C_blocks[r] for r in R])
-            out += [(lam, Q, R) for lam in per_point_rank_drops(plant.A, BQ, CR)]
+            out += [(lam, Q, R) for lam in per_point_rank_drops(plant.A, BQ, CR, points)]
     return out
 
 

@@ -11,7 +11,7 @@ import gradplay.linearize
 from gradplay.analysis import (
     PROBE_GAP,
     PROBE_SCAN_POINTS,
-    SCREEN_REPEAT_TOL,
+    REPEAT_TOL,
     STABILITY_TOL,
     SWEEP_REFINE_WIDTH,
     check_mode_support,
@@ -361,6 +361,37 @@ def test_mode_support_agrees_with_per_player_pbh():
     assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
+def test_mode_support_matches_the_per_entry_loop_on_random_games():
+    # the loop the stacked block norms replaced: one np.linalg.norm per block
+    # and entry, the multiplicity counted per entry; summation order differs,
+    # so the norms agree to 16 eps
+    import scipy.linalg
+
+    rng = np.random.default_rng(9001)
+    rtol = 16 * np.finfo(float).eps
+    for draw in range(400):
+        g, _ = random_mixed_ne_game(rng, singular=draw % 4 == 0)
+        local = GameLocalMatrix.from_game(g)
+        report = check_mode_support(local)
+        lam, VL, VR = scipy.linalg.eig(local.matrix, left=True, right=True)
+        lam, unstable, scale, zero, rounded = gradplay.analysis._spectrum(local.matrix, lam)
+        slices = [local.block_slice(i) for i in range(local.n)]
+        rows = zip(lam[unstable], zero[unstable], VL.T[unstable], VR.T[unstable])
+        assert len(report.entries) == np.sum(unstable)
+        for entry, (lv, z, left, right) in zip(report.entries, rows):
+            near = zero if rounded and z else np.abs(lam - lv) <= REPEAT_TOL * scale
+            assert (entry.eigenvalue, entry.multiplicity) == (lv, np.sum(near))
+            assert entry.indeterminate == (entry.multiplicity > 1)
+            if entry.indeterminate:
+                assert (entry.left_block_norms, entry.right_block_norms, entry.ok) == ((), (), False)
+                continue
+            for got, v in ((entry.left_block_norms, left), (entry.right_block_norms, right)):
+                want = [np.linalg.norm(v[sl]) / np.linalg.norm(v) for sl in slices]
+                assert_allclose(got, want, rtol=rtol, atol=0)
+            norms = entry.left_block_norms + entry.right_block_norms
+            assert entry.ok == all(x > gradplay.analysis.MODE_BLOCK_TOL for x in norms)
+
+
 def test_mode_support_ignores_stable_eigenvalues():
     report = check_mode_support(jordan_local())
     for entry in report.entries:
@@ -385,7 +416,7 @@ def test_mode_support_repeated_eigenvalue_indeterminate():
 
 def test_mode_support_repeat_radius_scales_with_the_matrix():
     # an almost defective pair at +-3.1e-8i lies inside the repeat radius
-    # SCREEN_REPEAT_TOL * n max|M| = 1.6e-7, though outside 1e-8 times the
+    # REPEAT_TOL * n max|M| = 1.6e-7, though outside 1e-8 times the
     # spectral radius 3; so its eigenvectors, almost parallel, are not read
     # as those of two simple eigenvalues
     H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -395,7 +426,7 @@ def test_mode_support_repeat_radius_scales_with_the_matrix():
     M = H @ T @ H
     report = check_mode_support(GameLocalMatrix(M, (2,) * 8))
     gap = abs(report.entries[0].eigenvalue - report.entries[1].eigenvalue)
-    assert SCREEN_REPEAT_TOL * 3 < gap < SCREEN_REPEAT_TOL * 8 * np.abs(M).max()
+    assert REPEAT_TOL * 3 < gap < REPEAT_TOL * 8 * np.abs(M).max()
     assert [(e.multiplicity, e.indeterminate) for e in report.entries] == [(2, True), (2, True)]
     assert report.indeterminate and not report.satisfied
 
@@ -466,7 +497,7 @@ def rank_call_counter(monkeypatch):
 
 def test_decentralized_screen_matches_exhaustive_reference():
     # isolated equilibria (nonsingular M) never have a fixed mode: the paper's
-    # first claim; the fixed modes of singular draws come out of the screen intact
+    # first claim; the reference visits every unstable eigenvalue, and 0
     rng = np.random.default_rng(2024)
     fixed = {True: 0, False: 0}
     draws = {True: 0, False: 0}
@@ -505,7 +536,7 @@ def test_pbh_matches_the_per_point_reference_on_random_plants():
 
 def test_decentralized_defective_fixed_mode_reaches_rank_tests(monkeypatch):
     # player 1 gets no payoff: M is nilpotent, so lam = 0 is a defective
-    # eigenvalue of A that the screen must leave to the partition loop
+    # eigenvalue of A, which eigvals returns as exact zeros
     with pytest.warns(UserWarning, match="singular"):
         plant = assemble_plant(GameLocalMatrix(np.array([[0.0, 2.0], [0.0, 0.0]]), (2, 2)))
     calls = rank_call_counter(monkeypatch)
@@ -567,6 +598,29 @@ def test_rounded_defective_zero_is_a_fixed_mode_of_every_rank_test():
     assert all(not e.indeterminate for e in support.entries if abs(e.eigenvalue) > 0.1)
 
 
+def test_mode_support_rounded_zero_cluster_with_a_tiny_member_is_indeterminate():
+    # M has rank 2 of 4 and a fourfold zero that eigvals returns as a triple
+    # spread over 1.8e-6 and a member at 6.7e-17: no eigenvalue is exactly 0,
+    # so the unstable members are one cluster, not simple modes
+    pairs = {
+        (0, 1): [[1, 0], [2, 0]],
+        (0, 2): [[1, 1], [0, 0]],
+        (1, 3): [[0, 2], [-1, 1]],
+        (2, 1): [[-1, 1], [0, -1]],
+        (2, 3): [[0, 0], [-1, -1]],
+        (3, 0): [[0, 2], [0, 1]],
+    }
+    mats = {p: np.array(m, dtype=float) for p, m in pairs.items()}
+    local = GameLocalMatrix.from_game(PolymatrixGame((2,) * 4, mats))
+    assert 0 < np.abs(np.linalg.eigvals(local.matrix)).min() < 1e-15
+    support = check_mode_support(local)
+    assert support.indeterminate and not support.satisfied
+    assert [(e.multiplicity, e.indeterminate) for e in support.entries] == [(4, True)] * 3
+    with pytest.warns(UserWarning, match="singular"):
+        plant = assemble_plant(local)
+    assert witnesses(decentralized_stabilizable(plant)) == exhaustive_fixed_modes(plant)
+
+
 def test_small_eigenvalue_beside_a_zero_keeps_its_own_witness():
     # an exact zero: 1e-5 is visited as it is, and e1 cannot reach it
     diag = pbh_stabilizable(np.diag([0.0, 1e-5]), [[1.0], [0.0]])
@@ -586,6 +640,110 @@ def test_small_eigenvalue_beside_a_zero_keeps_its_own_witness():
     assert abs(det.witnesses[0] - 1e-5) < 1e-12
     # where the input misses the chain too, 0 is a witness beside 1e-5
     assert 0 in pbh_stabilizable(A, Q[:, [3]]).witnesses
+
+
+def eigvals_counter(monkeypatch, A):
+    """Count np.linalg.eigvals calls on A, from an empty spectrum slot."""
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(gradplay.analysis, "_last_spectrum", (None, None))
+    monkeypatch.setattr(
+        np.linalg, "eigvals", lambda M: calls.append(np.array_equal(M, A)) or real(M)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["isolated", "singular"])
+def test_one_plant_solves_one_eigenproblem(monkeypatch, singular):
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g, profile = random_mixed_ne_game(rng, n=3, dims=[2, 3, 2], singular=singular)
+        plant = assemble_plant(assemble_local_game(g, profile))
+    calls = eigvals_counter(monkeypatch, plant.A)
+    decentralized_stabilizable(plant)
+    assert calls == ([True] if singular else [])  # a nonsingular A needs no spectrum
+    pbh_stabilizable(plant.A, plant.B)
+    pbh_detectable(plant.A, plant.C)
+    for b, c in zip(plant.B_blocks, plant.C_blocks):
+        pbh_stabilizable(plant.A, b)
+        pbh_detectable(plant.A, c)
+    decentralized_stabilizable(plant)
+    assert calls == [True]
+
+
+def test_a_matrix_edited_in_place_gets_a_fresh_spectrum(monkeypatch):
+    A = np.diag([0.5, -1.0, 2.0])
+    B = np.array([[1.0], [0.0], [0.0]])
+    calls = eigvals_counter(monkeypatch, A)
+    assert pbh_stabilizable(A, B).witnesses == (2.0,)
+    A[2, 2] = -2.0
+    assert pbh_stabilizable(A, B).ok
+    A[0, 0] = 3.0
+    assert pbh_stabilizable(A, B).ok
+    A[1, 1] = 4.0
+    assert pbh_stabilizable(A, B).witnesses == (4.0,)
+    assert calls == [True] * 4
+
+
+def test_cached_spectrum_is_read_only():
+    A = jordan_plant().A
+    first = gradplay.analysis._spectrum(A)
+    assert gradplay.analysis._spectrum(A.copy()) is first
+    ev, unstable, _, zero, _ = first
+    for arr in (ev, unstable, zero):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_rounded_defective_zero_lists_every_fixed_mode_partition():
+    # M = [[0, 1], [4.4e-17, 0]]: eigvals splits its defective zero to
+    # +-6.6e-9, where output rows of size 6.6e-9 restore the rank of
+    # partition ((0,), (1,)); at 0 they vanish and rank [M, S_0] = 1 < 2
+    mats = {(0, 1): np.array([[0.0, -1.0], [0.0, 1.0]]), (1, 0): np.array([[1.0, 2.0], [-2.0, -1.0]])}
+    local = GameLocalMatrix.from_game(PolymatrixGame((2, 2), mats))
+    with pytest.warns(UserWarning, match="singular"):
+        plant = assemble_plant(local)
+    assert 0 < np.abs(np.linalg.eigvals(local.matrix)).min() < 1e-8
+    dec = decentralized_stabilizable(plant)
+    assert witnesses(dec) == exhaustive_fixed_modes(plant)
+    assert sorted({(f.input_players, f.output_players) for f in dec.failures}) == [
+        ((), (0, 1)),
+        ((0,), (1,)),
+    ]
+    assert pbh_detectable(plant.A, plant.C).witnesses[-1] == 0
+
+
+def closed_form_games():
+    """800 of the 1,100 games of the closed-form check; the 300 draws of rng
+    2024 are test_decentralized_screen_matches_exhaustive_reference's."""
+    rng = np.random.default_rng(7)  # the sparse integer games
+    for _ in range(400):
+        n, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        mats = {p: np.round(rng.normal(size=(k, k))) for p in pairs if rng.random() < 0.5}
+        yield PolymatrixGame((k,) * n, mats)
+    rng = np.random.default_rng(9001)
+    for _ in range(400):
+        n = int(rng.integers(2, 5))
+        yield random_mixed_ne_game(rng, n=n, dims=[int(rng.integers(2, 4)) for _ in range(n)])[0]
+
+
+def test_closed_form_fixed_modes_match_the_exhaustive_reference():
+    # fixed modes lie only at 0, and exist exactly when A (so M) is singular
+    singular = 0
+    for g in closed_form_games():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            plant = assemble_plant(GameLocalMatrix.from_game(g))
+        dec = decentralized_stabilizable(plant)
+        assert witnesses(dec) == exhaustive_fixed_modes(plant), (g.dims, sorted(g.pair_matrices))
+        sv = np.linalg.svd(plant.A, compute_uv=False)
+        assert dec.ok == (sv[-1] > SINGULAR_RTOL * sv[0])
+        assert all(abs(f.eigenvalue) < 1e-6 for f in dec.failures)
+        singular += not dec.ok
+    assert singular == 499
 
 
 def test_fixed_mode_iff_equilibrium_not_isolated_on_sparse_integer_games():

@@ -33,7 +33,10 @@ from gradplay.dynamics import (
 )
 from gradplay.analysis import SweepResult
 from gradplay.games import PolymatrixGame, make_coordination, make_jordan
+from gradplay.linearize import assemble_local_game, assemble_plant
 from gradplay.simulate import StateLayout, Trajectory
+
+from conftest import exhaustive_fixed_modes, random_mixed_ne_game
 
 
 def data_path(name):
@@ -568,6 +571,29 @@ def test_analyze_finds_the_fixed_mode_of_a_rounded_defective_zero(capsys, tmp_pa
     assert not doc["decentralized"]["ok"]
     assert not doc["pbh"]["detectable"]
     assert doc["mode_support"]["indeterminate"]
+
+
+def test_analyze_counts_the_fixed_modes_at_a_rounded_zero(capsys, tmp_path):
+    # draw 13 of rng 2024: eigvals splits the defective zero of M to +-2.6e-9
+    # and 9e-11 +-i; at 0 itself two more partitions lose rank
+    rng = np.random.default_rng(2024)
+    for trial in range(14):
+        g, profile = random_mixed_ne_game(rng, singular=trial % 3 == 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the singular coupling
+        plant = assemble_plant(assemble_local_game(g, profile))
+    reference = exhaustive_fixed_modes(plant)
+    assert len({(q, r) for _, q, r in reference}) == 4
+    game = tmp_path / "draw13.json"
+    game.write_text(json.dumps(game_to_json(g)))
+    specs = tmp_path / "gp.json"
+    specs.write_text(json.dumps({"players": [{"variant": "gradient_play"}] * 3}))
+    init = json.dumps([x.tolist() for x in profile])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code, out, _ = run(capsys, ["analyze", str(game), str(specs), "--profile", init])
+    assert code == 1
+    assert json.loads(out)["decentralized"] == {"ok": False, "failures": len(reference)}
 
 
 @pytest.mark.parametrize(
