@@ -87,9 +87,15 @@ def _warn_if_singular(M: np.ndarray, what: str):
         )
 
 
-def _tangent_slices(dims) -> list:
-    ends = list(itertools.accumulate((k - 1 for k in dims), initial=0))
-    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+_SLICES = {}  # dims -> each player's slice of the tangent coordinates
+
+
+def _tangent_slices(dims) -> tuple:
+    dims = tuple(dims)
+    if dims not in _SLICES:
+        ends = list(itertools.accumulate((k - 1 for k in dims), initial=0))
+        _SLICES[dims] = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+    return _SLICES[dims]
 
 
 def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
@@ -101,7 +107,7 @@ def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
     NonFiniteInputError as GameLocalMatrix.from_game does.
     """
     xs = validate_profile(game, ne_profile)
-    if any(float(x.min()) <= MIXED_TOL for x in xs):
+    if float(np.concatenate(xs).min()) <= MIXED_TOL:
         raise ValueError(
             "profile is not completely mixed; local coordinates are undefined at the boundary"
         )
@@ -135,7 +141,7 @@ class ClosedLoopMatrix:
     aux_dims: tuple
 
 
-def _build_loop(K, lift, dims, specs, washed, xdiag):
+def _build_loop(K, lift, dims, specs, washed, xdiag=None):
     """The loop of (higher-order) gradient play, and the players' aux dimensions.
 
     The state is (x, xi, v): coordinates x with payoffs p = K x, the aux
@@ -143,13 +149,16 @@ def _build_loop(K, lift, dims, specs, washed, xdiag):
     is the tangent payoff and y = lift^T p - v the washout output. E, F, G, H
     stack the players' compensators block-diagonally on the tangent rows. The
     rows are PRE, the input diag(xdiag) x + p + lift (G xi + H y), then AUX:
-    xi' = E xi + F y and v' = y. xdiag is the whole x coefficient: while
-    finite, K and lift H lift^T K have zero diagonal blocks.
+    xi' = E xi + F y and v' = y. xdiag is the whole x coefficient, None for
+    no x term: while finite, K and lift H lift^T K have zero diagonal blocks.
+    A lift of None is the identity of tangent coordinates, where X + 0.0
+    stands for I @ X: equal bit for bit, as both turn a -0.0 entry +0.0.
     """
     slices = _tangent_slices(dims)
     ell = sum(k - 1 for k in dims)
     auxes = tuple(aux_dim(s) for s in specs)
-    L = sum(auxes)
+    ends = tuple(itertools.accumulate(auxes, initial=0))
+    L = ends[-1]
     E = np.zeros((L, L))
     F = np.zeros((L, ell))
     G = np.zeros((ell, L))
@@ -161,7 +170,7 @@ def _build_loop(K, lift, dims, specs, washed, xdiag):
                     f"player {i}: compensator signal dimension {spec.signal_dim} "
                     f"does not match k - 1 = {dims[i] - 1}"
                 )
-            sl, r = slices[i], slice(sum(auxes[:i]), sum(auxes[: i + 1]))  # tangent, aux rows
+            sl, r = slices[i], slice(ends[i], ends[i + 1])  # tangent, aux rows
             E[r, r] = spec.E
             F[r, sl] = spec.F
             G[sl, r] = spec.G
@@ -169,11 +178,15 @@ def _build_loop(K, lift, dims, specs, washed, xdiag):
     m = K.shape[0]
     a = m + L
     with np.errstate(over="ignore", invalid="ignore"):  # callers check what they need finite
-        TK = lift.T @ K
-        LH = lift @ H
+        if lift is None:
+            TK, LH, LG = K + 0.0, H + 0.0, G + 0.0
+        else:
+            TK, LH, LG = lift.T @ K, lift @ H, lift @ G
         out = np.zeros((a + TK[washed].shape[0],) * 2)
-        out[:m, :m] = K + LH @ TK + np.diag(xdiag)
-        out[:m, m:a] = lift @ G
+        out[:m, :m] = K + LH @ TK
+        if xdiag is not None:
+            out[:m, :m] += np.diag(xdiag)
+        out[:m, m:a] = LG
         out[:m, a:] = -LH[:, washed]
         out[m:a, :m] = F @ TK
         out[m:a, m:a] = E
@@ -195,8 +208,7 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
     for i, spec in enumerate(specs):
         if not isinstance(spec, PROJECTED):
             raise ValueError(f"player {i}: {type(spec).__name__} has no closed-loop linearization")
-    ell = local.matrix.shape[0]
-    J, auxes = _build_loop(local.matrix, np.eye(ell), local.dims, specs, slice(None), np.zeros(ell))
+    J, auxes = _build_loop(local.matrix, None, local.dims, specs, slice(None))
     return ClosedLoopMatrix(J, local.dims, auxes)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,21 +59,29 @@ class TangentBasis:
     N: np.ndarray
 
 
+_BASES = {}  # k -> the shared TangentBasis
+
+
 def tangent_basis(k: int) -> TangentBasis:
     """Deterministic Helmert-style tangent basis for the k-simplex.
 
     Column j has j+1 leading entries 1/sqrt((j+1)(j+2)) followed by the
     balancing entry -(j+1)/sqrt((j+1)(j+2)); the first nonzero entry of every
     column is positive.  For k=2 the single column is (1/sqrt(2), -1/sqrt(2)).
+    Each k is built once and shared: N is read-only.
     """
+    k = operator.index(k)  # a float k raises TypeError, not 2.0 == 2 finding the basis of 2
     if k < 2:
         raise ValueError("tangent basis needs k >= 2")
-    N = np.zeros((k, k - 1))
-    for j in range(k - 1):
-        a = 1.0 / np.sqrt((j + 1) * (j + 2))
-        N[: j + 1, j] = a
-        N[j + 1, j] = -(j + 1) * a
-    return TangentBasis(k, N)
+    if k not in _BASES:
+        N = np.zeros((k, k - 1))
+        for j in range(k - 1):
+            a = 1.0 / np.sqrt((j + 1) * (j + 2))
+            N[: j + 1, j] = a
+            N[j + 1, j] = -(j + 1) * a
+        N.flags.writeable = False
+        _BASES[k] = TangentBasis(k, N)
+    return _BASES[k]
 
 
 def to_local(x, x_star, basis: TangentBasis) -> np.ndarray:

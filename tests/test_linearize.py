@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -460,17 +461,40 @@ def assert_bits_equal(got, want):
     assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+def _anticipatory_or_plain(rng, k):
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return GradientPlay()
+    lam, gamma, gamma2 = rng.uniform(0.5, 50.0), rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0)
+    spec = make_anticipatory(float(lam), float(gamma), k, float(gamma2))
+    # a negative gain H = -gamma lam I has -0.0 off its diagonal too
+    return dataclasses.replace(spec, H=-spec.H) if kind == 1 else spec
+
+
 def test_operators_equal_the_explicit_identity_formulas():
     # the loop writer takes the x coefficient of each row; writing +I and then
     # subtracting it (closed loop) or zeroing it (other rules' flow rows) gives
-    # the same matrices, bit for bit and zero sign for zero sign
+    # the same matrices, bit for bit and zero sign for zero sign. The last
+    # draws use anticipatory compensators: G = -gamma2 lam I has -0.0 off its
+    # diagonal, which the closed loop's identity lift I @ G turns into +0.0,
+    # so a loop that copied G as it is would fail here; so would one that
+    # copied a negative gain H, or a coupling M given with -0.0 entries
     rng = np.random.default_rng(1717)
     draws = {True: 0, False: 0}
-    for draw in range(240):
+    negative_zeros = 0
+    for draw in range(300):
         n = int(rng.integers(2, 5))
         dims = [int(rng.integers(2, 5)) for _ in range(n)]
         game, _ = random_mixed_ne_game(rng, n=n, dims=dims)
-        specs = [_any_rule(rng, k, draw % 2 == 0) for k in dims]
+        if draw < 240:
+            specs = [_any_rule(rng, k, draw % 2 == 0) for k in dims]
+        else:
+            specs = [_anticipatory_or_plain(rng, k) for k in dims]
+            negative_zeros += sum(
+                int(np.signbit(s.G[s.G == 0]).sum())
+                for s in specs
+                if isinstance(s, HigherOrderGradientPlay)
+            )
         family = all(isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs)
         draws[family] += 1
         for got, want in zip(assemble_flow_operators(game, specs), _explicit_flow_operators(game, specs)):
@@ -497,12 +521,16 @@ def test_operators_equal_the_explicit_identity_formulas():
             continue
         assert_bits_equal(assemble_closed_loop(local, specs).matrix, J)
         assert_bits_equal(assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix, J)
+        if draw >= 240:
+            signed = np.where(M == 0, -0.0, M)
+            assert_bits_equal(assemble_closed_loop(GameLocalMatrix(signed, game.dims), specs).matrix, J)
         J0, J1 = assemble_loop_family(game, specs, direction)
         JD = _explicit_closed_loop(PolymatrixGame(game.dims, direction), specs)[1]
         J_empty = _explicit_closed_loop(PolymatrixGame(game.dims), specs)[1]
         assert_bits_equal(J0, J)
         assert_bits_equal(J1, JD - J_empty)
     assert min(draws.values()) >= 100
+    assert negative_zeros >= 100
 
 
 def test_loop_family_and_probe_assemble_two_loops(monkeypatch):

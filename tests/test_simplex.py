@@ -187,6 +187,26 @@ def test_tangent_basis_rejects_small_k():
         tangent_basis(1)
 
 
+def test_tangent_basis_is_shared_and_read_only():
+    b = tangent_basis(3)
+    assert tangent_basis(3) is b
+    with pytest.raises(ValueError, match="read-only"):
+        b.N[0, 0] = 1.0
+    assert_allclose(b.N.T @ b.N, np.eye(2), atol=1e-12)  # the failed write left it intact
+    assert tangent_basis(np.int64(3)) is b
+    for k in (1, 0, -2, np.int64(1)):
+        with pytest.raises(ValueError, match="k >= 2"):
+            tangent_basis(k)
+
+
+def test_tangent_basis_float_k_is_a_type_error():
+    # 2.0 == 2 as a dict key, so the shared k = 2 basis must not answer for it
+    tangent_basis(2)
+    for k in (2.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            tangent_basis(k)
+
+
 def test_to_local_zero_at_center():
     b = tangent_basis(3)
     x = np.array([0.2, 0.3, 0.5])

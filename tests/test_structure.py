@@ -2,13 +2,18 @@
 their imports form no cycle. Every module-level private name is used.
 
 Importing the package leaves scipy.linalg unloaded, and the learning rules
-are decided in dynamics alone: the simulator names no rule class.
+are decided in dynamics alone: the simulator names no rule class. Every
+public callable of a layer module is a class or a plain function.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gradplay"
@@ -256,3 +261,49 @@ def test_detector_finds_rule_names(tmp_path):
         "# HigherOrderGradientPlay in a comment is not a name\n"
     )
     assert names_in(src) & RULES == {"Replicator", "SmoothFictitiousPlay", "GradientPlay"}
+
+
+# a call tracer wraps the plain functions named in these modules' __all__; a
+# callable of another kind (a functools.cache wrapper, a partial, a builtin)
+# would run untraced and drop out of its layer's counts
+LAYERS = ("games", "simplex", "dynamics", "linearize", "analysis", "simulate", "cli")
+
+
+def non_function_exports(module) -> list:
+    """__all__ names bound to a callable other than a class, type alias or plain function."""
+    return [
+        name
+        for name in module.__all__
+        if callable(obj := getattr(module, name))
+        and not inspect.isclass(obj)
+        and typing.get_origin(obj) is None
+        and not inspect.isfunction(obj)
+    ]
+
+
+def test_layer_exports_are_classes_or_plain_functions():
+    found = {
+        m: non_function_exports(importlib.import_module(f"gradplay.{m}")) for m in LAYERS
+    }
+    assert {m: names for m, names in found.items() if names} == {}
+
+
+def test_detector_flags_wrapped_exports():
+    probe = types.ModuleType("probe")
+    exec(
+        "import functools\n"
+        "from typing import Union\n"
+        "__all__ = ['Box', 'Spec', 'plain', 'short', 'cached', 'bound', 'builtin', 'LIMIT']\n"
+        "class Box:\n"
+        "    pass\n"
+        "Spec = Union[Box, int]\n"
+        "def plain(k):\n"
+        "    return k\n"
+        "short = lambda k: k\n"
+        "cached = functools.cache(plain)\n"
+        "bound = functools.partial(plain, 2)\n"
+        "builtin = len\n"
+        "LIMIT = 3\n",
+        vars(probe),
+    )
+    assert non_function_exports(probe) == ["cached", "bound", "builtin"]
