@@ -11,7 +11,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .simplex import NonFiniteInputError, TangentBasis, project_to_simplex
+from .simplex import NonFiniteInputError, TangentBasis, project_on_support, project_to_simplex
 
 __all__ = [
     "GradientPlay",
@@ -50,11 +50,24 @@ def softmax(v, temperature: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GradientPlay:
-    """Projected payoff ascent: dx = proj(x + p) - x."""
+    """Projected payoff ascent: dx = proj(x + p) - x.
+
+    The batched update of every rule takes (m, k) rows of strategies x and
+    inputs z, the rows' temperatures, and memo: None, or a dict that the
+    caller keeps for this group of rows from stage to stage. Gradient play
+    keeps the support of its last projection there and tries it first; the
+    other rules ignore memo.
+    """
 
     @staticmethod
-    def update(x, z, temps):
-        return project_to_simplex(z) - x
+    def update(x, z, temps, memo=None):
+        if memo is None:
+            return project_to_simplex(z) - x
+        p = project_on_support(z, memo["support"]) if "support" in memo else None
+        if p is None:
+            p = project_to_simplex(z)
+            memo["support"] = p > 0
+        return p - x
 
 
 @dataclass(frozen=True)
@@ -63,8 +76,8 @@ class Replicator:
     1^T dx = 0 everywhere, so rounding off the simplex does not grow."""
 
     @staticmethod
-    def update(x, z, temps):
-        mean = (x * z).sum(axis=1, keepdims=True) / x.sum(axis=1, keepdims=True)
+    def update(x, z, temps, memo=None):
+        mean = np.add.reduce(x * z, axis=1, keepdims=True) / np.add.reduce(x, axis=1, keepdims=True)
         return x * (z - mean)
 
 
@@ -79,9 +92,9 @@ class SmoothFictitiousPlay:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     @staticmethod
-    def update(x, z, temps):
-        e = np.exp((z - z.max(axis=1, keepdims=True)) / temps)
-        return e / e.sum(axis=1, keepdims=True) - x
+    def update(x, z, temps, memo=None):
+        e = np.exp((z - np.maximum.reduce(z, axis=1, keepdims=True)) / temps)
+        return e / np.add.reduce(e, axis=1, keepdims=True) - x
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ class PolymatrixGame:
     def __post_init__(self):
         dims = tuple(int(k) for k in self.dims)
         object.__setattr__(self, "dims", dims)
+        if not dims:
+            raise ValueError("a game needs at least one player")
         if any(k < 2 for k in dims):
             raise ValueError("every player needs at least 2 pure strategies")
         mats = {}

@@ -11,6 +11,7 @@ __all__ = [
     "NonFiniteInputError",
     "TangentBasis",
     "project_to_simplex",
+    "project_on_support",
     "tangent_basis",
     "to_local",
     "from_local",
@@ -32,19 +33,44 @@ def project_to_simplex(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.size == 0:
         raise ValueError("project_to_simplex expects a nonempty vector or matrix of rows")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NonFiniteInputError("project_to_simplex expects finite entries")
     rows = x.reshape(-1, x.shape[-1])
     m, k = rows.shape
     # projection commutes with constant shifts; anchoring the max at zero
     # keeps the water-level arithmetic exact for entries of any magnitude
-    rows = rows - rows.max(axis=1, keepdims=True)
-    u = np.sort(rows, axis=1)[:, ::-1]
-    css = u.cumsum(axis=1) - 1.0
+    rows = rows - np.maximum.reduce(rows, axis=1, keepdims=True)
+    u = rows.copy()
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    css = u.cumsum(axis=1)
+    css -= 1.0
     # rho is the last index with u * idx > css (the first always is one)
     rho = k - (u * np.arange(1, k + 1) > css)[:, ::-1].argmax(axis=1)
-    theta = css[np.arange(m), rho - 1] / rho
-    return np.maximum(rows - theta[:, None], 0.0).reshape(x.shape)
+    rows -= (css[np.arange(m), rho - 1] / rho)[:, None]
+    return np.maximum(rows, 0.0, out=rows).reshape(x.shape)
+
+
+def project_on_support(rows, support) -> np.ndarray | None:
+    """The projection of each row of rows onto the simplex, if support is its support; else None.
+
+    rows is an (m, k) matrix of finite entries and support a boolean (m, k)
+    mask with at least one entry in each row. Each row is anchored at its max
+    as in project_to_simplex, its water level on S is theta = (sum_S row - 1) / |S|,
+    and S is the support exactly when the KKT signs hold: row - theta >= 0 on S
+    and <= 0 off S. Then the projection is row - theta on S and +0.0 off S;
+    otherwise the result is None. With at most 3 entries in S the anchored
+    sum has at most two nonzero terms, so where the sort path of
+    project_to_simplex picks the same support both agree bit for bit; with
+    more they may differ in the last bits, by summation order.
+    """
+    r = rows - np.maximum.reduce(rows, axis=1, keepdims=True)
+    excess = np.add.reduce(r, axis=1, where=support, keepdims=True)
+    excess -= 1.0
+    r -= excess / np.add.reduce(support, axis=1, keepdims=True)  # now row - theta
+    if not np.minimum.reduce(np.where(support, r, np.negative(r)), axis=None) >= 0:
+        return None
+    return np.where(support, r, 0.0)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,10 @@ class _Flow:
     are AUX y and no rounding of c reaches the aux states. Players are grouped
     by (spec.update, k) into (m, k) index arrays, and a stage is one product,
     one finite check and one call of the group's batched update, equal row by
-    row to dynamics.derivative up to rounding.
+    row to dynamics.derivative up to rounding. A group reads and writes its
+    rows through at: a slice when they are contiguous, else their indices.
+    Without a region cache each group keeps a memo dict from stage to stage,
+    which its update may use (gradient play keeps its last support there).
     """
 
     def __init__(self, game: PolymatrixGame, specs, layout: StateLayout, bases, c, cfg):
@@ -160,8 +163,17 @@ class _Flow:
             rows, temps = plan.setdefault((spec.update, game.dims[i]), ([], []))
             rows.append(np.arange(xsl.start, xsl.stop))
             temps.append(getattr(spec, "temperature", 0.0))
-        self.groups = [(f, np.array(r), np.array(t)[:, None]) for (f, _), (r, t) in plan.items()]
         self.regions = {} if _projection_family(specs) else None
+        self.groups = []
+        for (update, _), (rows, temps) in plan.items():
+            rows = np.array(rows)
+            # players are laid out in order, so rows spanning rows.size indices are one slice
+            first, last = rows[0, 0], rows[-1, -1]
+            at = slice(first, last + 1) if last - first + 1 == rows.size else rows.ravel()
+            # a flow with regions takes plain steps where a support changes, so a
+            # remembered support would mostly be stale there: it keeps no memo
+            memo = {} if self.regions is None else None
+            self.groups.append((update, rows, np.array(temps)[:, None], at, memo))
         self.step = cfg.step
         self.length = min(cfg.record_stride, _MAX_BLOCK)
         # |f(y)|_inf <= a (|y|_inf + 1) for the flow f and for its affine form on
@@ -176,9 +188,10 @@ class _Flow:
         if not np.isfinite(z).all():
             raise NonFiniteInputError("payoff entries must be finite")
         dx = np.empty(self.nx)
-        for update, rows, temps in self.groups:
-            dx[rows] = update(y[rows], z[rows], temps)  # the rows index x, which leads y
-        return np.concatenate([dx, self.AUX @ y])
+        for update, rows, temps, at, memo in self.groups:  # the rows index x, which leads y
+            shape = rows.shape
+            dx[at] = update(y[at].reshape(shape), z[at].reshape(shape), temps, memo).ravel()
+        return np.concatenate([dx, self.AUX @ y]) if self.AUX.shape[0] else dx
 
     def region_at(self, y: np.ndarray):
         """The cached _Region of y's support, or None (other rules, or y past the growth bound).
@@ -199,7 +212,7 @@ class _Flow:
             return None
         z = self.PRE @ y + self.c
         mask = np.empty(self.nx, dtype=bool)
-        for _, rows, _ in self.groups:
+        for _, rows, *_ in self.groups:
             mask[rows] = project_to_simplex(z[rows]) > 0
         key = mask.tobytes()
         if key not in self.regions:
@@ -336,7 +349,7 @@ def _build_region(flow: _Flow, mask) -> _Region:
     nx, dim = PRE.shape
     W = np.zeros((nx, nx))
     r = np.zeros(nx)
-    for _, rows, _ in flow.groups:  # (m, k) rows of m players; each block row is s / |S|
+    for _, rows, *_ in flow.groups:  # (m, k) rows of m players; each block row is s / |S|
         s = mask[rows]
         W[rows[:, :, None], rows[:, None, :]] = (s / s.sum(axis=1, keepdims=True))[:, None]
         r[rows] = 1.0 / s.sum(axis=1, keepdims=True)

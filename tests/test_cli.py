@@ -499,6 +499,18 @@ def test_nonfinite_game_file_exits_2(capsys, tmp_path, nan_game_file, command):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_game_file_without_players_exits_2(capsys, tmp_path, command):
+    game = tmp_path / "empty.game.json"
+    game.write_text(json.dumps({"dims": [], "matrices": []}))
+    specs = tmp_path / "empty.specs.json"
+    specs.write_text(json.dumps({"players": []}))
+    argv = [command, str(game)] + ([str(specs)] if command == "analyze" else [])
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: a game needs at least one player\n"
+
+
 # --- analyze --------------------------------------------------------------------
 
 

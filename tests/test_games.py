@@ -264,6 +264,12 @@ def test_game_shape_validation():
         PolymatrixGame((1, 2), {})
 
 
+def test_game_without_players_rejected():
+    with pytest.raises(ValueError, match="a game needs at least one player"):
+        PolymatrixGame(())
+    assert PolymatrixGame((2,)).n == 1  # the open loop's one-player game
+
+
 @pytest.mark.parametrize("i", [-1, 3])
 def test_payoff_map_rejects_player_out_of_range(i):
     g = make_jordan()

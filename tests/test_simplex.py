@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gradplay.simplex import (
     NonFiniteInputError,
     from_local,
+    project_on_support,
     project_to_simplex,
     tangent_basis,
     to_local,
@@ -147,6 +148,56 @@ def test_projection_rows_at_water_level_ties_match_vectors_bit_for_bit(k):
         row[:] = rng.permutation(u)
     for x, p in zip(X, project_to_simplex(X)):
         assert_array_equal(p, sort_threshold_vector(x))
+
+
+def sort_support_size(x):
+    """rho, the support size the sort path picks for the vector x (test-only)."""
+    u = np.sort(x - np.max(x))[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, x.size + 1)
+    return idx[u * idx > css][-1]
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda k: st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=1, max_size=5)
+    ),
+    st.sampled_from([1e-100, 1.0, 1e100]),
+    st.sampled_from([0.0, 1e20]),  # far from 0, where a water level of the raw rows is lost
+)
+def test_projection_on_its_support_matches_sort_path(rows, scale, offset):
+    X = np.array(rows) * scale + offset
+    P = project_to_simplex(X)
+    for x, p in zip(X, P):
+        s = p > 0
+        za = x - x.max()
+        # both paths round only in the water level: a few ulps of the anchored row
+        tol = 4 * x.size * np.finfo(float).eps * max(1.0, np.abs(za).max())
+        r = za - (za[s].sum() - 1.0) / s.sum()
+        q = project_on_support(x[None], s[None])
+        if q is None:  # the sign check fails only by rounding, at an entry on the water level
+            assert (np.where(s, r, -r) >= -tol).all()
+        elif s.sum() <= 3 and sort_support_size(x) == s.sum():
+            assert_array_equal(q[0], p)
+        else:
+            assert np.abs(q[0] - p).max() <= tol
+        if q is not None:
+            assert not np.signbit(q[0]).any() and (q[0][~s] == 0.0).all()
+        for j in range(x.size):  # a support with one entry more or less is wrong
+            w = s.copy()
+            w[j] = not w[j]
+            q = project_on_support(x[None], w[None]) if w.any() else None
+            assert q is None or np.abs(q[0] - p).max() <= tol  # else w differs at a tie
+
+
+def test_projection_on_a_wrong_support_is_none():
+    X = np.array([[0.9, 0.1, -2.0], [0.2, 0.3, 0.5]])
+    support = np.array([[True, True, False], [True, True, True]])
+    assert_array_equal(project_on_support(X, support), project_to_simplex(X))
+    for i, j in [(0, 1), (0, 2), (1, 0)]:
+        wrong = support.copy()
+        wrong[i, j] = not wrong[i, j]
+        assert project_on_support(X, wrong) is None
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 2, 2), ()])

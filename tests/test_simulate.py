@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gradplay.cli as cli
+import gradplay.dynamics as dyn
 import gradplay.simulate as sim
 from gradplay.cli import run_scenario, scenario_names
 from gradplay.dynamics import (
@@ -429,6 +430,31 @@ def test_stacked_flow_matches_per_player_derivative(dims, names, start):
         init = ne  # every payoff vector is constant there: all entries tie
     cfg = SimConfig(step=0.01, horizon=1.0, record_stride=7)
     traj = simulate_coupled(game, specs, init, cfg)
+    times, states = per_player_rk4(game, specs, init, cfg)
+    assert_array_equal(traj.times, times)
+    assert_allclose(traj.states, states, rtol=0, atol=1e-12)
+
+
+def test_mixed_flow_projects_on_its_last_support_until_it_changes(monkeypatch):
+    # gradient players start on vertices, and their projection support
+    # changes three times as they move in: only those stages sort
+    rng = np.random.default_rng(4)
+    game, ne = random_mixed_ne_game(rng, n=3, dims=[3, 3, 3])
+    specs = [GradientPlay(), Replicator(), GradientPlay()]
+    init = [np.array([1.0, 0.0, 0.0]), ne[1], np.array([0.0, 0.0, 1.0])]
+    cfg = SimConfig(step=0.01, horizon=2.0, record_stride=10)
+    supports = []
+    project = dyn.project_to_simplex
+
+    def counted(z):
+        p = project(z)
+        supports.append((p > 0).tobytes())
+        return p
+
+    with monkeypatch.context() as m:
+        m.setattr(dyn, "project_to_simplex", counted)
+        traj = simulate_coupled(game, specs, init, cfg)
+    assert len(set(supports)) >= 3 and len(supports) < 10  # of 800 stage projections
     times, states = per_player_rk4(game, specs, init, cfg)
     assert_array_equal(traj.times, times)
     assert_allclose(traj.states, states, rtol=0, atol=1e-12)
