@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .games import PolymatrixGame
-from .linearize import SINGULAR_RTOL, DecentralizedPlant, GameLocalMatrix, assemble_loop_family
+from .linearize import DecentralizedPlant, GameLocalMatrix, assemble_loop_family, singular
 from .simplex import NonFiniteInputError
 
 __all__ = [
@@ -47,7 +47,6 @@ MODE_BLOCK_TOL = 1e-8  # relative eigenvector block norm that counts as no suppo
 MARKOV_ORDER = 8  # highest m of the reported C A^m B
 MARKOV_ZERO_TOL = 1e-4  # relative radius of the zero-eigenvalue cluster
 MARKOV_NONZERO_TOL = 1e-9  # smallest |C A^m B| entry that counts as nonzero
-PARITY_TOL = 1e-12  # smallest |m12 m21| of an isolated 2x2 equilibrium
 SWEEP_REFINE_WIDTH = 1e-4  # width of a gain_sweep crossing bracket
 PROBE_GAP = 1e-3  # width of a robustness_probe bracket
 PROBE_SCAN_POINTS = 16  # scales of robustness_probe's upward scan
@@ -96,12 +95,6 @@ def robust_rank(M: np.ndarray, tol: float | None = None) -> int | np.ndarray:
     return int(ranks) if M.ndim == 2 else ranks
 
 
-def _singular(A: np.ndarray) -> bool:
-    """A is singular by its own SVD: sigma_min(A) <= SINGULAR_RTOL * sigma_max(A)."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    return bool(sv[-1] <= SINGULAR_RTOL * sv[0])
-
-
 def _spectrum(A: np.ndarray, ev=None) -> tuple:
     """(ev, unstable, scale, zero, rounded): A's eigenvalues (ev if given) for rank tests.
 
@@ -124,7 +117,7 @@ def _spectrum(A: np.ndarray, ev=None) -> tuple:
     scale = max(1.0, A.shape[0] * float(np.max(np.abs(A))))
     dist = np.abs(ev)
     zero = dist <= MARKOV_ZERO_TOL * max(1.0, float(dist.max()))
-    rounded = bool(dist.min() > 0) and _singular(A)
+    rounded = bool(dist.min() > 0) and singular(A)
     out = (ev, ev.real >= -STABILITY_TOL, scale, zero, rounded)
     if key is not None:
         for arr in (ev, out[1], zero):
@@ -274,7 +267,7 @@ def decentralized_stabilizable(plant: DecentralizedPlant) -> DecentralizedCheck:
     """
     A = plant.A
     n = A.shape[0]
-    if not _singular(A):
+    if not singular(A):
         return DecentralizedCheck(True, n, ())
     ev, unstable, _, zero, rounded = _spectrum(A)
     points = np.append(ev[unstable & zero], 0) if rounded else ev[unstable & zero]
@@ -434,13 +427,11 @@ def strong_stabilizability_2x2(game: PolymatrixGame) -> ParityResult:
     """Parity screen on a two-player game with binary strategies."""
     if game.n != 2 or game.dims != (2, 2):
         raise ValueError("parity screen applies to two players with two strategies each")
-    M = GameLocalMatrix.from_game(game).matrix
-    m12, m21 = float(M[0, 1]), float(M[1, 0])
-    if abs(m12 * m21) <= PARITY_TOL:
-        raise ValueError(
-            "m12 * m21 vanishes: the mixed equilibrium is not isolated"
-        )
-    verdict = "not_strongly_stabilizable" if m12 * m21 > 0 else "parity_condition_passed"
+    local = GameLocalMatrix.from_game(game)
+    m12, m21 = float(local.matrix[0, 1]), float(local.matrix[1, 0])
+    if singular(local.matrix, local.scale):
+        raise ValueError("the reduced coupling is singular: the mixed equilibrium is not isolated")
+    verdict = "not_strongly_stabilizable" if (m12 > 0) == (m21 > 0) else "parity_condition_passed"
     return ParityResult(verdict, m12, m21)
 
 

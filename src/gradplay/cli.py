@@ -7,7 +7,6 @@ error, 3 precondition failure, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import numbers
 import sys
@@ -42,7 +41,7 @@ from .games import (
     uniform_profile,
     verify_ne,
 )
-from .linearize import GameLocalMatrix, assemble_closed_loop, assemble_local_game, assemble_plant
+from .linearize import GameLocalMatrix, assemble_closed_loop, assemble_local_game, assemble_plant, singular
 from .simplex import tangent_basis
 from .simulate import (
     NonFiniteStateError,
@@ -517,17 +516,17 @@ def _cmd_analyze(args) -> int:
             "indeterminate": support.indeterminate,
         },
         "decentralized": {"ok": dec.ok, "failures": len(dec.failures)},
+        "isolated": not singular(local.matrix, local.scale),
     }
     report["parity"] = None  # the screen applies to an isolated 2 x 2 equilibrium only
-    if game.dims == (2, 2):
-        with contextlib.suppress(ValueError):  # m12 * m21 vanishes
-            parity = strong_stabilizability_2x2(game)
-            report["parity"] = {
-                "verdict": parity.verdict,
-                "not_strongly_stabilizable": parity.strongly_stabilizable_obstructed,
-                "m12": parity.m12,
-                "m21": parity.m21,
-            }
+    if game.dims == (2, 2) and report["isolated"]:
+        parity = strong_stabilizability_2x2(game)
+        report["parity"] = {
+            "verdict": parity.verdict,
+            "not_strongly_stabilizable": parity.strongly_stabilizable_obstructed,
+            "m12": parity.m12,
+            "m21": parity.m21,
+        }
     _emit(report)
     return EXIT_OK if verdict.stable else EXIT_NEGATIVE
 

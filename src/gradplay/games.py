@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ class PolymatrixGame:
         )
 
     def __post_init__(self):
-        dims = tuple(int(k) for k in self.dims)
+        dims = tuple(_index(k, "dims") for k in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValueError("a game needs at least one player")
@@ -57,6 +58,7 @@ class PolymatrixGame:
             raise ValueError("every player needs at least 2 pure strategies")
         mats = {}
         for (i, j), m in self.pair_matrices.items():
+            i, j = _index(i, "pair indices"), _index(j, "pair indices")
             if i == j or not (0 <= i < self.n) or not (0 <= j < self.n):
                 raise ValueError(f"invalid player pair ({i}, {j})")
             m = np.asarray(m, dtype=float)
@@ -78,6 +80,13 @@ class PolymatrixGame:
         if m is None:
             return np.zeros((self.dims[i], self.dims[j]))
         return m
+
+
+def _index(value, field: str) -> int:
+    """A plain int from an int or numpy integer; operator.index would also read a bool as 0 or 1."""
+    if type(value) is int or (hasattr(type(value), "__index__") and not isinstance(value, bool)):
+        return operator.index(value)
+    raise TypeError(f"game {field} must be integers, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "assemble_loop_family",
     "assemble_flow_operators",
     "assemble_plant",
+    "singular",
 ]
 
 SINGULAR_RTOL = 1e-12
@@ -45,6 +46,7 @@ class GameLocalMatrix:
 
     matrix: np.ndarray
     dims: tuple
+    scale: float = 0.0  # largest |pair entry|, set by from_game; 0.0 judges M at its own scale
 
     @property
     def n(self) -> int:
@@ -70,18 +72,27 @@ class GameLocalMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             for (i, j), mat in game.pair_matrices.items():
                 M[slices[i], slices[j]] = N[game.dims[i]].T @ mat @ N[game.dims[j]]
-        local = cls(M, game.dims)
+        entries = itertools.chain(*(m.ravel().tolist() for m in game.pair_matrices.values()))
+        local = cls(M, game.dims, max(map(abs, entries), default=0.0))
         if not np.isfinite(M).all():
             bad = next(p for p in sorted(game.pair_matrices) if not np.isfinite(local.block(*p)).all())
             raise NonFiniteInputError(f"reduced coupling block {bad} is not finite")
         return local
 
 
-def _warn_if_singular(M: np.ndarray, what: str):
+def singular(M: np.ndarray, scale: float = 0.0) -> bool:
+    """sigma_min(M) <= SINGULAR_RTOL * max(scale, sigma_max(M)), the one singularity rule.
+
+    A game passes its GameLocalMatrix.scale; a plant none, as its rank tests judge A at its own.
+    """
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_RTOL * sv[0]:
+    return bool(sv[-1] <= SINGULAR_RTOL * max(scale, sv[0]))
+
+
+def _warn_if_singular(local: GameLocalMatrix):
+    if singular(local.matrix, local.scale):
         warnings.warn(
-            f"{what} is singular to working precision; "
+            "local game matrix is singular to working precision; "
             "the equilibrium is not isolated",
             stacklevel=3,
         )
@@ -112,7 +123,7 @@ def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
             "profile is not completely mixed; local coordinates are undefined at the boundary"
         )
     local = GameLocalMatrix.from_game(game)
-    _warn_if_singular(local.matrix, "local game matrix")
+    _warn_if_singular(local)
     return local
 
 
@@ -304,7 +315,7 @@ class DecentralizedPlant:
 
 def assemble_plant(local: GameLocalMatrix) -> DecentralizedPlant:
     """Build the decentralized plant from the reduced coupling matrix."""
-    _warn_if_singular(local.matrix, "local game matrix")
+    _warn_if_singular(local)
     A = assemble_closed_loop(local, [GradientPlay()] * local.n).matrix
     ell = local.matrix.shape[0]
     B = np.eye(2 * ell, ell)

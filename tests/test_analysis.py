@@ -998,15 +998,29 @@ def test_parity_coordination_not_strongly_stabilizable():
     assert res.m21 == pytest.approx(1.0)
 
 
+ZERO_SUM_2X2 = {(0, 1): np.array([[1.0, -1.0], [-1.0, 1.0]]), (1, 0): np.array([[-1.0, 1.0], [1.0, -1.0]])}
+
+
 def test_parity_zero_sum_passes():
-    g = PolymatrixGame(
-        (2, 2),
-        {(0, 1): np.array([[1.0, -1.0], [-1.0, 1.0]]), (1, 0): np.array([[-1.0, 1.0], [1.0, -1.0]])},
-    )
-    res = strong_stabilizability_2x2(g)
+    res = strong_stabilizability_2x2(PolymatrixGame((2, 2), ZERO_SUM_2X2))
     assert res.verdict == "parity_condition_passed"
     assert res.m12 == pytest.approx(2.0)
     assert res.m21 == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("mu", [1e-170, 1e-7, 1e-3, 1.0, 1e3, 1e7])
+def test_parity_verdict_is_invariant_under_payoff_scaling(mu):
+    # scaling every payoff by mu > 0 keeps the equilibria, so it keeps the
+    # verdict; at 1e-170 the product m12 m21 underflows to 0, the signs do not
+    for mats, verdict in [
+        (make_coordination().pair_matrices, "not_strongly_stabilizable"),
+        (ZERO_SUM_2X2, "parity_condition_passed"),
+    ]:
+        base = strong_stabilizability_2x2(PolymatrixGame((2, 2), mats))
+        res = strong_stabilizability_2x2(PolymatrixGame((2, 2), {p: mu * m for p, m in mats.items()}))
+        assert res.verdict == base.verdict == verdict
+        assert res.m12 == pytest.approx(mu * base.m12, rel=1e-12)
+        assert res.m21 == pytest.approx(mu * base.m21, rel=1e-12)
 
 
 def test_parity_identical_interest_symmetric_couplings():
@@ -1026,6 +1040,10 @@ def test_parity_degenerate_coupling_rejected():
     g = PolymatrixGame((2, 2), {(0, 1): np.ones((2, 2)), (1, 0): np.eye(2)})
     with pytest.raises(ValueError):
         strong_stabilizability_2x2(g)
+    # draw 41 of the sparse integer games: m12 = m21 = -2.2e-17 at unit payoffs
+    mats = {(0, 1): np.array([[0.0, 1.0], [-1.0, 0.0]]), (1, 0): np.array([[1.0, 0.0], [0.0, -1.0]])}
+    with pytest.raises(ValueError, match="not isolated"):
+        strong_stabilizability_2x2(PolymatrixGame((2, 2), mats))
     with pytest.raises(ValueError):
         strong_stabilizability_2x2(make_jordan())
 

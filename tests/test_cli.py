@@ -628,8 +628,24 @@ def test_analyze_coordination_reports_parity(capsys, tmp_path):
     )
     doc = json.loads(out)
     assert code == 0
+    assert doc["isolated"] is True
     assert doc["parity"]["not_strongly_stabilizable"]
     assert doc["parity"]["verdict"] == "not_strongly_stabilizable"
+
+
+def test_analyze_tiny_payoff_scale_keeps_the_parity_verdict(capsys, tmp_path):
+    # payoffs x 1e-7 keep the equilibria: m12 m21 = 1e-14 is no reason to drop the screen
+    tiny = PolymatrixGame((2, 2), {(0, 1): 1e-7 * np.eye(2), (1, 0): 1e-7 * np.eye(2)})
+    path = tmp_path / "coord.json"
+    path.write_text(json.dumps(game_to_json(tiny)))
+    specs = tmp_path / "gp.json"
+    specs.write_text(json.dumps({"players": [{"variant": "gradient_play"}] * 2}))
+    code, out, err = run(capsys, ["analyze", str(path), str(specs)])
+    doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert doc["isolated"] is True
+    assert doc["parity"]["verdict"] == "not_strongly_stabilizable"
+    assert doc["parity"]["m12"] == pytest.approx(1e-7, rel=1e-12)
 
 
 def test_analyze_reports_no_parity_when_the_2x2_equilibrium_is_not_isolated(capsys, tmp_path):
@@ -646,6 +662,7 @@ def test_analyze_reports_no_parity_when_the_2x2_equilibrium_is_not_isolated(caps
         code, out, err = run(capsys, ["analyze", str(game), str(specs)])
     doc = json.loads(out)
     assert (code, err) == (1, "")
+    assert doc["isolated"] is False
     assert doc["parity"] is None
     assert set(doc["decentralized"]) == {"ok", "failures"}
 

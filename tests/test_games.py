@@ -1,9 +1,11 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gradplay.cli import game_from_json, game_to_json
 from gradplay.games import (
     PolymatrixGame,
     make_coordination,
@@ -268,6 +270,36 @@ def test_game_without_players_rejected():
     with pytest.raises(ValueError, match="a game needs at least one player"):
         PolymatrixGame(())
     assert PolymatrixGame((2,)).n == 1  # the open loop's one-player game
+
+
+def test_fractional_dims_are_rejected_not_truncated():
+    with pytest.raises(TypeError, match=r"^game dims must be integers, got 2\.7$"):
+        PolymatrixGame((2.7, 2), {(0, 1): np.eye(2)})
+
+
+def test_string_dims_are_rejected_not_parsed():
+    with pytest.raises(TypeError, match=r"^game dims must be integers, got '3'$"):
+        PolymatrixGame(("3", 2))
+
+
+def test_bool_pair_index_is_rejected():
+    # stored as True, it would reach game_to_json as "i": true, which
+    # game_from_json rejects
+    with pytest.raises(TypeError, match=r"^game pair indices must be integers, got True$"):
+        PolymatrixGame((2, 2), {(True, 0): np.eye(2)})
+
+
+def test_float_pair_index_names_the_field():
+    with pytest.raises(TypeError, match=r"^game pair indices must be integers, got 0\.0$"):
+        PolymatrixGame((2, 2), {(0.0, 1): np.eye(2)})
+
+
+def test_numpy_integer_fields_are_stored_as_plain_ints():
+    # so the game writes as JSON and reads back equal
+    g = PolymatrixGame((np.int64(2), np.int32(2)), {(np.int64(0), np.int64(1)): ANTI})
+    assert [type(k) for k in g.dims] == [int, int]
+    assert [type(v) for key in g.pair_matrices for v in key] == [int, int]
+    assert game_from_json(json.loads(json.dumps(game_to_json(g)))) == g
 
 
 @pytest.mark.parametrize("i", [-1, 3])

@@ -29,6 +29,7 @@ from gradplay.linearize import (
     assemble_local_game,
     assemble_loop_family,
     assemble_plant,
+    singular,
 )
 from gradplay.simplex import NonFiniteInputError, project_to_simplex, tangent_basis
 
@@ -93,6 +94,45 @@ def test_local_matrix_warns_when_singular():
         local = assemble_local_game(g, uniform_profile(g))
     with pytest.warns(UserWarning, match="singular"):
         assemble_plant(local)
+
+
+DRAW_41 = PolymatrixGame(
+    (2, 2), {(0, 1): np.array([[0.0, 1.0], [-1.0, 0.0]]), (1, 0): np.array([[1.0, 0.0], [0.0, -1.0]])}
+)
+
+
+def test_coupling_that_cancels_to_rounding_size_warns():
+    # draw 41 of the sparse integer games: the blocks cancel to M = [[0, -2.2e-17],
+    # [-2.2e-17, 0]], nonsingular at its own scale but singular at the pair entries'
+    local = GameLocalMatrix.from_game(DRAW_41)
+    assert 0 < np.abs(local.matrix).max() < 1e-16
+    assert not singular(local.matrix)
+    with pytest.warns(UserWarning, match="singular"):
+        assert_array_equal(assemble_local_game(DRAW_41, uniform_profile(DRAW_41)).matrix, local.matrix)
+    with pytest.warns(UserWarning, match="singular"):
+        assemble_plant(local)
+
+
+def test_local_matrix_scale_is_the_largest_pair_entry():
+    assert GameLocalMatrix.from_game(make_jordan()).scale == 1.0
+    assert GameLocalMatrix.from_game(make_jordan(4.0)).scale == 4.0
+    assert GameLocalMatrix.from_game(make_coordination()).scale == 1.0
+    assert GameLocalMatrix.from_game(DRAW_41).scale == 1.0
+    assert GameLocalMatrix.from_game(PolymatrixGame((2, 3))).scale == 0.0
+    assert GameLocalMatrix.from_game(PolymatrixGame((2, 2), {(0, 1): -3.0 * np.eye(2)})).scale == 3.0
+
+
+def test_local_matrix_built_directly_is_judged_at_its_own_scale():
+    # scale 0.0: the rule is sigma_min(M) <= SINGULAR_RTOL * sigma_max(M), with equality singular
+    tiny = GameLocalMatrix(1e-20 * np.array([[0.0, 1.0], [1.0, 0.0]]), (2, 2))
+    assert tiny.scale == 0.0
+    assert not singular(tiny.matrix, tiny.scale)
+    assert singular(tiny.matrix, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assemble_plant(tiny)
+    assert singular(np.diag([4.0, 4e-12])) and not singular(np.diag([4.0, 8e-12]))
+    assert singular(np.zeros((2, 2)))
 
 
 def test_closed_loop_all_fixed_order():
