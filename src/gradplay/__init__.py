@@ -39,7 +39,6 @@ from .dynamics import (
     derivative,
     make_anticipatory,
     modified_payoff,
-    softmax,
 )
 from .games import (
     NeCertificate,

@@ -41,7 +41,14 @@ from .games import (
     uniform_profile,
     verify_ne,
 )
-from .linearize import GameLocalMatrix, assemble_closed_loop, assemble_local_game, assemble_plant, singular
+from .linearize import (
+    MIXED_TOL,
+    GameLocalMatrix,
+    assemble_closed_loop,
+    assemble_local_game,
+    assemble_plant,
+    singular,
+)
 from .simplex import tangent_basis
 from .simulate import (
     NonFiniteStateError,
@@ -481,7 +488,8 @@ def _cmd_analyze(args) -> int:
     specs = load_specs_file(args.specs, game)
     profile = parse_profile(game, args.profile)
     cert = verify_ne(game, profile, tol=args.tol)
-    if not (cert.is_ne and cert.completely_mixed):
+    # local coordinates need every entry above MIXED_TOL as well as above --tol
+    if not (cert.is_ne and float(np.concatenate(cert.profile).min()) > max(args.tol, MIXED_TOL)):
         print(
             "local analysis undefined: profile is not a completely mixed equilibrium",
             file=sys.stderr,

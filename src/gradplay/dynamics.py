@@ -22,7 +22,6 @@ __all__ = [
     "PROJECTED",
     "PlayerState",
     "StateDerivative",
-    "softmax",
     "derivative",
     "modified_payoff",
     "make_anticipatory",
@@ -31,21 +30,6 @@ __all__ = [
     "aux_dim",
     "washout_dim",
 ]
-
-
-def softmax(v, temperature: float) -> np.ndarray:
-    """Gibbs distribution over v at the given temperature.
-
-    Shift-invariant: adding a constant to all entries leaves the result
-    unchanged (the max is subtracted before exponentiation).
-    """
-    if not 0 < temperature < np.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInputError("softmax input must be finite")
-    z = np.exp((v - np.max(v)) / temperature)
-    return z / np.sum(z)
 
 
 @dataclass(frozen=True)
@@ -200,40 +184,48 @@ def _check_payoff(p, k: int) -> np.ndarray:
     return p
 
 
+def _compensated(spec: HigherOrderGradientPlay, state: PlayerState, p, basis) -> tuple:
+    """(xi, y, p + N (G xi + H y)) of a compensated player whose payoff p has
+    been checked, with y = N^T p - v its washout output."""
+    k = p.size
+    if basis is None:
+        raise ValueError("higher-order dynamics need a tangent basis")
+    if spec.signal_dim != k - 1 or basis.k != k:
+        raise ValueError("compensator signal dimension must be k - 1")
+    xi = np.asarray(state.xi, dtype=float)
+    v = np.asarray(state.v, dtype=float)
+    if xi.shape != (spec.aux_dim,) or v.shape != (k - 1,):
+        raise ValueError("auxiliary state shapes do not match the spec")
+    y = basis.N.T @ p - v
+    return xi, y, p + basis.N @ (spec.G @ xi + spec.H @ y)
+
+
 def derivative(
     spec: DynamicsSpec, state: PlayerState, payoff, basis: TangentBasis | None = None
 ) -> StateDerivative:
-    """Evaluate one player's state derivative for the given payoff vector."""
+    """Evaluate one player's state derivative for the given payoff vector.
+
+    Its dx is one row of spec.update on the rule's input: x + p for the
+    projection family, plus N (G xi + H y) for a compensated player, and p
+    for the other rules. A compensated player adds its aux and washout rows.
+    """
     x = np.asarray(state.x, dtype=float)
-    k = x.size
-    p = _check_payoff(payoff, k)
-    empty = np.zeros(0)
-    if isinstance(spec, Replicator):
-        # a zero strategy mass has no mean payoff, and leaves dx not finite
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            dx = x * (p - float(x @ p) / x.sum())
-        if not np.isfinite(dx).all():
-            raise NonFiniteInputError("replicator derivative is not finite (zero mass or overflow)")
-        return StateDerivative(dx, empty, empty)
-    if isinstance(spec, SmoothFictitiousPlay):
-        return StateDerivative(softmax(p, spec.temperature) - x, empty, empty)
-    if isinstance(spec, GradientPlay):
-        return StateDerivative(project_to_simplex(x + p) - x, empty, empty)
+    p = _check_payoff(payoff, x.size)
+    dxi = dv = np.zeros(0)
     if isinstance(spec, HigherOrderGradientPlay):
-        if basis is None:
-            raise ValueError("higher-order dynamics need a tangent basis")
-        if spec.signal_dim != k - 1 or basis.k != k:
-            raise ValueError("compensator signal dimension must be k - 1")
-        xi = np.asarray(state.xi, dtype=float)
-        v = np.asarray(state.v, dtype=float)
-        if xi.shape != (spec.aux_dim,) or v.shape != (k - 1,):
-            raise ValueError("auxiliary state shapes do not match the spec")
-        y = basis.N.T @ p - v
-        u = spec.G @ xi + spec.H @ y
-        dx = project_to_simplex(x + p + basis.N @ u) - x
-        dxi = spec.E @ xi + spec.F @ y
-        return StateDerivative(dx, dxi, y)
-    raise TypeError(f"unknown dynamics spec {type(spec).__name__}")
+        xi, dv, p = _compensated(spec, state, p, basis)
+        dxi = spec.E @ xi + spec.F @ dv
+    elif not isinstance(spec, DynamicsSpec):
+        raise TypeError(f"unknown dynamics spec {type(spec).__name__}")
+    # a replicator state of zero mass has no mean payoff; it, and any
+    # overflow, leaves dx not finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = x + p if isinstance(spec, PROJECTED) else p
+        temps = np.full((1, 1), getattr(spec, "temperature", 0.0))
+        dx = spec.update(x[None], z[None], temps)[0]
+    if not np.isfinite(dx).all():
+        raise NonFiniteInputError("derivative is not finite (replicator zero mass or overflow)")
+    return StateDerivative(dx, dxi, dv)
 
 
 def modified_payoff(
@@ -242,11 +234,7 @@ def modified_payoff(
     """The payoff actually seen by the underlying gradient play: p + N(G xi + H y)."""
     if not isinstance(spec, HigherOrderGradientPlay):
         raise TypeError("modified_payoff applies to higher-order specs only")
-    x = np.asarray(state.x, dtype=float)
-    p = _check_payoff(payoff, x.size)
-    y = basis.N.T @ p - np.asarray(state.v, dtype=float)
-    u = spec.G @ np.asarray(state.xi, dtype=float) + spec.H @ y
-    return p + basis.N @ u
+    return _compensated(spec, state, _check_payoff(payoff, np.size(state.x)), basis)[2]
 
 
 def make_anticipatory(

@@ -7,10 +7,18 @@ import pytest
 
 from gradplay import run_scenario
 from gradplay.analysis import STABILITY_TOL, robust_rank
-from gradplay.dynamics import HigherOrderGradientPlay, PlayerState, aux_dim, derivative
+from gradplay.dynamics import (
+    GradientPlay,
+    HigherOrderGradientPlay,
+    PlayerState,
+    Replicator,
+    SmoothFictitiousPlay,
+    StateDerivative,
+    aux_dim,
+)
 from gradplay.games import PolymatrixGame, make_jordan, payoff_map
 from gradplay.linearize import assemble_loop_family
-from gradplay.simplex import tangent_basis
+from gradplay.simplex import NonFiniteInputError, project_to_simplex, tangent_basis
 
 
 def random_mixed_ne_game(rng, n=None, dims=None, singular=False):
@@ -48,13 +56,42 @@ def random_mixed_ne_game(rng, n=None, dims=None, singular=False):
     return PolymatrixGame(tuple(dims), mats), profile
 
 
+def reference_derivative(spec, state, payoff, basis=None):
+    """One player's (dx, dxi, dv), each rule's formula written out on its own.
+
+    The reference for the rules' batched updates and for dynamics.derivative,
+    which evaluates one row of them. A payoff that is not finite, or a
+    replicator dx that is not (zero strategy mass, overflow), raises
+    NonFiniteInputError.
+    """
+    x, p = np.asarray(state.x, dtype=float), np.asarray(payoff, dtype=float)
+    if not np.isfinite(p).all():
+        raise NonFiniteInputError("payoff entries must be finite")
+    empty = np.zeros(0)
+    if isinstance(spec, Replicator):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            dx = x * (p - float(x @ p) / x.sum())
+        if not np.isfinite(dx).all():
+            raise NonFiniteInputError("replicator derivative is not finite")
+        return StateDerivative(dx, empty, empty)
+    if isinstance(spec, SmoothFictitiousPlay):
+        e = np.exp((p - np.max(p)) / spec.temperature)
+        return StateDerivative(e / np.sum(e) - x, empty, empty)
+    if isinstance(spec, GradientPlay):
+        return StateDerivative(project_to_simplex(x + p) - x, empty, empty)
+    xi, v = np.asarray(state.xi, dtype=float), np.asarray(state.v, dtype=float)
+    y = basis.N.T @ p - v
+    u = spec.G @ xi + spec.H @ y
+    return StateDerivative(project_to_simplex(x + p + basis.N @ u) - x, spec.E @ xi + spec.F @ y, y)
+
+
 def finite_difference_loop(game, specs, ne, h=1e-6):
-    """Closed-loop Jacobian by central differences of dynamics.derivative.
+    """Closed-loop Jacobian by central differences of reference_derivative.
 
     The state is (w, xi, v) in tangent coordinates around the completely mixed
     equilibrium ne with steady washouts: player i plays x_i = ne_i + N_i w_i,
     sees the payoffs of everyone's strategies and has washout
-    N_i^T p_i(ne) + v_i. derivative gives a gradient-play player no washout,
+    N_i^T p_i(ne) + v_i. The reference gives a gradient-play player no washout,
     so its v block is modelled as v_i' = N_i^T p_i - v_i.
     """
     bases = [tangent_basis(k) for k in game.dims]
@@ -72,10 +109,10 @@ def finite_difference_loop(game, specs, ne, h=1e-6):
             vi = v_star[i] + v[w_at[i] : w_at[i + 1]]
             if isinstance(spec, HigherOrderGradientPlay):
                 state = PlayerState(xs[i], xi[xi_at[i] : xi_at[i + 1]], vi)
-                d = derivative(spec, state, p, b)
+                d = reference_derivative(spec, state, p, b)
                 dv.append(d.dv)
             else:
-                d = derivative(spec, PlayerState.fixed_order(xs[i]), p, b)
+                d = reference_derivative(spec, PlayerState.fixed_order(xs[i]), p, b)
                 dv.append(b.N.T @ p - vi)
             dw.append(b.N.T @ d.dx)
             dxi.append(d.dxi)

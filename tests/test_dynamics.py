@@ -16,17 +16,26 @@ from gradplay.dynamics import (
     derivative,
     make_anticipatory,
     modified_payoff,
-    softmax,
 )
 from gradplay.simplex import NonFiniteInputError, tangent_basis
+
+from conftest import reference_derivative
 
 B2 = tangent_basis(2)
 E_OVER = np.e / (np.e + 1.0)
 
 
+def softmax(v, T):
+    """Smooth FP's logit map at temperature T: x + dx of its update on the row v."""
+    v = np.asarray(v, dtype=float)[None]
+    return SmoothFictitiousPlay(T).update(np.zeros_like(v), v, np.full((1, 1), T))[0]
+
+
 def test_softmax_symmetric():
-    for T in (0.1, 1.0, 7.0):
-        assert_allclose(softmax([1.0, 1.0], T), [0.5, 0.5], atol=1e-15)
+    # tied payoffs, one row per temperature
+    temps = np.array([[0.1], [1.0], [7.0]])
+    rows = SmoothFictitiousPlay.update(np.zeros((3, 2)), np.ones((3, 2)), temps)
+    assert_allclose(rows, 0.5, atol=1e-15)
 
 
 def test_softmax_frozen_value():
@@ -45,9 +54,7 @@ def test_softmax_shift_invariant(vals, shift, T):
 
 def test_softmax_rejects_bad_temperature():
     for T in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            softmax([1.0, 0.0], T)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
             SmoothFictitiousPlay(T)
 
 
@@ -247,7 +254,11 @@ NO_V = PlayerState.higher_order([0.5, 0.5], [0.0], [])
             ValueError,
             r"payoff has shape \(3,\), expected \(2,\)",
         ),
-        (lambda: softmax([0.0, np.inf], 1.0), NonFiniteInputError, "softmax input must be finite"),
+        (
+            lambda: derivative(SmoothFictitiousPlay(1.0), FIXED, [0.0, np.inf]),
+            NonFiniteInputError,
+            "payoff entries must be finite",
+        ),
         (lambda: HigherOrderGradientPlay(**{**ONES, "H": [[1.0, 0.0]]}), ValueError, "H must be square"),
         (lambda: HigherOrderGradientPlay(**{**ONES, "G": [[1.0, 2.0]]}), ValueError, "G must be 1 x 1"),
         (lambda: modified_payoff(GradientPlay(), FIXED, [0.0, 0.0], B2), TypeError, "higher-order"),
@@ -293,6 +304,7 @@ ROWS_T = np.array([0.1, 0.35, 1.0, 4.0])  # smooth FP's temperature on each row
     ids=["gradient", "replicator", "smooth_fp", "higher_order"],
 )
 def test_batched_update_matches_derivative_row_by_row(make):
+    # the batched update and derivative, each against the reference formulas
     rng = np.random.default_rng(3)
     B3 = tangent_basis(3)
     specs = [make(T) for T in ROWS_T]
@@ -305,7 +317,10 @@ def test_batched_update_matches_derivative_row_by_row(make):
         else:
             state = PlayerState.fixed_order(x)
             z[r] = x + p if isinstance(spec, PROJECTED) else p
-        want[r] = derivative(spec, state, p, B3).dx
+        ref = reference_derivative(spec, state, p, B3)
+        want[r] = ref.dx
+        for got, exp in zip(derivative(spec, state, p, B3), ref):
+            assert_allclose(got, exp, rtol=0, atol=1e-12)
     assert all(s.update is specs[0].update for s in specs)
     assert_allclose(specs[0].update(ROWS_X, z, ROWS_T[:, None]), want, rtol=0, atol=1e-12)
 

@@ -388,8 +388,8 @@ def test_plant_closed_by_compensators_is_the_loop():
 
 
 def test_closed_loop_matches_finite_differences():
-    # the reference differentiates the per-player rule dynamics.derivative,
-    # written apart from the loop builder, coupled through the pair matrices
+    # the reference differentiates conftest.reference_derivative, written apart
+    # from the loop builder and the rules' updates, coupled through the pair matrices
     rng = np.random.default_rng(4711)
     for _ in range(40):
         n = int(rng.integers(2, 5))

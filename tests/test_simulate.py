@@ -30,7 +30,7 @@ from gradplay.simulate import (
     simulate_open_loop,
 )
 
-from conftest import random_mixed_ne_game
+from conftest import random_mixed_ne_game, reference_derivative
 
 
 def offset_init(game, offset=0.05):
@@ -335,11 +335,11 @@ def test_mixed_variants_use_generic_path():
         assert_allclose(traj.strategy(i).sum(axis=1), 1.0, atol=1e-9)
 
 
-# --- the stacked flow against per-player dynamics.derivative -------------------
+# --- the stacked flow against the per-player reference -------------------------
 
 
 def per_player_rk4(game, specs, init, cfg, c=None, steady=True):
-    """Fixed-step RK4 with one dynamics.derivative call per player and stage.
+    """Fixed-step RK4 with one reference_derivative call per player and stage.
 
     The state is simulate_coupled's (x, xi, v) layout with aux states at 0
     and washouts at their steady value N_i^T p_i (or 0 without steady); c is
@@ -364,7 +364,7 @@ def per_player_rk4(game, specs, init, cfg, c=None, steady=True):
         out = np.empty_like(y)
         for i, (spec, p) in enumerate(zip(specs, payoffs(y))):
             xs, xis, vs = (slice(at[i], at[i + 1]) for at in (x_at, xi_at, v_at))
-            d = derivative(spec, PlayerState(y[xs], y[xis], y[vs]), p, bases[i])
+            d = reference_derivative(spec, PlayerState(y[xs], y[xis], y[vs]), p, bases[i])
             out[xs], out[xis], out[vs] = d
         return out
 

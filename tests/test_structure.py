@@ -2,8 +2,9 @@
 their imports form no cycle. Every module-level private name is used.
 
 Importing the package leaves scipy.linalg unloaded, and the learning rules
-are decided in dynamics alone: the simulator names no rule class. Every
-public callable of a layer module is a class or a plain function.
+are decided in dynamics alone: the simulator names no rule class, and
+dynamics.derivative evaluates a rule's update with no formula of its own.
+Every public callable of a layer module is a class or a plain function.
 """
 
 import ast
@@ -229,8 +230,12 @@ RULES = {"GradientPlay", "HigherOrderGradientPlay", "Replicator", "SmoothFictiti
 
 def names_in(path: Path) -> set:
     """Identifiers, attribute names, imported names and string constants in path's code."""
+    return names_under(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def names_under(tree: ast.AST) -> set:
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -261,6 +266,47 @@ def test_detector_finds_rule_names(tmp_path):
         "# HigherOrderGradientPlay in a comment is not a name\n"
     )
     assert names_in(src) & RULES == {"Replicator", "SmoothFictitiousPlay", "GradientPlay"}
+
+
+# the rule formulas: projection, logit, replicator mean
+FORMULAS = {"project_to_simplex", "project_on_support", "exp", "sum", "mean", "reduce", "dot"}
+
+
+def derivative_formulas(path: Path) -> tuple:
+    """(whether derivative calls spec.update, the rule formulas its body names)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "derivative"]
+    calls_update = any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "update"
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "spec"
+        for n in ast.walk(fn)
+    )
+    return calls_update, names_under(fn) & FORMULAS
+
+
+def test_each_rule_formula_is_written_once():
+    # derivative builds the rule input and evaluates one row of spec.update;
+    # smooth FP's update is the only logit map
+    assert derivative_formulas(PACKAGE / "dynamics.py") == (True, set())
+    dynamics = importlib.import_module("gradplay.dynamics")
+    package = importlib.import_module("gradplay")
+    assert "softmax" not in dynamics.__all__ and not hasattr(package, "softmax")
+
+
+def test_detector_finds_rule_formulas(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "import numpy as np\n"
+        "def derivative(spec, x, p):\n"
+        "    e = np.exp(p - p.max())\n"
+        "    return project_to_simplex(x + p) - x, x * (p - np.add.reduce(x * p)), e\n"
+    )
+    assert derivative_formulas(src) == (False, {"exp", "project_to_simplex", "reduce"})
+    src.write_text("def derivative(spec, x, z, t):\n    return spec.update(x, z, t)\n")
+    assert derivative_formulas(src) == (True, set())
 
 
 # a call tracer wraps the plain functions named in these modules' __all__; a
