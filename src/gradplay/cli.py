@@ -42,7 +42,6 @@ from .games import (
     verify_ne,
 )
 from .linearize import (
-    MIXED_TOL,
     GameLocalMatrix,
     assemble_closed_loop,
     assemble_local_game,
@@ -488,8 +487,7 @@ def _cmd_analyze(args) -> int:
     specs = load_specs_file(args.specs, game)
     profile = parse_profile(game, args.profile)
     cert = verify_ne(game, profile, tol=args.tol)
-    # local coordinates need every entry above MIXED_TOL as well as above --tol
-    if not (cert.is_ne and float(np.concatenate(cert.profile).min()) > max(args.tol, MIXED_TOL)):
+    if not (cert.is_ne and cert.completely_mixed):
         print(
             "local analysis undefined: profile is not a completely mixed equilibrium",
             file=sys.stderr,

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 NE_TOL = 1e-9
+MIXED_TOL = 1e-9  # smallest strategy entry of a completely mixed profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +154,8 @@ def verify_ne(game: PolymatrixGame, profile, tol: float = NE_TOL) -> NeCertifica
 
     The profile is an equilibrium when no player can gain more than tol by
     deviating to their best pure strategy; it is completely mixed when every
-    strategy entry exceeds tol.
+    strategy entry exceeds max(tol, MIXED_TOL), the floor below which local
+    coordinates are undefined.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -172,7 +174,7 @@ def verify_ne(game: PolymatrixGame, profile, tol: float = NE_TOL) -> NeCertifica
             gains.append(gain)
             levels.append(alpha)
             const_defects.append(defect)
-    completely_mixed = all(float(np.min(x)) > tol for x in xs)
+    completely_mixed = all(float(np.min(x)) > max(tol, MIXED_TOL) for x in xs)
     is_ne = max(gains) <= tol
     max_violation = max(gains)
     if completely_mixed:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PROJECTED, GradientPlay, HigherOrderGradientPlay, aux_dim
-from .games import PolymatrixGame, validate_profile
+from .games import MIXED_TOL, PolymatrixGame, validate_profile
 from .simplex import NonFiniteInputError, tangent_basis
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 SINGULAR_RTOL = 1e-12
-MIXED_TOL = 1e-9  # smallest strategy entry of a completely mixed profile
 
 
 @dataclass(frozen=True)
@@ -152,19 +151,33 @@ class ClosedLoopMatrix:
     aux_dims: tuple
 
 
-def _build_loop(K, lift, dims, specs, washed, xdiag=None):
-    """The loop of (higher-order) gradient play, and the players' aux dimensions.
+_last_loop = (None, None)  # (key, blocks) of the last _loop_blocks call
 
-    The state is (x, xi, v): coordinates x with payoffs p = K x, the aux
-    states, and washouts v for the tangent rows indexed by washed; lift^T p
-    is the tangent payoff and y = lift^T p - v the washout output. E, F, G, H
-    stack the players' compensators block-diagonally on the tangent rows. The
-    rows are PRE, the input diag(xdiag) x + p + lift (G xi + H y), then AUX:
-    xi' = E xi + F y and v' = y. xdiag is the whole x coefficient, None for
-    no x term: while finite, K and lift H lift^T K have zero diagonal blocks.
-    A lift of None is the identity of tangent coordinates, where X + 0.0
-    stands for I @ X: equal bit for bit, as both turn a -0.0 entry +0.0.
+
+def _loop_blocks(lift, dims, specs, washed) -> tuple:
+    """What the loop takes from all but K: (aux dims, lift H, F, the static output).
+
+    The static output holds lift G, -lift H[:, washed], E, -F[:, washed] and
+    -I, with zeros where K enters. The last result is kept, keyed by value:
+    lift's shape and bytes, dims, washed, and the shapes and bytes of each
+    compensated player's E, F, G and H, as other rules add no blocks.
     """
+    global _last_loop
+    key = (
+        None if lift is None else (lift.shape, lift.tobytes()),
+        tuple(dims),
+        washed if isinstance(washed, slice) else washed.tobytes(),
+        [
+            (s.E.shape, s.F.shape, s.G.shape, s.H.shape)
+            + (s.E.tobytes(), s.F.tobytes(), s.G.tobytes(), s.H.tobytes())
+            if isinstance(s, HigherOrderGradientPlay)
+            else None
+            for s in specs
+        ],
+    )
+    last_key, last = _last_loop  # one read: another thread may replace the slot
+    if last_key == key:
+        return last
     slices = _tangent_slices(dims)
     ell = sum(k - 1 for k in dims)
     auxes = tuple(aux_dim(s) for s in specs)
@@ -186,24 +199,49 @@ def _build_loop(K, lift, dims, specs, washed, xdiag=None):
             F[r, sl] = spec.F
             G[sl, r] = spec.G
             H[sl, sl] = spec.H
-    m = K.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        LH, LG = (H + 0.0, G + 0.0) if lift is None else (lift @ H, lift @ G)
+    m = LH.shape[0]
     a = m + L
+    static = np.zeros((a + np.arange(ell)[washed].size,) * 2)
+    static[:m, m:a] = LG
+    static[:m, a:] = -LH[:, washed]
+    static[m:a, m:a] = E
+    static[m:a, a:] = -F[:, washed]
+    static[a:, a:] = -np.eye(static.shape[0] - a)
+    for arr in (LH, F, static):
+        arr.flags.writeable = False
+    blocks = (auxes, LH, F, static)
+    _last_loop = (key, blocks)
+    return blocks
+
+
+def _build_loop(K, lift, dims, specs, washed, xdiag=None):
+    """The loop of (higher-order) gradient play, and the players' aux dimensions.
+
+    The state is (x, xi, v): coordinates x with payoffs p = K x, the aux
+    states, and washouts v for the tangent rows indexed by washed; lift^T p
+    is the tangent payoff and y = lift^T p - v the washout output. E, F, G, H
+    stack the players' compensators block-diagonally on the tangent rows. The
+    rows are PRE, the input diag(xdiag) x + p + lift (G xi + H y), then AUX:
+    xi' = E xi + F y and v' = y. xdiag is the whole x coefficient, None for
+    no x term: while finite, K and lift H lift^T K have zero diagonal blocks.
+    A lift of None is the identity of tangent coordinates, where X + 0.0
+    stands for I @ X: equal bit for bit, as both turn a -0.0 entry +0.0.
+    Only the x columns read K: each call fills them in a fresh copy of the
+    kept blocks of _loop_blocks.
+    """
+    auxes, LH, F, static = _loop_blocks(lift, dims, specs, washed)
+    m = LH.shape[0]
+    a = m + F.shape[0]
+    out = static.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # callers check what they need finite
-        if lift is None:
-            TK, LH, LG = K + 0.0, H + 0.0, G + 0.0
-        else:
-            TK, LH, LG = lift.T @ K, lift @ H, lift @ G
-        out = np.zeros((a + TK[washed].shape[0],) * 2)
+        TK = K + 0.0 if lift is None else lift.T @ K
         out[:m, :m] = K + LH @ TK
         if xdiag is not None:
             out[:m, :m] += np.diag(xdiag)
-        out[:m, m:a] = LG
-        out[:m, a:] = -LH[:, washed]
         out[m:a, :m] = F @ TK
-        out[m:a, m:a] = E
-        out[m:a, a:] = -F[:, washed]
         out[a:, :m] = TK[washed]
-        out[a:, a:] = -np.eye(out.shape[0] - a)
     return out, auxes
 
 

@@ -824,6 +824,23 @@ def sweep_73():
     return gain_sweep(lambda g: loop_for_scale(g, specs), default_gain_grid())
 
 
+def test_sweep_is_the_same_with_the_loop_blocks_rebuilt_at_every_point(sweep_73):
+    # the fixture's sweep reuses the kept loop blocks from point to point
+    specs = all_anticipatory_specs()
+
+    def cold(g):
+        gradplay.linearize._last_loop = (None, None)
+        return loop_for_scale(g, specs)
+
+    res = gain_sweep(cold, default_gain_grid())
+    assert res.grid.size == 200
+    assert len(res.eigenvalues) == len(sweep_73.eigenvalues)
+    for got, want in zip(res.eigenvalues, sweep_73.eigenvalues):
+        assert np.array_equal(got, want)
+    assert np.array_equal(res.stable, sweep_73.stable)
+    assert res.crossings == sweep_73.crossings
+
+
 def test_sweep_verdicts_at_named_gains(sweep_73):
     specs = all_anticipatory_specs()
     assert spectral_abscissa(loop_for_scale(1.0, specs)).stable

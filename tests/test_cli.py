@@ -684,21 +684,37 @@ def test_analyze_boundary_profile_exits_3(capsys, tmp_path):
     assert "undefined" in err
 
 
-@pytest.mark.parametrize("tol", ["1e-12", "1e-9"])
-def test_analyze_profile_below_the_mixed_floor_exits_3_at_any_tol(capsys, tmp_path, tol):
-    # an equilibrium whose smallest entry, 5e-10, passes --tol 1e-12 but not the
-    # floor of local coordinates: a failed precondition either way, not an input error
+def _thin_equilibrium(tmp_path):
+    # an equilibrium whose smallest entry, 5e-10, passes a tol of 1e-12 but
+    # not MIXED_TOL, the floor of local coordinates
     eps = 5e-10
     c = eps / (1.0 - eps)
     game = tmp_path / "thin.json"
     pairs = {(0, 1): np.eye(2), (1, 0): np.diag([1.0, c])}
     game.write_text(json.dumps(game_to_json(PolymatrixGame((2, 2), pairs))))
+    return str(game), json.dumps([[eps, 1.0 - eps], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-9"])
+def test_analyze_profile_below_the_mixed_floor_exits_3_at_any_tol(capsys, tmp_path, tol):
+    # a failed precondition either way, not an input error
+    game, profile = _thin_equilibrium(tmp_path)
     specs = tmp_path / "gp.json"
     specs.write_text(json.dumps({"players": [{"variant": "gradient_play"}] * 2}))
-    profile = json.dumps([[eps, 1.0 - eps], [0.5, 0.5]])
-    code, out, err = run(capsys, ["analyze", str(game), str(specs), "--profile", profile, "--tol", tol])
+    code, out, err = run(capsys, ["analyze", game, str(specs), "--profile", profile, "--tol", tol])
     assert (code, out) == (3, "")
     assert err == "local analysis undefined: profile is not a completely mixed equilibrium\n"
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-9"])
+def test_verify_judges_completely_mixed_by_the_rule_analyze_uses(capsys, tmp_path, tol):
+    # the certificate is an equilibrium that is not completely mixed, so
+    # analyze, which reads that certificate, exits 3
+    game, profile = _thin_equilibrium(tmp_path)
+    code, out, _ = run(capsys, ["verify", game, "--profile", profile, "--tol", tol])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["is_ne"] and not doc["completely_mixed"]
 
 
 def test_analyze_non_equilibrium_profile_exits_3(capsys, jordan_file):

@@ -610,3 +610,137 @@ def test_overflowing_reduced_coupling_names_its_first_pair():
             message = rf"^reduced coupling block \({i}, {j}\) is not finite$"
             with pytest.raises(NonFiniteInputError, match=message):
                 route()
+
+
+# --- the loop blocks kept between calls ------------------------------------------
+
+
+def _flow(game, specs):
+    return list(assemble_flow_operators(game, specs))
+
+
+def _closed(game, specs):
+    return [assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix]
+
+
+def _cold(build, game, specs):
+    # with the slot cleared, the assembly builds every block afresh
+    linearize._last_loop = (None, None)
+    return build(game, specs)
+
+
+def _builders(specs):
+    projected = all(isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs)
+    return (_flow, _closed) if projected else (_flow,)
+
+
+def assert_all_bits_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_bits_equal(g, w)
+
+
+def test_kept_loop_blocks_equal_cold_builds_across_interleaved_spec_sets():
+    rng = np.random.default_rng(3131)
+    cases = []
+    for dims in ([2, 2], [2, 3, 2], [3, 3, 3], [4, 2]):
+        game, _ = random_mixed_ne_game(rng, n=len(dims), dims=dims)
+        for projection_only in (True, False):
+            cases.append((game, [_any_rule(rng, k, projection_only) for k in dims]))
+    hits = 0
+    for idx in rng.integers(len(cases), size=80):
+        game, specs = cases[idx]
+        for build in rng.permutation(_builders(specs)):
+            kept = linearize._last_loop[1]
+            got = build(game, specs)
+            hits += linearize._last_loop[1] is kept
+            assert_all_bits_equal(got, _cold(build, game, specs))
+    assert hits >= 5
+
+
+def test_kept_loop_blocks_survive_callers_that_change_the_returned_matrix():
+    game, specs = make_jordan(), all_anticipatory_specs()
+    direction = {(0, 1): np.eye(2)}
+    D = PolymatrixGame(game.dims, direction)
+    want = _cold(_closed, D, specs)
+    # assemble_loop_family zeroes the later columns of its second loop in place
+    J1 = assemble_loop_family(game, specs, direction)[1]
+    assert not np.array_equal(J1, want[0])
+    got = _closed(D, specs)
+    assert_all_bits_equal(got, want)
+    got[0][:] = 7.0
+    assert_all_bits_equal(_closed(D, specs), want)
+    want = _cold(_flow, game, specs)
+    pre, aux = _flow(game, specs)
+    pre[:] = aux[:] = -0.0
+    assert_all_bits_equal(_flow(game, specs), want)
+
+
+def test_kept_loop_blocks_serve_equal_specs_that_are_distinct_objects():
+    game = make_jordan()
+    for build in (_flow, _closed):
+        first = build(game, all_anticipatory_specs())
+        kept = linearize._last_loop[1]
+        again = all_anticipatory_specs()
+        assert_all_bits_equal(build(game, again), first)
+        assert linearize._last_loop[1] is kept
+        assert_all_bits_equal(first, _cold(build, game, again))
+
+
+def _spec_pairs():
+    # E = -lam I has zero entries off its diagonal: a -0.0 there keeps its
+    # sign in the E block of both loops
+    base = make_anticipatory(5.0, 1.0, 3, gamma2=0.8)
+    E = np.where(base.E == 0, 0.0, base.E)
+    nudged = E.copy()
+    nudged[1, 1] = np.nextafter(nudged[1, 1], 0.0)
+    first = [dataclasses.replace(base, E=E), GradientPlay()]
+    yield "one-entry", [3, 2], first, [dataclasses.replace(base, E=nudged), GradientPlay()]
+    signed = np.where(base.E == 0, -0.0, base.E)
+    yield "negative-zero", [3, 2], first, [dataclasses.replace(base, E=signed), GradientPlay()]
+    two = make_anticipatory(5.0, 1.0, 2)
+    yield "other-player", [2, 2], [two, GradientPlay()], [GradientPlay(), two]
+
+
+@pytest.mark.parametrize(
+    "dims, specs, changed", [c[1:] for c in _spec_pairs()], ids=[c[0] for c in _spec_pairs()]
+)
+def test_kept_loop_blocks_are_not_served_to_specs_that_differ(dims, specs, changed):
+    game, _ = random_mixed_ne_game(np.random.default_rng(5), n=2, dims=dims)
+    for build in (_flow, _closed):
+        warm = build(game, specs)
+        got = build(game, changed)
+        assert_all_bits_equal(got, _cold(build, game, changed))
+        assert any(
+            not np.array_equal(a, b) or not np.array_equal(np.signbit(a), np.signbit(b))
+            for a, b in zip(got, warm)
+        )
+
+
+def test_kept_loop_blocks_are_keyed_by_lift_and_washed_rows():
+    # the builder itself, on lifts and washed rows that its two callers
+    # never pair with equal dims and specs
+    rng = np.random.default_rng(17)
+    dims, specs = (3, 2), [make_anticipatory(5.0, 1.0, 3), GradientPlay()]
+    K = rng.normal(size=(5, 5))
+    a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    three, two = np.arange(3), np.arange(2)
+    for lift, washed in [(a, three), (b, three), (b, two), (b, three)]:
+        got = linearize._build_loop(K, lift, dims, specs, washed)
+        linearize._last_loop = (None, None)
+        want = linearize._build_loop(K, lift, dims, specs, washed)
+        assert got[1] == want[1]
+        assert_bits_equal(got[0], want[0])
+
+
+def test_signal_dimension_is_checked_on_every_call():
+    game = make_jordan()
+    good = all_anticipatory_specs()
+    bad = [make_anticipatory(5.0, 1.0, 3), GradientPlay(), GradientPlay()]
+    for build in (_flow, _closed):
+        for _ in range(2):
+            build(game, good)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="signal dimension 2 does not match k - 1 = 1"):
+                    build(game, bad)
+        assert_all_bits_equal(build(game, good), _cold(build, game, good))
