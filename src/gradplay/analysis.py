@@ -51,6 +51,9 @@ SWEEP_REFINE_WIDTH = 1e-4  # width of a gain_sweep crossing bracket
 PROBE_GAP = 1e-3  # width of a robustness_probe bracket
 PROBE_SCAN_POINTS = 16  # scales of robustness_probe's upward scan
 _SWEEP_BLOCK = 256  # grid points whose spectra gain_sweep computes in one stacked call
+_GRAM_SHIFT = 1e-8  # c of robust_rank's full-rank certificate: Cholesky of G - c tr(G) I
+_GRAM_TRACE = (1e-200, 1e200)  # tr(G) range where the Gram neither underflows nor overflows
+_GRAM_MAX_SIDE = 4000  # the largest m and n for which the certificate's proof holds
 _last_spectrum = (None, None)  # (key, result) of the last _spectrum(A) that solved for ev
 
 
@@ -80,19 +83,67 @@ def robust_rank(M: np.ndarray, tol: float | None = None) -> int | np.ndarray:
     """Numerical rank from singular values; default threshold max(m, n)*eps*s_max.
 
     A stack (..., m, n) gives an array of ranks, each by the same rule; a
-    matrix gives an int.
+    matrix gives an int. An entry that is not finite raises NonFiniteInputError.
+
+    With the default threshold, a stack whose every member X has full rank
+    p = min(m, n) is first tried without an SVD. G is X's p x p Gram, X X^H
+    or X^H X, and tau = tr G = |X|_F^2. When every tau lies in [1e-200,
+    1e200] and one Cholesky of the stack G - c tau I (c = _GRAM_SHIFT =
+    1e-8) succeeds, every rank is p. The SVD rule gives the same answer.
+    With u = 2^-53 and gamma_k = k u / (1 - k u), doubled in complex
+    arithmetic:
+    - the computed Gram is within gamma_max(m,n) tau of X X^H in norm; the
+      tau range keeps its products clear of overflow, and underflow adds
+      less than 1e-100 tau;
+    - a Cholesky that runs to completion factors its input plus a
+      perturbation of norm at most p gamma_(p+1) tau (Demmel 1989; Higham,
+      Accuracy and Stability of Numerical Algorithms, section 10.1);
+    - so sigma_min(X)^2 >= (c - gamma_max(m,n) - p gamma_(p+1) - u) tau,
+      u for the shift's own rounding; with the complex doubling this is
+      at least c tau / 2 for m, n <= _GRAM_MAX_SIDE = 4,000, the
+      size limit of this proof. Then sigma_min(X) >= 7e-5 |X|_F >= 7e-5
+      s_max: far above max(m, n) eps s_max (below 1e-12 s_max) plus the
+      SVD's own error, a modest multiple of eps s_max. So the SVD rule
+      counts all p singular values.
+    A larger matrix, a tau out of range or a failed Cholesky, on any member,
+    sends the whole stack to the SVD rule, as does an explicit tol.
     """
     if tol is not None and not 0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     M = np.atleast_2d(np.asarray(M, dtype=float if not np.iscomplexobj(M) else complex))
+    if not np.isfinite(M).all():
+        raise NonFiniteInputError("matrix entries must be finite")
     if M.size == 0:
         ranks = np.zeros(M.shape[:-2], dtype=int)
+    elif tol is None and _certified_full_rank(M):
+        ranks = np.full(M.shape[:-2], min(M.shape[-2:]))
     else:
         sv = np.linalg.svd(M, compute_uv=False)
         if tol is None:
             tol = max(M.shape[-2:]) * np.finfo(float).eps * sv[..., :1]
         ranks = np.sum(sv > tol, axis=-1)
     return int(ranks) if M.ndim == 2 else ranks
+
+
+def _certified_full_rank(M: np.ndarray) -> bool:
+    """True when the shifted Grams of robust_rank's docstring prove every member of M full rank."""
+    m, n = M.shape[-2:]
+    if max(m, n) > _GRAM_MAX_SIDE:
+        return False
+    p = min(m, n)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        H = M.mT.conj()
+        G = M @ H if m <= n else H @ M
+        diag = G.reshape(-1, p * p)[:, :: p + 1]  # a view: matmul's output is contiguous
+        tau = diag.real.sum(axis=1)
+    if not (_GRAM_TRACE[0] <= tau.min() and tau.max() <= _GRAM_TRACE[1]):
+        return False
+    diag -= _GRAM_SHIFT * tau[:, None]
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _spectrum(A: np.ndarray, ev=None) -> tuple:

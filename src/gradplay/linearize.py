@@ -47,6 +47,14 @@ class GameLocalMatrix:
     dims: tuple
     scale: float = 0.0  # largest |pair entry|, set by from_game; 0.0 judges M at its own scale
 
+    def __post_init__(self):
+        ell = sum(self.dims) - len(self.dims)
+        if np.shape(self.matrix) != (ell, ell):
+            raise ValueError(
+                f"matrix has shape {np.shape(self.matrix)}, but dims {tuple(self.dims)} "
+                f"need ({ell}, {ell})"
+            )
+
     @property
     def n(self) -> int:
         return len(self.dims)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradplay import run_scenario
-from gradplay.analysis import STABILITY_TOL, robust_rank
+from gradplay.analysis import STABILITY_TOL
 from gradplay.dynamics import (
     GradientPlay,
     HigherOrderGradientPlay,
@@ -135,11 +135,28 @@ def rank_test_points(A):
     return list(ev[ev.real >= -STABILITY_TOL]) + ([] if (ev == 0).any() else [0])
 
 
+def svd_rank(M):
+    """Numerical rank by the SVD rule alone: the singular values above
+    max(m, n)*eps*s_max, each matrix of a stack (..., m, n) on its own.
+
+    The reference for robust_rank, which proves full rank without an SVD
+    where it can; an empty matrix has rank 0.
+    """
+    M = np.asarray(M)
+    if M.size == 0:
+        ranks = np.zeros(M.shape[:-2], dtype=int)
+    else:
+        sv = np.linalg.svd(M, compute_uv=False)
+        ranks = np.sum(sv > max(M.shape[-2:]) * np.finfo(float).eps * sv[..., :1], axis=-1)
+    return int(ranks) if M.ndim == 2 else ranks
+
+
 def per_point_rank_drops(A, B, C, points=None):
     """The points (rank_test_points(A) if None) where the bordered matrix
     [[A - lam I, B], [C, 0]] has rank below dim(A).
 
-    One robust_rank call per point, each pair member on its own.
+    One svd_rank call per point, each pair member on its own, so the
+    reference shares no full-rank certificate with the rank tests.
     """
     n = A.shape[0]
     bordered = np.block([[A, B], [C, np.zeros((C.shape[0], B.shape[1]))]])
@@ -148,7 +165,7 @@ def per_point_rank_drops(A, B, C, points=None):
     return [
         lam
         for lam in (rank_test_points(A) if points is None else points)
-        if robust_rank(bordered - lam * shift) < n
+        if svd_rank(bordered - lam * shift) < n
     ]
 
 

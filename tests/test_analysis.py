@@ -49,6 +49,7 @@ from conftest import (
     per_point_rank_drops,
     random_mixed_ne_game,
     rescaled_jordan_split,
+    svd_rank,
 )
 
 
@@ -251,16 +252,21 @@ def test_robust_rank_of_empty_matrix_is_zero(shape):
     assert robust_rank(np.zeros(shape)) == 0
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_robust_rank_of_a_stack_is_the_rank_of_each_matrix(dtype):
-    # ranks 0..4 of 4 x 5 products, each at its own scale: the threshold
-    # follows each matrix's own largest singular value
-    rng = np.random.default_rng(3)
+def random_draw(rng, dtype):
+    """draw(*shape): standard normal entries, complex ones when dtype is complex."""
 
     def draw(*shape):
         x = rng.normal(size=shape)
         return x + 1j * rng.normal(size=shape) if dtype is complex else x
 
+    return draw
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_robust_rank_of_a_stack_is_the_rank_of_each_matrix(dtype):
+    # ranks 0..4 of 4 x 5 products, each at its own scale: the threshold
+    # follows each matrix's own largest singular value
+    draw = random_draw(np.random.default_rng(3), dtype)
     stack = np.stack(
         [draw(4, r) @ draw(r, 5) * scale for r in range(5) for scale in (1e-20, 1.0, 1e20)]
     )
@@ -274,6 +280,97 @@ def test_robust_rank_of_a_stack_is_the_rank_of_each_matrix(dtype):
 def test_robust_rank_of_a_stack_with_an_empty_dimension(shape):
     ranks = robust_rank(np.zeros(shape))
     assert ranks.shape == shape[:1] and not ranks.any()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_robust_rank_rejects_a_non_finite_entry(bad):
+    # an inf once read as rank 0, and a NaN failed inside the SVD
+    with pytest.raises(NonFiniteInputError, match="finite"):
+        robust_rank([[bad, 1.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteInputError, match="finite"):
+        robust_rank(np.stack([np.eye(3), np.diag([1.0, bad * 1j, 1.0])]), tol=1e-3)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4), (5, 5), (45, 30), (30, 45), (30, 30)], ids=str)
+def test_robust_rank_matches_the_svd_rule_on_products_at_every_scale(shape, dtype):
+    # rank-r products from 1e-300 to 1e300: the Gram of one beyond about
+    # 1e+-100 would overflow or underflow, so its trace sends it to the SVD
+    m, n = shape
+    p = min(shape)
+    draw = random_draw(np.random.default_rng(m * n), dtype)
+    scales = 10.0 ** np.arange(-300, 301, 25)
+    for r in sorted({0, 1, 2, p // 2, p - 2, p - 1, p}):
+        stack = np.stack([draw(m, r) * scale @ draw(r, n) for scale in scales])
+        assert np.isfinite(stack).all()
+        ranks = [robust_rank(X) for X in stack]
+        assert ranks == svd_rank(stack).tolist(), r
+        assert robust_rank(stack).tolist() == ranks, r
+        if r == p:
+            assert ranks == [p] * scales.size
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [(45, 30), (30, 45), (30, 30), (7, 5)], ids=str)
+def test_robust_rank_matches_the_svd_rule_across_singular_value_gaps(shape, dtype):
+    # s_min / s_max from 1e-2 to 1e-16 in quarter decades, across the
+    # certificate's own edge near s_min = 1e-4 |X|_F and the SVD rule's at
+    # max(m, n) eps: one small singular value, or all spread geometrically
+    m, n = shape
+    p = min(shape)
+    draw = random_draw(np.random.default_rng(m + n), dtype)
+    U, V = np.linalg.qr(draw(m, p))[0], np.linalg.qr(draw(n, p))[0]
+    ranks = set()
+    for gap in 10.0 ** np.arange(-2.0, -16.01, -0.25):
+        for s in (np.append(np.ones(p - 1), gap), np.geomspace(1.0, gap, p)):
+            X = (U * s) @ V.conj().T
+            rank = robust_rank(X)
+            assert rank == svd_rank(X), gap
+            ranks.add(rank)
+    assert p in ranks and min(ranks) < p
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_robust_rank_of_a_stack_with_one_deficient_member(dtype):
+    # one member of rank 2 sends the whole stack to the SVD rule, which
+    # still gives every member its own rank
+    draw = random_draw(np.random.default_rng(5), dtype)
+    stack = np.stack([draw(6, 9) for _ in range(5)])
+    stack[3] = draw(6, 2) @ draw(2, 9)
+    assert robust_rank(stack).tolist() == svd_rank(stack).tolist() == [6, 6, 6, 2, 6]
+    assert robust_rank(stack[[0, 1, 2, 4]]).tolist() == [6] * 4
+
+
+def stacked_svd_shapes(monkeypatch):
+    """Shapes of the np.linalg.svd calls on stacks: the rank tests' calls,
+    since singular() takes one matrix."""
+    shapes = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def test_full_rank_pbh_stacks_make_no_svd_call(monkeypatch):
+    # every bordered matrix of the jordan plant keeps full rank, which one
+    # Cholesky per stack proves; the rounded defective zero's rank drop at 0
+    # still goes through the SVD
+    plant = jordan_plant()
+    shapes = stacked_svd_shapes(monkeypatch)
+    calls = rank_call_counter(monkeypatch)
+    for B, C in [(plant.B, plant.C)] + list(zip(plant.B_blocks, plant.C_blocks)):
+        assert pbh_stabilizable(plant.A, B) and pbh_detectable(plant.A, C)
+    assert len(calls) == 8 and shapes == []
+    mats = {p: np.array(m, dtype=float) for p, m in DEFECTIVE_ZERO_PAIRS.items()}
+    with pytest.warns(UserWarning, match="singular"):
+        plant = assemble_plant(GameLocalMatrix.from_game(PolymatrixGame((2,) * 5, mats)))
+    assert pbh_detectable(plant.A, plant.C).witnesses == (0,)
+    assert shapes
 
 
 # --- eigenvector block support ----------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -133,6 +134,17 @@ def test_local_matrix_built_directly_is_judged_at_its_own_scale():
         assemble_plant(tiny)
     assert singular(np.diag([4.0, 4e-12])) and not singular(np.diag([4.0, 8e-12]))
     assert singular(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4), (3,), (1, 3, 3)])
+def test_local_matrix_rejects_a_matrix_not_ell_square(shape):
+    # dims (2, 2, 2) have ell = 3 tangent coordinates; a wrong shape once
+    # failed only later, inside a product
+    message = rf"shape {re.escape(str(shape))}, but dims \(2, 2, 2\) need \(3, 3\)"
+    with pytest.raises(ValueError, match=message):
+        GameLocalMatrix(np.zeros(shape), (2, 2, 2))
+    assert GameLocalMatrix(np.zeros((3, 3)), (2, 2, 2)).matrix.shape == (3, 3)
+    assert GameLocalMatrix(np.zeros((0, 0)), ()).n == 0
 
 
 def test_closed_loop_all_fixed_order():
