@@ -145,6 +145,7 @@ def aux_dim(spec: DynamicsSpec) -> int:
 
 
 def washout_dim(spec: DynamicsSpec, k: int) -> int:
+    """The one rule of who carries a washout: a compensated player, on its k - 1 tangent rows."""
     return k - 1 if isinstance(spec, HigherOrderGradientPlay) else 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PROJECTED, GradientPlay, HigherOrderGradientPlay, aux_dim
+from .dynamics import PROJECTED, HigherOrderGradientPlay, aux_dim, washout_dim
 from .games import MIXED_TOL, PolymatrixGame, validate_profile
 from .simplex import NonFiniteInputError, tangent_basis
 
@@ -138,20 +138,18 @@ def assemble_local_game(game: PolymatrixGame, ne_profile) -> GameLocalMatrix:
 class ClosedLoopMatrix:
     """Closed-loop dynamics matrix of coupled (higher-order) gradient play.
 
-    State ordering is (w, xi, v): all tangent deviations, then all aux states
-    player by player, then all washout states.  With block-diagonal E, F, G, H
-    collected from the per-player compensators the matrix is
+    The state is the simulator's, in tangent coordinates: all deviations w,
+    all aux states xi player by player, then the washouts v of the players
+    that carry one (dynamics.washout_dim). With block-diagonal E, F, G, H of
+    the players' compensators and S selecting the washed rows, the matrix is
 
-        [[(I+H) M,  G, -H],
-         [  F M,    E, -F],
-         [   M,     0, -I]].
+        [[(I+H) M,  G, -H S],
+         [  F M,    E, -F S],
+         [ S^T M,   0,  -I ]].
 
     Only the first ell columns, those of w, read M, which is what
-    assemble_loop_family rests on. Fixed-order players contribute empty aux
-    blocks and H_i = 0. A gradient-play player still keeps its washout block
-    v_i' = (M w)_i - v_i: nothing reads it, so it only adds the eigenvalue -1
-    with multiplicity k_i - 1. The simulator's state has no washout for such
-    players.
+    assemble_loop_family rests on. A fixed-order player adds no aux state, no
+    washout and H_i = 0: with no compensated player the loop is M, of trace 0.
     """
 
     matrix: np.ndarray
@@ -162,19 +160,19 @@ class ClosedLoopMatrix:
 _last_loop = (None, None)  # (key, blocks) of the last _loop_blocks call
 
 
-def _loop_blocks(lift, dims, specs, washed) -> tuple:
-    """What the loop takes from all but K: (aux dims, lift H, F, the static output).
+def _loop_blocks(lift, dims, specs) -> tuple:
+    """What the loop takes from all but K: (aux dims, washed, lift H, F, the static output).
 
-    The static output holds lift G, -lift H[:, washed], E, -F[:, washed] and
-    -I, with zeros where K enters. The last result is kept, keyed by value:
-    lift's shape and bytes, dims, washed, and the shapes and bytes of each
-    compensated player's E, F, G and H, as other rules add no blocks.
+    washed lists the tangent rows of the players with a washout, and the
+    static output holds lift G, -lift H[:, washed], E, -F[:, washed] and -I,
+    with zeros where K enters. The last result is kept, keyed by value: lift's
+    shape and bytes, dims, and the shapes and bytes of each compensated
+    player's E, F, G and H, as other rules add no blocks and no washout.
     """
     global _last_loop
     key = (
         None if lift is None else (lift.shape, lift.tobytes()),
         tuple(dims),
-        washed if isinstance(washed, slice) else washed.tobytes(),
         [
             (s.E.shape, s.F.shape, s.G.shape, s.H.shape)
             + (s.E.tobytes(), s.F.tobytes(), s.G.tobytes(), s.H.tobytes())
@@ -191,6 +189,8 @@ def _loop_blocks(lift, dims, specs, washed) -> tuple:
     auxes = tuple(aux_dim(s) for s in specs)
     ends = tuple(itertools.accumulate(auxes, initial=0))
     L = ends[-1]
+    rows = [sl.start + r for s, k, sl in zip(specs, dims, slices) for r in range(washout_dim(s, k))]
+    washed = np.array(rows, dtype=int)
     E = np.zeros((L, L))
     F = np.zeros((L, ell))
     G = np.zeros((ell, L))
@@ -211,24 +211,24 @@ def _loop_blocks(lift, dims, specs, washed) -> tuple:
         LH, LG = (H + 0.0, G + 0.0) if lift is None else (lift @ H, lift @ G)
     m = LH.shape[0]
     a = m + L
-    static = np.zeros((a + np.arange(ell)[washed].size,) * 2)
+    static = np.zeros((a + washed.size,) * 2)
     static[:m, m:a] = LG
     static[:m, a:] = -LH[:, washed]
     static[m:a, m:a] = E
     static[m:a, a:] = -F[:, washed]
     static[a:, a:] = -np.eye(static.shape[0] - a)
-    for arr in (LH, F, static):
+    for arr in (washed, LH, F, static):
         arr.flags.writeable = False
-    blocks = (auxes, LH, F, static)
+    blocks = (auxes, washed, LH, F, static)
     _last_loop = (key, blocks)
     return blocks
 
 
-def _build_loop(K, lift, dims, specs, washed, xdiag=None):
+def _build_loop(K, lift, dims, specs, xdiag=None):
     """The loop of (higher-order) gradient play, and the players' aux dimensions.
 
     The state is (x, xi, v): coordinates x with payoffs p = K x, the aux
-    states, and washouts v for the tangent rows indexed by washed; lift^T p
+    states, and washouts v for the washed tangent rows of _loop_blocks; lift^T p
     is the tangent payoff and y = lift^T p - v the washout output. E, F, G, H
     stack the players' compensators block-diagonally on the tangent rows. The
     rows are PRE, the input diag(xdiag) x + p + lift (G xi + H y), then AUX:
@@ -239,7 +239,7 @@ def _build_loop(K, lift, dims, specs, washed, xdiag=None):
     Only the x columns read K: each call fills them in a fresh copy of the
     kept blocks of _loop_blocks.
     """
-    auxes, LH, F, static = _loop_blocks(lift, dims, specs, washed)
+    auxes, washed, LH, F, static = _loop_blocks(lift, dims, specs)
     m = LH.shape[0]
     a = m + F.shape[0]
     out = static.copy()
@@ -254,18 +254,18 @@ def _build_loop(K, lift, dims, specs, washed, xdiag=None):
 
 
 def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
-    """Closed-loop matrix for per-player dynamics around the equilibrium.
+    """The Jacobian of the simulator's flow at the equilibrium, on its tangent state.
 
     There the projection acts as the identity on tangent coordinates, so J is
-    the loop with lift I, K = M, a washout on every row and no x term: the +x
-    of the projection argument cancels the -x of dx. Other rules raise ValueError.
+    the loop with lift I, K = M and no x term: the +x of the projection
+    argument cancels the -x of dx. Other rules raise ValueError.
     """
     if len(specs) != local.n:
         raise ValueError(f"need {local.n} specs, got {len(specs)}")
     for i, spec in enumerate(specs):
         if not isinstance(spec, PROJECTED):
             raise ValueError(f"player {i}: {type(spec).__name__} has no closed-loop linearization")
-    J, auxes = _build_loop(local.matrix, None, local.dims, specs, slice(None))
+    J, auxes = _build_loop(local.matrix, None, local.dims, specs)
     return ClosedLoopMatrix(J, local.dims, auxes)
 
 
@@ -301,21 +301,20 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
     K = np.block([[game.pair(i, j) for j in range(game.n)] for i in range(game.n)])
     lift = np.zeros((K.shape[0], sum(k - 1 for k in game.dims)))
     starts = np.cumsum((0,) + game.dims)
-    # only compensated players read their tangent payoff; a zero lift for the
-    # others keeps one that overflows out of the loop
+    # only players with a washout read their tangent payoff; a zero lift for
+    # the others keeps one that overflows out of the loop
     for i, sl in enumerate(_tangent_slices(game.dims)):
-        if isinstance(specs[i], HigherOrderGradientPlay):
+        if washout_dim(specs[i], game.dims[i]):
             lift[starts[i] : starts[i + 1], sl] = tangent_basis(game.dims[i]).N
-    washed = np.flatnonzero(lift.any(axis=0))  # the tangent rows that have a washout
     projected = [isinstance(s, PROJECTED) for s in specs]
-    out, auxes = _build_loop(K, lift, game.dims, specs, washed, np.repeat(projected, game.dims))
+    out, auxes = _build_loop(K, lift, game.dims, specs, np.repeat(projected, game.dims))
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         # 0 * inf in lift^T K and LH @ TK spreads NaN from one player's rows
         # into others', so the name goes to a non-finite payoff row of K, else
         # to an overflowing N_i^T M (player i's washout rows), else to any row
         players = np.arange(game.n)
-        tangent = np.repeat(players, np.array(game.dims) - 1)[washed]
+        tangent = np.repeat(players, [washout_dim(s, k) for s, k in zip(specs, game.dims)])
         owner = np.concatenate([np.repeat(players, game.dims), np.repeat(players, auxes), tangent])
         payoff = owner[: K.shape[0]][~np.isfinite(K).all(axis=1)]
         overflowed = tangent[~finite[len(owner) - len(tangent) :]]
@@ -328,8 +327,8 @@ def assemble_flow_operators(game: PolymatrixGame, specs):
 class DecentralizedPlant:
     """Open-loop plant seen by the compensators, split per player.
 
-    A = [[M, 0], [M, -I]] is the loop of plain gradient play (ClosedLoopMatrix,
-    no xi). Player i injects through B_i = (S_i; 0), S_i selecting its tangent
+    A = [[M, 0], [M, -I]] is gradient play with a washout on each tangent row
+    (w, v; no xi). Player i injects through B_i = (S_i; 0), S_i selecting its tangent
     block, and measures C_i = S_i^T [M, -I], A's washout rows of that block.
     Fixed modes in closed form: for disjoint inputs Q and outputs R,
     eliminating v at lam != -1 gives rank [[A - lam I, B_Q], [C_R, 0]] = ell +
@@ -362,10 +361,9 @@ class DecentralizedPlant:
 def assemble_plant(local: GameLocalMatrix) -> DecentralizedPlant:
     """Build the decentralized plant from the reduced coupling matrix."""
     _warn_if_singular(local)
-    A = assemble_closed_loop(local, [GradientPlay()] * local.n).matrix
     ell = local.matrix.shape[0]
-    B = np.eye(2 * ell, ell)
-    C = A[ell:]  # y = M w - v, the washout rows
+    A = np.block([[local.matrix, np.zeros((ell, ell))], [local.matrix, -np.eye(ell)]])
+    B, C = np.eye(2 * ell, ell), A[ell:]  # C: A's washout rows, y = M w - v
     slices = _tangent_slices(local.dims)
     return DecentralizedPlant(
         A, tuple(B[:, sl] for sl in slices), tuple(C[sl] for sl in slices), local.dims

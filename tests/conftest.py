@@ -89,14 +89,15 @@ def finite_difference_loop(game, specs, ne, h=1e-6):
     """Closed-loop Jacobian by central differences of reference_derivative.
 
     The state is (w, xi, v) in tangent coordinates around the completely mixed
-    equilibrium ne with steady washouts: player i plays x_i = ne_i + N_i w_i,
-    sees the payoffs of everyone's strategies and has washout
-    N_i^T p_i(ne) + v_i. The reference gives a gradient-play player no washout,
-    so its v block is modelled as v_i' = N_i^T p_i - v_i.
+    equilibrium ne with steady washouts: player i plays x_i = ne_i + N_i w_i
+    and sees the payoffs of everyone's strategies. Only a higher-order player
+    has a washout, N_i^T p_i(ne) + v_i, as only its rule reads one.
     """
     bases = [tangent_basis(k) for k in game.dims]
     w_at = np.cumsum([0] + [k - 1 for k in game.dims])
     xi_at = np.cumsum([0] + [aux_dim(s) for s in specs])
+    washes = [isinstance(s, HigherOrderGradientPlay) * (k - 1) for s, k in zip(specs, game.dims)]
+    v_at = np.cumsum([0] + washes)
     ell, aux = int(w_at[-1]), int(xi_at[-1])
     v_star = [b.N.T @ payoff_map(game, i, ne) for i, b in enumerate(bases)]
 
@@ -106,19 +107,18 @@ def finite_difference_loop(game, specs, ne, h=1e-6):
         dw, dxi, dv = [], [], []
         for i, (spec, b) in enumerate(zip(specs, bases)):
             p = payoff_map(game, i, xs)
-            vi = v_star[i] + v[w_at[i] : w_at[i + 1]]
             if isinstance(spec, HigherOrderGradientPlay):
+                vi = v_star[i] + v[v_at[i] : v_at[i + 1]]
                 state = PlayerState(xs[i], xi[xi_at[i] : xi_at[i + 1]], vi)
-                d = reference_derivative(spec, state, p, b)
-                dv.append(d.dv)
             else:
-                d = reference_derivative(spec, PlayerState.fixed_order(xs[i]), p, b)
-                dv.append(b.N.T @ p - vi)
+                state = PlayerState.fixed_order(xs[i])
+            d = reference_derivative(spec, state, p, b)
             dw.append(b.N.T @ d.dx)
             dxi.append(d.dxi)
+            dv.append(d.dv)
         return np.concatenate(dw + dxi + dv)
 
-    dim = 2 * ell + aux
+    dim = ell + aux + int(v_at[-1])
     J = np.empty((dim, dim))
     for c in range(dim):
         e = np.zeros(dim)

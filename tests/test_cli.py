@@ -521,6 +521,9 @@ def test_analyze_stable_configuration(capsys, jordan_file):
     doc = json.loads(out)
     assert code == 0
     assert doc["stable"]
+    # the simulator's state: 3 tangent rows, player 0's aux state and its washout
+    assert len(doc["eigenvalues"]) == 5
+    assert doc["spectral_abscissa"] == pytest.approx(-0.0908575205, abs=1e-9)
     assert doc["pbh"] == {"stabilizable": True, "detectable": True}
     assert all(p["stabilizable"] and p["detectable"] for p in doc["per_player_pbh"])
     assert doc["mode_support"]["satisfied"]
@@ -534,6 +537,7 @@ def test_analyze_all_fixed_order_unstable(capsys, jordan_file, gp_specs_file):
     assert code == 1
     assert not doc["stable"]
     assert doc["spectral_abscissa"] > 0.4
+    assert len(doc["eigenvalues"]) == 3  # the loop is M: no aux state, no washout
 
 
 def test_analyze_warns_once_on_a_singular_coupling(capsys, tmp_path):

@@ -8,7 +8,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gradplay.linearize as linearize
-from gradplay.analysis import robustness_probe, strong_stabilizability_2x2
+from gradplay.analysis import robustness_probe, spectral_abscissa, strong_stabilizability_2x2
 from gradplay.dynamics import (
     GradientPlay,
     HigherOrderGradientPlay,
@@ -148,25 +148,25 @@ def test_local_matrix_rejects_a_matrix_not_ell_square(shape):
 
 
 def test_closed_loop_all_fixed_order():
-    local = jordan_local()
-    loop = assemble_closed_loop(local, [GradientPlay()] * 3)
-    assert loop.matrix.shape == (6, 6)
-    assert_allclose(loop.matrix[:3, :3], JORDAN_LOCAL, atol=1e-15)
-    assert_allclose(loop.matrix[:3, 3:], np.zeros((3, 3)), atol=1e-15)
-    assert_allclose(loop.matrix[3:, :3], JORDAN_LOCAL, atol=1e-15)
-    assert_allclose(loop.matrix[3:, 3:], -np.eye(3), atol=1e-15)
-    # the w-subsystem is decoupled and evolves by the local matrix alone
-    ev_loop = sorted(np.linalg.eigvals(loop.matrix), key=lambda z: (z.real, z.imag))
-    ev_expected = sorted(
-        list(np.linalg.eigvals(JORDAN_LOCAL)) + [-1.0] * 3,
-        key=lambda z: (z.real, z.imag),
-    )
-    assert_allclose(ev_loop, ev_expected, atol=1e-9)
+    # the fixed-order obstruction: plain gradient play has no aux state and no
+    # washout, so its loop is the reduced coupling M, whose diagonal blocks
+    # are zero: the trace is exactly 0 and some eigenvalue has Re >= 0
+    rng = np.random.default_rng(2003)
+    jordan = make_jordan()
+    for game, ne in [(jordan, uniform_profile(jordan))] + [random_mixed_ne_game(rng) for _ in range(60)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # some draws are singular
+            local = assemble_local_game(game, ne)
+        loop = assemble_closed_loop(local, [GradientPlay()] * game.n)
+        assert loop.aux_dims == (0,) * game.n
+        assert_array_equal(loop.matrix, local.matrix)
+        assert np.trace(loop.matrix) == 0.0
+        assert not spectral_abscissa(loop.matrix).stable
 
 
 def test_closed_loop_single_higher_order_player_stable():
     loop = assemble_closed_loop(jordan_local(), single_anticipatory_specs())
-    assert loop.matrix.shape == (7, 7)  # 2*3 tangent/washout + 1 aux
+    assert loop.matrix.shape == (5, 5)  # 3 tangent + 1 aux + 1 washout of player 0
     assert loop.aux_dims == (1, 0, 0)
     abscissa = np.max(np.linalg.eigvals(loop.matrix).real)
     assert abscissa == pytest.approx(-0.09085752046, abs=1e-9)
@@ -319,8 +319,7 @@ def test_simulator_flow_linearizes_to_closed_loop():
     # On full support the per-player projection is z -> z - (1^T z - 1) / k,
     # so the flow y' = [proj(PRE y) - x; AUX y] has Jacobian [P PRE - (I 0 0); AUX]
     # with P = blockdiag(I - 11^T / k); x = x* + N w maps it to tangent
-    # coordinates. The closed loop also carries a washout for gradient-play
-    # players, which the simulator's state leaves out.
+    # coordinates, where it is the closed loop on the same state.
     rng = np.random.default_rng(20231)
     for _ in range(40):
         n = int(rng.integers(2, 5))
@@ -353,12 +352,7 @@ def test_simulator_flow_linearizes_to_closed_loop():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # some draws are singular
             loop = assemble_closed_loop(assemble_local_game(game, ne), specs)
-        v0 = sum(k - 1 for k in dims) + sum(loop.aux_dims)
-        offsets = np.cumsum([0] + [k - 1 for k in dims])
-        keep = list(range(v0)) + [
-            v0 + r for i in higher for r in range(offsets[i], offsets[i + 1])
-        ]
-        assert_allclose(J_sim, loop.matrix[np.ix_(keep, keep)], rtol=0, atol=1e-12)
+        assert_allclose(J_sim, loop.matrix, rtol=0, atol=1e-12)
         assert_allclose(
             assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix,
             loop.matrix,
@@ -373,12 +367,15 @@ def _compensator(spec, k):
     return np.zeros((0, 0)), np.zeros((0, k - 1)), np.zeros((k - 1, 0)), np.zeros((k - 1, k - 1))
 
 
-def test_plant_closed_by_compensators_is_the_loop():
-    # The loop is the plant (A, B, C) under u = G xi + H y, xi' = E xi + F y
-    # with y = C (w; v): [[A + B H C, B G], [F C, E]] on the state (w, v, xi).
-    # The loop orders its state (w, xi, v).
-    rng = np.random.default_rng(20231)
-    for _ in range(40):
+def _washed_rows(specs, dims):
+    # the tangent rows of the compensated players, the only ones with a washout
+    compensated = [isinstance(s, HigherOrderGradientPlay) for s in specs]
+    return np.flatnonzero(np.repeat(compensated, np.subtract(dims, 1)))
+
+
+def _random_locals(rng, count):
+    # (local matrix, specs) of random games with mixed specs
+    for _ in range(count):
         n = int(rng.integers(2, 5))
         dims = [int(rng.integers(2, 5)) for _ in range(n)]
         game, ne = random_mixed_ne_game(rng, n=n, dims=dims)
@@ -386,17 +383,59 @@ def test_plant_closed_by_compensators_is_the_loop():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # some draws are singular
             local = assemble_local_game(game, ne)
-            plant = assemble_plant(local)
+        yield local, specs
+
+
+def _closed_plant(local, specs):
+    # the plant (A, B, C) under u = G xi + H y, xi' = E xi + F y with
+    # y = C (w; v): [[A + B H C, B G], [F C, E]] on the state (w, v, xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # some draws are singular
+        plant = assemble_plant(local)
+    E, F, G, H = (
+        scipy.linalg.block_diag(*blocks)
+        for blocks in zip(*(_compensator(s, k) for s, k in zip(specs, local.dims)))
+    )
+    A, B, C = plant.A, plant.B, plant.C
+    return np.block([[A + B @ H @ C, B @ G], [F @ C, E]])
+
+
+def test_plant_closed_by_compensators_is_the_loop():
+    # The plant washes every tangent row. The rows of an uncompensated player
+    # feed no H or F, so their v columns are zero off their own block, and
+    # deleting them leaves the loop, which orders its state (w, xi, v).
+    for local, specs in _random_locals(np.random.default_rng(20231), 40):
         loop = assemble_closed_loop(local, specs)
-        E, F, G, H = (
-            scipy.linalg.block_diag(*blocks)
-            for blocks in zip(*(_compensator(s, k) for s, k in zip(specs, dims)))
-        )
-        A, B, C = plant.A, plant.B, plant.C
-        closed = np.block([[A + B @ H @ C, B @ G], [F @ C, E]])
-        ell, aux = B.shape[1], E.shape[0]
-        order = np.r_[0:ell, 2 * ell : 2 * ell + aux, ell : 2 * ell]
+        closed = _closed_plant(local, specs)
+        ell, aux = local.matrix.shape[0], sum(loop.aux_dims)
+        order = np.r_[0:ell, 2 * ell : 2 * ell + aux, ell + _washed_rows(specs, local.dims)]
         assert_allclose(loop.matrix, closed[np.ix_(order, order)], rtol=0, atol=0)
+
+
+def test_plant_closed_by_compensators_keeps_the_loop_verdict():
+    # the washouts of uncompensated players read M w but feed nothing back, so
+    # the closed plant is block triangular: its characteristic polynomial is
+    # the loop's times (lam + 1) per such tangent row, and its verdict the
+    # loop's. The polynomials are compared at points off the spectra, where
+    # they are well conditioned; eigvals would blur the -1 clusters that the
+    # washouts of compensated players add to both
+    cases = list(_random_locals(np.random.default_rng(33), 60))
+    cases += [(jordan_local(), single_anticipatory_specs()), (jordan_local(), all_anticipatory_specs())]
+    ghosts = stable = 0
+    for local, specs in cases:
+        J = assemble_closed_loop(local, specs).matrix
+        closed = _closed_plant(local, specs)
+        ghost = local.matrix.shape[0] - _washed_rows(specs, local.dims).size
+        assert closed.shape[0] == J.shape[0] + ghost
+        for z in (0.3 + 1.1j, -0.7 + 0.4j, 2.0 - 0.5j):
+            want = np.linalg.det(J - z * np.eye(len(J))) * (-1.0 - z) ** ghost
+            got = np.linalg.det(closed - z * np.eye(len(closed)))
+            assert abs(got - want) <= 1e-9 * abs(want)
+        verdict = spectral_abscissa(J).stable
+        assert spectral_abscissa(closed).stable == verdict
+        ghosts += ghost > 0
+        stable += verdict
+    assert ghosts >= 20 and stable >= 3
 
 
 def test_closed_loop_matches_finite_differences():
@@ -469,7 +508,7 @@ def _explicit_closed_loop(game, specs):
         Ni, Nj = tangent_basis(game.dims[i]).N, tangent_basis(game.dims[j]).N
         M[at[i] : at[i + 1], at[j] : at[j + 1]] = Ni.T @ mat @ Nj
     ell = M.shape[0]
-    J = _loop_with_identity(M, np.eye(ell), specs, game.dims, np.arange(ell))
+    J = _loop_with_identity(M, np.eye(ell), specs, game.dims, _washed_rows(specs, game.dims))
     J[:ell, :ell] -= np.eye(ell)
     return M, J
 
@@ -482,8 +521,7 @@ def _explicit_flow_operators(game, specs):
         for s, k in zip(specs, game.dims)
     ]
     lift = scipy.linalg.block_diag(*blocks)
-    washed = np.flatnonzero(lift.any(axis=0))
-    out = _loop_with_identity(K, lift, specs, game.dims, washed)
+    out = _loop_with_identity(K, lift, specs, game.dims, _washed_rows(specs, game.dims))
     projected = [isinstance(s, (GradientPlay, HigherOrderGradientPlay)) for s in specs]
     fixed = np.flatnonzero(~np.repeat(projected, game.dims))
     out[fixed, fixed] = 0.0
@@ -558,10 +596,7 @@ def test_operators_equal_the_explicit_identity_formulas():
             plant = assemble_plant(local)
         ell = M.shape[0]
         A = np.block([[M, np.zeros((ell, ell))], [M, -np.eye(ell)]])
-        # the plant is the loop of plain gradient play, whose upper-right
-        # block is -H = -0.0: equal in value to the block form, not in sign
-        assert_bits_equal(plant.A, assemble_closed_loop(local, [GradientPlay()] * len(dims)).matrix)
-        assert_array_equal(plant.A, A)
+        assert_bits_equal(plant.A, A)
         assert_bits_equal(plant.B, np.eye(2 * ell, ell))
         assert_bits_equal(plant.C, A[ell:])
         direction = {(0, 1): rng.normal(size=(dims[0], dims[1]))}
@@ -729,18 +764,18 @@ def test_kept_loop_blocks_are_not_served_to_specs_that_differ(dims, specs, chang
         )
 
 
-def test_kept_loop_blocks_are_keyed_by_lift_and_washed_rows():
-    # the builder itself, on lifts and washed rows that its two callers
-    # never pair with equal dims and specs
+def test_kept_loop_blocks_are_keyed_by_lift():
+    # the builder itself, on lifts that its two callers never pair with equal
+    # dims and specs; which rows are washed follows from the specs, whose
+    # change _spec_pairs' "other-player" case covers
     rng = np.random.default_rng(17)
     dims, specs = (3, 2), [make_anticipatory(5.0, 1.0, 3), GradientPlay()]
     K = rng.normal(size=(5, 5))
     a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    three, two = np.arange(3), np.arange(2)
-    for lift, washed in [(a, three), (b, three), (b, two), (b, three)]:
-        got = linearize._build_loop(K, lift, dims, specs, washed)
+    for lift in (a, b, a):
+        got = linearize._build_loop(K, lift, dims, specs)
         linearize._last_loop = (None, None)
-        want = linearize._build_loop(K, lift, dims, specs, washed)
+        want = linearize._build_loop(K, lift, dims, specs)
         assert got[1] == want[1]
         assert_bits_equal(got[0], want[0])
 
