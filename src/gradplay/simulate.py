@@ -11,7 +11,10 @@ gradient play) the only nonlinearity is the simplex projection, so on a fixed
 projection support the flow is affine and one RK4 step is an affine map. That
 map is applied block by block, per support region, and one region check clears
 a run of up to _MAX_RUN blocks at once; the steps where the support changes
-are taken as plain RK4. Other rules have no regions: every step is plain RK4.
+are taken as plain RK4. A stage of such a step whose state lies on a region
+already cached is that region's affine rate, found by one product with the
+stacked KKT margins of the cached regions; only the other stages project.
+Other rules have no regions: every step is plain RK4.
 The open loop is the one-player game whose payoffs are a constant vector, and
 runs through the same body.
 """
@@ -146,6 +149,8 @@ class _Flow:
     rows through at: a slice when they are contiguous, else their indices.
     Without a region cache each group keeps a memo dict from stage to stage,
     which its update may use (gradient play keeps its last support there).
+    With one, a stage at a state on a cached region is that region's rate
+    (cached_region).
     """
 
     def __init__(self, game: PolymatrixGame, specs, layout: StateLayout, bases, c, cfg):
@@ -164,6 +169,10 @@ class _Flow:
             rows.append(np.arange(xsl.start, xsl.stop))
             temps.append(getattr(spec, "temperature", 0.0))
         self.regions = {} if _projection_family(specs) else None
+        # the step-0, stage-0 KKT margin rows of the cached regions: rows i * nx
+        # to (i + 1) * nx belong to the i-th region of self.regions (dict order)
+        self.margins = np.empty((0, layout.dim))
+        self.margin_offsets = np.empty(0)
         self.groups = []
         for (update, _), (rows, temps) in plan.items():
             rows = np.array(rows)
@@ -184,6 +193,10 @@ class _Flow:
         self.growth = 16.0 * a * (1.0 + cfg.step * a) ** 4
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        if self.regions:  # a flow without regions pays one truth test
+            region = self.cached_region(y)
+            if region is not None:
+                return region.rate @ y + region.rate_offset
         z = self.PRE @ y + self.c
         if not np.isfinite(z).all():
             raise NonFiniteInputError("payoff entries must be finite")
@@ -192,6 +205,21 @@ class _Flow:
             shape = rows.shape
             dx[at] = update(y[at].reshape(shape), z[at].reshape(shape), temps, memo).ravel()
         return np.concatenate([dx, self.AUX @ y]) if self.AUX.shape[0] else dx
+
+    def cached_region(self, y: np.ndarray):
+        """The cached _Region whose KKT margins at y, of step 0 and stage 0, are all >= 0.
+
+        With no tie tolerance, y's projections then have the region's support,
+        and the flow at y is its rate A_S y + b_S. None when no region is cached
+        or y is not finite or past the growth bound (as in region_at).
+        """
+        if not self.regions or not np.abs(y).max() <= _SAFE_MAGNITUDE / self.growth:
+            return None
+        margins = self.margins @ y
+        margins += self.margin_offsets
+        hit = (margins.reshape(len(self.regions), -1) >= 0).all(axis=1)
+        i = hit.argmax()
+        return list(self.regions.values())[i] if hit[i] else None
 
     def region_at(self, y: np.ndarray):
         """The cached _Region of y's support, or None (other rules, or y past the growth bound).
@@ -204,19 +232,28 @@ class _Flow:
         K blocks at once: one product of the margins with the K starts shows
         whether all 4BK stage projections keep the support. The blocks before the
         first one that does not are kept; in that one the state jumps to the step
-        that leaves the support, takes it as plain RK4 with each stage's own
-        projection, and detects the support again. K doubles from 1 after each
-        run kept whole, up to _MAX_RUN, and falls back to 1 after a plain step.
+        that leaves the support, takes it as plain RK4, and finds the support
+        again. K doubles from 1 after each run kept whole, up to _MAX_RUN, and
+        restarts at 2 after a plain step (the rest of the record interval, then
+        a full block). The support is first looked up among the cached regions
+        (cached_region), as is that of every stage of a plain step; only a
+        state on none of them is projected, and a new support gets a region.
         """
         if self.regions is None or not np.abs(y).max() <= _SAFE_MAGNITUDE / self.growth:
             return None
+        region = self.cached_region(y)
+        if region is not None:
+            return region
         z = self.PRE @ y + self.c
         mask = np.empty(self.nx, dtype=bool)
         for _, rows, *_ in self.groups:
             mask[rows] = project_to_simplex(z[rows]) > 0
         key = mask.tobytes()
         if key not in self.regions:
-            self.regions[key] = _build_region(self, mask)
+            region = self.regions[key] = _build_region(self, mask)
+            stage0 = slice(self.nx)
+            self.margins = np.vstack([self.margins, region.checks[stage0]])
+            self.margin_offsets = np.concatenate([self.margin_offsets, region.check_offsets[stage0]])
         return self.regions[key]
 
 
@@ -294,7 +331,7 @@ def _integrate(flow: _Flow, y0: np.ndarray, cfg: SimConfig):
             step += 1
             y = _rk4_step(flow, step, h, y)
             reached.append((step, y))
-            region, run = None, 1
+            region, run = None, min(2, _MAX_RUN)
         new = [x for b, x in reached if b % stride == 0 or b == n_steps]
         if new:
             states[rec : rec + len(new)] = np.array(new) + flow.shift
@@ -311,7 +348,8 @@ class _Region:
     projection arguments of steps 0, 1, ... (step-major): all are >= 0
     exactly when every stage projection has support S, so that those steps
     are the affine map. limit is the largest |y|_inf at which a jump of the
-    cached length stays clear of overflow.
+    cached length stays clear of overflow. rate @ y + rate_offset is the flow
+    A_S y + b_S itself, taken at the stages of plain steps that lie on S.
     """
 
     powers: np.ndarray
@@ -319,6 +357,8 @@ class _Region:
     checks: np.ndarray
     check_offsets: np.ndarray
     limit: float
+    rate: np.ndarray
+    rate_offset: np.ndarray
 
     def steps_kept(self, Y: np.ndarray, n: list) -> tuple:
         """(b, j): blocks 0..b-1 and the first j steps of block b keep every stage
@@ -361,7 +401,8 @@ def _build_region(flow: _Flow, mask) -> _Region:
     r = R @ c + r
     sign = np.where(mask, 1.0, -1.0)
     A = np.vstack([mask[:, None] * (R @ PRE) - np.eye(nx, dim), AUX])
-    hb = h * np.concatenate([mask * r, np.zeros(dim - nx)])
+    b = np.concatenate([mask * r, np.zeros(dim - nx)])
+    hb = h * b
     Z = h * A
     eye = np.eye(dim)
     # stage states Y_s = T_s y + t_s of one RK4 step on y' = A y + b
@@ -388,7 +429,7 @@ def _build_region(flow: _Flow, mask) -> _Region:
     P = np.abs(powers).sum(axis=2).max()
     C = np.abs(offsets).max()
     limit = float((_SAFE_MAGNITUDE / flow.growth - C - 1.0) / P)
-    return _Region(powers, offsets, checks, check_offsets, limit)
+    return _Region(powers, offsets, checks, check_offsets, limit, A, b)
 
 
 def _simulate(game: PolymatrixGame, specs, xs, cfg: SimConfig, c, steady: bool) -> Trajectory:

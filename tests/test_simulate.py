@@ -273,6 +273,94 @@ def test_region_check_clears_runs_of_blocks(monkeypatch):
     assert sum(checks) == 2000 and max(checks) == sim._MAX_RUN and len(checks) < 50
 
 
+# --- plain-step stages on cached regions --------------------------------------
+
+SATURATING = [(name, overrides) for name, overrides, saturates in BENCH_PRESETS if saturates]
+
+
+@pytest.mark.parametrize("name,overrides", SATURATING)
+def test_cached_region_stages_match_projected_stages(monkeypatch, name, overrides):
+    # with no cached region ever found, every plain-step stage and every
+    # support detection projects by sorting, as the region-free flow does
+    out, steps = _plain_steps(monkeypatch, lambda: run_scenario(name, overrides).trajectory)
+    with monkeypatch.context() as m:
+        m.setattr(sim._Flow, "cached_region", lambda self, y: None)
+        ref, ref_steps = _plain_steps(monkeypatch, lambda: run_scenario(name, overrides).trajectory)
+    assert steps == ref_steps and steps
+    assert_array_equal(out.times, ref.times)
+    assert_allclose(out.states, ref.states, rtol=0, atol=1e-12)
+
+
+MU5 = {"mu": 5.0, "horizon": 30.0}  # the benchmark's slowest preset item
+
+
+def test_saturating_run_projects_on_few_stages(monkeypatch):
+    # jordan-rescaled at mu = 5 takes 125 plain steps over 3 supports: only
+    # the first detection of each support and the few stages on no cached
+    # region sort (626 calls when every stage sorted), and a run restarts at
+    # two blocks after a plain step (315 region checks when it restarted at one)
+    sorts, checks = [], []
+    steps_kept = sim._Region.steps_kept
+
+    def sorting(project):
+        def counted(z):
+            sorts.append(z)
+            return project(z)
+
+        return counted
+
+    def counted_checks(self, Y, n):
+        checks.append(len(n))
+        return steps_kept(self, Y, n)
+
+    monkeypatch.setattr(sim, "project_to_simplex", sorting(sim.project_to_simplex))
+    monkeypatch.setattr(dyn, "project_to_simplex", sorting(dyn.project_to_simplex))
+    monkeypatch.setattr(sim._Region, "steps_kept", counted_checks)
+    _, steps = _plain_steps(monkeypatch, lambda: run_scenario("jordan-rescaled", MU5))
+    assert len(steps) == 125
+    assert len(sorts) <= 10 and len(checks) <= 210
+
+
+def _flow_of(monkeypatch, run):
+    """The flow that run() integrates, with the regions it cached."""
+    flows = []
+    integrate = sim._integrate
+
+    def captured(flow, y0, cfg):
+        flows.append(flow)
+        return integrate(flow, y0, cfg)
+
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_integrate", captured)
+        traj = run()
+    return flows[0], traj
+
+
+def test_cached_region_finds_nothing_off_the_cache_or_the_bound(monkeypatch):
+    g = make_jordan(5.0)
+    specs = cli._data_specs("jordan_rescaled.specs.json", g)
+    cfg = SimConfig(step=0.01, horizon=3.0, record_stride=10)
+    flow, traj = _flow_of(monkeypatch, lambda: simulate_coupled(g, specs, offset_init(g), cfg))
+    ys = traj.states - flow.shift
+    hits = [flow.cached_region(y) for y in ys]
+    assert len(flow.regions) > 1 and all(region is not None for region in hits)
+    y = ys[-1]
+    # on a hit the rate is the flow of the projected stage, to rounding
+    rate = hits[-1].rate @ y + hits[-1].rate_offset
+    with monkeypatch.context() as m:
+        m.setattr(sim._Flow, "cached_region", lambda self, y: None)
+        assert_allclose(rate, flow(y), rtol=0, atol=1e-12)
+    # a state that is not finite, or past the growth bound, finds nothing
+    assert flow.cached_region(np.where(np.arange(y.size) == 0, np.nan, y)) is None
+    flow.growth = sim._SAFE_MAGNITUDE / (0.5 * np.abs(y).max())
+    assert flow.cached_region(y) is None and flow.region_at(y) is None
+    # a flow with no region cache finds nothing at the same state
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_projection_family", lambda specs: False)
+        generic, _ = _flow_of(monkeypatch, lambda: simulate_coupled(g, specs, offset_init(g), cfg))
+    assert generic.regions is None and generic.cached_region(y) is None
+
+
 def test_open_loop_zero_margin_rest_point_matches_per_stage_reference(monkeypatch):
     # equal payoffs and a vertex start: a rest point whose projection argument
     # has KKT margin exactly 0 on the two strategies off the support
