@@ -327,9 +327,17 @@ def _offset_profile(game: PolymatrixGame) -> list:
 
 
 def _jordan_sweep(specs, grid) -> SweepResult:
-    """Sweep the Jordan game's payoff scale over grid, assembling its loop at every point."""
+    """Sweep the Jordan game's payoff scale g over grid, assembling its loop at every point.
+
+    make_jordan(g) differs from make_jordan(1.0) only in pair (0, 1), g times
+    that pair, so each point re-reduces that one block of the coupling
+    reduced once (GameLocalMatrix.with_pair): every loop equals the one
+    assembled from GameLocalMatrix.from_game(make_jordan(g)) bit for bit.
+    """
+    game = make_jordan(1.0)
+    local, pair = GameLocalMatrix.from_game(game), game.pair(0, 1)
     return gain_sweep(
-        lambda g: assemble_closed_loop(GameLocalMatrix.from_game(make_jordan(g)), specs).matrix, grid
+        lambda g: assemble_closed_loop(local.with_pair(0, 1, g * pair), specs).matrix, grid
     )
 
 
@@ -538,8 +546,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for flag, mu in (("--mu-min", args.mu_min), ("--mu-max", args.mu_max)):
+        if not np.isfinite(mu):
+            raise ValueError(f"{flag} must be finite, got {mu}")
     if args.mu_min <= 0 or args.mu_max < args.mu_min or args.points < 1:
         raise ValueError("need 0 < mu-min <= mu-max and points >= 1")
+    if args.mu_min == args.mu_max and args.points > 1:
+        raise ValueError("--mu-min equals --mu-max: --points > 1 needs --mu-min < --mu-max")
     specs = load_specs_file(args.specs, make_jordan(1.0))  # checked against the template's dims
     grid = default_gain_grid(args.mu_min, args.mu_max, args.points)
     sweep = _jordan_sweep(specs, grid)

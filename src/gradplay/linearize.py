@@ -72,19 +72,51 @@ class GameLocalMatrix:
         Raises NonFiniteInputError naming the first pair, in sorted order,
         whose reduced block N_i^T M[i,j] N_j is not finite.
         """
-        N = {k: tangent_basis(k).N for k in set(game.dims)}
-        slices = _tangent_slices(game.dims)
         ell = sum(k - 1 for k in game.dims)
-        M = np.zeros((ell, ell))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (i, j), mat in game.pair_matrices.items():
-                M[slices[i], slices[j]] = N[game.dims[i]].T @ mat @ N[game.dims[j]]
+        M = _reduce_pairs(np.zeros((ell, ell)), game.dims, game.pair_matrices)
         entries = itertools.chain(*(m.ravel().tolist() for m in game.pair_matrices.values()))
-        local = cls(M, game.dims, max(map(abs, entries), default=0.0))
-        if not np.isfinite(M).all():
-            bad = next(p for p in sorted(game.pair_matrices) if not np.isfinite(local.block(*p)).all())
-            raise NonFiniteInputError(f"reduced coupling block {bad} is not finite")
-        return local
+        return cls(M, game.dims, max(map(abs, entries), default=0.0))
+
+    def with_pair(self, i: int, j: int, pair: np.ndarray) -> GameLocalMatrix:
+        """This coupling with block (i, j) re-reduced from the pair matrix pair.
+
+        The block is N_i^T pair N_j, as from_game writes it, so on the
+        reduced coupling of a game this equals from_game of that game with
+        pair (i, j) set to pair, bit for bit. The other pairs' entries are not
+        kept here, so scale is max(self.scale, largest |pair entry|): that
+        game's pair-entry scale unless the old pair (i, j) alone held the
+        largest entry, and above it then, so singular errs toward "not
+        isolated". Raises ValueError for a pair that is not i != j in range
+        with shape (k_i, k_j), and NonFiniteInputError as from_game does.
+        """
+        if i == j or not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"invalid player pair ({i}, {j})")
+        pair = np.asarray(pair, dtype=float)
+        if pair.shape != (self.dims[i], self.dims[j]):
+            raise ValueError(
+                f"pair matrix ({i}, {j}) has shape {pair.shape}, "
+                f"expected {(self.dims[i], self.dims[j])}"
+            )
+        M = _reduce_pairs(self.matrix.copy(), self.dims, {(i, j): pair})
+        return GameLocalMatrix(M, self.dims, max(self.scale, *map(abs, pair.ravel().tolist())))
+
+
+def _reduce_pairs(M: np.ndarray, dims, pairs) -> np.ndarray:
+    """Write N_i^T P N_j into block (i, j) of M for each pair matrix P at (i, j) of pairs.
+
+    Raises NonFiniteInputError naming the first pair, in sorted order, whose
+    block is not finite.
+    """
+    N = {k: tangent_basis(k).N for k in set(dims)}
+    slices = _tangent_slices(dims)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), mat in pairs.items():
+            M[slices[i], slices[j]] = N[dims[i]].T @ mat @ N[dims[j]]
+    if not np.isfinite(M).all():
+        for i, j in sorted(pairs):
+            if not np.isfinite(M[slices[i], slices[j]]).all():
+                raise NonFiniteInputError(f"reduced coupling block {(i, j)} is not finite")
+    return M
 
 
 def singular(M: np.ndarray, scale: float = 0.0) -> bool:

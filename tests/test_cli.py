@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gradplay.cli as cli
 from gradplay.cli import (
     ScenarioResult,
     game_from_json,
@@ -17,6 +18,7 @@ from gradplay.cli import (
     load_game_file,
     load_specs_file,
     main,
+    run_scenario,
     spec_to_json,
     specs_from_json,
     specs_to_json,
@@ -31,9 +33,15 @@ from gradplay.dynamics import (
     SmoothFictitiousPlay,
     make_anticipatory,
 )
-from gradplay.analysis import SweepResult
+from gradplay.analysis import SweepResult, default_gain_grid, gain_sweep
 from gradplay.games import PolymatrixGame, make_coordination, make_jordan
-from gradplay.linearize import assemble_local_game, assemble_plant
+from gradplay.linearize import (
+    GameLocalMatrix,
+    assemble_closed_loop,
+    assemble_local_game,
+    assemble_plant,
+)
+from gradplay.simplex import NonFiniteInputError
 from gradplay.simulate import StateLayout, Trajectory
 
 from conftest import exhaustive_fixed_modes, random_mixed_ne_game
@@ -804,6 +812,80 @@ def test_sweep_bad_range_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def _per_point_sweep(specs, grid, calls):
+    # the sweep as every point's own game: make_jordan(g), reduced in full
+    def build(g):
+        calls.append(g)
+        return assemble_closed_loop(GameLocalMatrix.from_game(make_jordan(g)), specs).matrix
+
+    return gain_sweep(build, grid)
+
+
+def assert_sweeps_bit_equal(got, want):
+    assert got.grid.tobytes() == want.grid.tobytes()
+    assert len(got.eigenvalues) == len(want.eigenvalues)
+    for a, b in zip(got.eigenvalues, want.eigenvalues):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert (got.stable.dtype, got.stable.tobytes()) == (want.stable.dtype, want.stable.tobytes())
+    assert got.crossings == want.crossings
+    assert all(type(v) is float for c in got.crossings for v in c)
+
+
+@pytest.mark.parametrize("specs_name", ["jordan_rescaled", "jordan_single"])
+@pytest.mark.parametrize(
+    "bounds",
+    [[], ["--points", "2000"], ["--mu-min", "0.3", "--mu-max", "4", "--points", "9"], ["--points", "1"]],
+    ids=["default", "2000", "9-over-0.3-4", "1"],
+)
+def test_sweep_equals_the_per_point_game_sweep(capsys, tmp_path, monkeypatch, specs_name, bounds):
+    # each point re-reduces only pair (0, 1) of make_jordan(1.0), and still
+    # assembles its loop once: spectra, flags, crossings, CSV and stdout
+    # equal those of the sweep that builds and reduces make_jordan(g)
+    swept, assembled = [], []
+    real_sweep, real_assemble = cli.gain_sweep, cli.assemble_closed_loop
+    monkeypatch.setattr(cli, "gain_sweep", lambda *a: swept.append(real_sweep(*a)) or swept[-1])
+    monkeypatch.setattr(
+        cli, "assemble_closed_loop", lambda *a: assembled.append(1) or real_assemble(*a)
+    )
+    specs_file = data_path(f"{specs_name}.specs.json")
+    out_csv = tmp_path / "got.csv"
+    code, out, err = run(capsys, ["sweep", "jordan", specs_file, *bounds, "--out", str(out_csv)])
+    assert (code, err) == (0, "")
+    args = dict(zip(bounds[::2], bounds[1::2]))
+    grid = default_gain_grid(
+        float(args.get("--mu-min", 1e-2)), float(args.get("--mu-max", 1e2)), int(args.get("--points", 200))
+    )
+    calls = []
+    want = _per_point_sweep(load_specs_file(specs_file, make_jordan()), grid, calls)
+    (got,) = swept
+    assert_sweeps_bit_equal(got, want)
+    assert len(assembled) == len(calls) >= grid.size
+    if not bounds and specs_name == "jordan_rescaled":
+        assert len(assembled) == 217  # 200 grid points and 17 bisection steps
+    write_sweep_csv(tmp_path / "want.csv", want)
+    assert out_csv.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    doc = json.loads(out)
+    assert doc["points"] == grid.size
+    assert doc["stable_points"] == int(want.stable.sum())
+    assert doc["crossings"] == [list(c) for c in want.crossings]
+
+
+def test_rescaled_scenario_sweep_equals_the_per_point_game_sweep():
+    result = run_scenario("jordan-rescaled", {"horizon": 1.0})
+    specs = load_specs_file(data_path("jordan_rescaled.specs.json"), make_jordan())
+    assert_sweeps_bit_equal(result.sweep, _per_point_sweep(specs, default_gain_grid(), []))
+
+
+def test_overflowing_sweep_names_the_gain_as_the_per_point_sweep_does(capsys, tmp_path):
+    argv = ["sweep", "jordan", data_path("jordan_rescaled.specs.json"), "--mu-min", "1e300"]
+    argv += ["--mu-max", "1e308", "--points", "3", "--out", str(tmp_path / "x.csv")]
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (2, "error: the loop at gain 1e+308 is not finite\n")
+    specs = load_specs_file(data_path("jordan_rescaled.specs.json"), make_jordan())
+    with pytest.raises(NonFiniteInputError, match=r"^the loop at gain 1e\+308 is not finite$"):
+        _per_point_sweep(specs, default_gain_grid(1e300, 1e308, 3), [])
+
+
 # --- simulate -------------------------------------------------------------------
 
 
@@ -910,8 +992,29 @@ def test_scenario_blowup_prints_only_the_numeric_failure(tmp_path):
             2,
             "error: the loop at gain 1e+308 is not finite\n",
         ),
+        (
+            ["sweep", "jordan", data_path("jordan_rescaled.specs.json"), "--mu-max", "inf"],
+            2,
+            "error: --mu-max must be finite, got inf\n",
+        ),
+        (
+            ["sweep", "jordan", data_path("jordan_rescaled.specs.json"), "--mu-min", "nan"],
+            2,
+            "error: --mu-min must be finite, got nan\n",
+        ),
+        (
+            ["sweep", "jordan", data_path("jordan_rescaled.specs.json"), "--mu-min=-inf"],
+            2,
+            "error: --mu-min must be finite, got -inf\n",
+        ),
+        (
+            ["sweep", "jordan", data_path("jordan_rescaled.specs.json"), "--mu-min", "2"]
+            + ["--mu-max", "2", "--points", "5"],
+            2,
+            "error: --mu-min equals --mu-max: --points > 1 needs --mu-min < --mu-max\n",
+        ),
     ],
-    ids=["verify", "overflowing-sweep"],
+    ids=["verify", "overflowing-sweep", "infinite-mu-max", "nan-mu-min", "infinite-mu-min", "equal-bounds"],
 )
 def test_module_run_prints_only_its_own_errors(tmp_path, argv, code, stderr):
     # `python -m gradplay` in a fresh interpreter with the default warning

@@ -147,6 +147,58 @@ def test_local_matrix_rejects_a_matrix_not_ell_square(shape):
     assert GameLocalMatrix(np.zeros((0, 0)), ()).n == 0
 
 
+def test_with_pair_equals_from_game_of_the_game_with_that_pair_replaced():
+    # seeded games with n and k in 2-4; the new pair is a normal draw, zero,
+    # or a draw with -0.0 entries, and the replaced pair may be absent before
+    rng = np.random.default_rng(3501)
+    absent = negative_zeros = 0
+    ns, ks = set(), set()
+    for draw in range(120):
+        game, _ = random_mixed_ne_game(rng)
+        ns.add(game.n)
+        ks.update(game.dims)
+        i, j = (int(p) for p in rng.choice(game.n, size=2, replace=False))
+        pair = rng.normal(size=(game.dims[i], game.dims[j]))
+        if draw % 3 == 1:
+            pair = np.zeros_like(pair)
+        elif draw % 3 == 2:
+            pair = np.where(rng.random(pair.shape) < 0.5, -0.0, pair)
+        local = GameLocalMatrix.from_game(game)
+        before = local.matrix.copy()
+        got = local.with_pair(i, j, pair)
+        want = GameLocalMatrix.from_game(PolymatrixGame(game.dims, {**game.pair_matrices, (i, j): pair}))
+        assert got.dims == want.dims
+        assert_bits_equal(got.matrix, want.matrix)
+        assert_bits_equal(local.matrix, before)
+        # the docstring's scale: max(self.scale, largest |pair entry|), which is
+        # want's scale unless the old pair (i, j) alone held the largest entry
+        assert got.scale == max(local.scale, np.abs(pair).max())
+        assert got.scale == max(want.scale, np.abs(game.pair(i, j)).max())
+        absent += (i, j) not in game.pair_matrices
+        negative_zeros += int(np.sum(np.signbit(pair) & (pair == 0)))
+    assert ns == ks == {2, 3, 4}
+    assert absent > 0 and negative_zeros > 0
+
+
+def test_with_pair_rejects_a_bad_pair_as_from_game_does():
+    local = GameLocalMatrix.from_game(
+        PolymatrixGame((2, 3, 4), {(0, 1): np.ones((2, 3)), (2, 0): np.ones((4, 2))})
+    )
+    for i, j, shape in [(0, 1, (3, 2)), (1, 2, (3, 3)), (2, 0, (4,))]:
+        message = rf"^pair matrix \({i}, {j}\) has shape {re.escape(str(shape))}, expected"
+        with pytest.raises(ValueError, match=message):
+            local.with_pair(i, j, np.ones(shape))
+    for i, j in [(1, 1), (0, 3), (-1, 0)]:
+        with pytest.raises(ValueError, match=rf"^invalid player pair \({i}, {j}\)$"):
+            local.with_pair(i, j, np.ones((2, 2)))
+    jordan = GameLocalMatrix.from_game(make_jordan())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.inf, np.nan):
+            with pytest.raises(NonFiniteInputError, match=r"^reduced coupling block \(2, 0\) is not finite$"):
+                jordan.with_pair(2, 0, [[bad, 0.0], [0.0, 0.0]])
+
+
 def test_closed_loop_all_fixed_order():
     # the fixed-order obstruction: plain gradient play has no aux state and no
     # washout, so its loop is the reduced coupling M, whose diagonal blocks
@@ -647,6 +699,7 @@ def test_overflowing_reduced_coupling_names_its_first_pair():
     routes = [
         ((1, 2), lambda: assemble_local_game(game, uniform_profile(game))),
         ((0, 1), lambda: GameLocalMatrix.from_game(pair)),
+        ((1, 0), lambda: GameLocalMatrix.from_game(make_coordination()).with_pair(1, 0, big)),
         ((0, 1), lambda: assemble_loop_family(pair, specs, direction)),
         ((0, 1), lambda: robustness_probe(pair, specs, direction)),
         ((0, 1), lambda: strong_stabilizability_2x2(pair)),
