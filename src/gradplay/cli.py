@@ -555,6 +555,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--mu-min equals --mu-max: --points > 1 needs --mu-min < --mu-max")
     specs = load_specs_file(args.specs, make_jordan(1.0))  # checked against the template's dims
     grid = default_gain_grid(args.mu_min, args.mu_max, args.points)
+    if not (np.diff(grid) > 0).all():
+        raise ValueError(
+            f"--mu-min {args.mu_min!r} and --mu-max {args.mu_max!r} are too close for "
+            f"--points {args.points}: the log-spaced grid repeats a value"
+        )
     sweep = _jordan_sweep(specs, grid)
     write_sweep_csv(args.out, sweep)
     _emit(

@@ -11,7 +11,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .simplex import NonFiniteInputError, TangentBasis, project_on_support, project_to_simplex
+from .simplex import NonFiniteInputError, SupportProjection, TangentBasis, project_to_simplex
 
 __all__ = [
     "GradientPlay",
@@ -39,18 +39,20 @@ class GradientPlay:
     The batched update of every rule takes (m, k) rows of strategies x and
     inputs z, the rows' temperatures, and memo: None, or a dict that the
     caller keeps for this group of rows from stage to stage. Gradient play
-    keeps the support of its last projection there and tries it first; the
-    other rules ignore memo.
+    keeps there the simplex.SupportProjection of its last projection's
+    support, a cached affine map with its KKT check, and tries it first;
+    only when the check fails does it sort (project_to_simplex) and cache
+    the new support's map. The other rules ignore memo.
     """
 
     @staticmethod
     def update(x, z, temps, memo=None):
         if memo is None:
             return project_to_simplex(z) - x
-        p = project_on_support(z, memo["support"]) if "support" in memo else None
+        p = memo["projection"](z) if "projection" in memo else None
         if p is None:
             p = project_to_simplex(z)
-            memo["support"] = p > 0
+            memo["projection"] = SupportProjection(p > 0)
         return p - x
 
 

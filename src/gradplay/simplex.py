@@ -9,6 +9,7 @@ import numpy as np
 
 __all__ = [
     "NonFiniteInputError",
+    "SupportProjection",
     "TangentBasis",
     "project_to_simplex",
     "project_on_support",
@@ -71,6 +72,43 @@ def project_on_support(rows, support) -> np.ndarray | None:
     if not np.minimum.reduce(np.where(support, r, np.negative(r)), axis=None) >= 0:
         return None
     return np.where(support, r, 0.0)
+
+
+class SupportProjection:
+    """project_on_support for one fixed support, as a cached affine map.
+
+    support is a boolean (m, k) mask with at least one entry in each row.
+    Row i's residual z - theta_i, theta_i = (1_S^T z - 1) / |S_i|, is the
+    affine map (I - W_S) z + 1 / |S_i| with W_S's rows s_i / |S_i|; SR and sr
+    are that map on the m rows laid end to end (an mk x mk block-diagonal
+    matrix and an mk vector), with every row off S negated. So S is the
+    support exactly when SR z + sr >= 0: the KKT test of project_on_support,
+    the exact reference, whose result a call returns up to rounding in the
+    water level. The simulator builds its support regions from SR and sr.
+    """
+
+    def __init__(self, support):
+        self.mask = np.asarray(support, dtype=float)  # 1.0 on S, 0.0 off it
+        m, k = self.mask.shape
+        size = self.mask.sum(axis=1, keepdims=True)
+        sign = 2.0 * self.mask - 1.0
+        SR = np.zeros((m, k, m, k))  # row i's block is SR[i, :, i, :]
+        SR[np.arange(m), :, np.arange(m), :] = np.eye(k) - (self.mask / size)[:, None, :]
+        SR *= sign[:, :, None, None]
+        self.SR = SR.reshape(m * k, m * k)
+        self.sr = (sign / size).ravel()
+
+    def __call__(self, rows) -> np.ndarray | None:
+        """The projection of each row of the (m, k) finite rows, or None when
+        the support is not theirs; +0.0 off the support."""
+        # anchored at each row's max, as in project_to_simplex
+        r = self.SR @ (rows - np.maximum.reduce(rows, axis=1, keepdims=True)).ravel()
+        r += self.sr
+        if not np.minimum.reduce(r) >= 0:
+            return None
+        r = r.reshape(rows.shape)
+        r *= self.mask  # r >= 0, so 0.0 off S
+        return r
 
 
 @dataclass(frozen=True)

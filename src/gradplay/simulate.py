@@ -29,7 +29,7 @@ import numpy as np
 from . import dynamics as dyn
 from .games import PolymatrixGame, payoff_map, validate_profile
 from .linearize import assemble_flow_operators
-from .simplex import NonFiniteInputError, project_to_simplex, tangent_basis
+from .simplex import NonFiniteInputError, SupportProjection, project_to_simplex, tangent_basis
 
 __all__ = [
     "CONVERGENCE_TOL",
@@ -148,9 +148,10 @@ class _Flow:
     row to dynamics.derivative up to rounding. A group reads and writes its
     rows through at: a slice when they are contiguous, else their indices.
     Without a region cache each group keeps a memo dict from stage to stage,
-    which its update may use (gradient play keeps its last support there).
-    With one, a stage at a state on a cached region is that region's rate
-    (cached_region).
+    which its update may use: gradient play keeps there the cached affine map
+    of its last support (simplex.SupportProjection, which a region is built
+    from too). With one, a stage at a state on a cached region is that
+    region's rate (cached_region).
     """
 
     def __init__(self, game: PolymatrixGame, specs, layout: StateLayout, bases, c, cfg):
@@ -385,23 +386,27 @@ class _Region:
 
 
 def _build_region(flow: _Flow, mask) -> _Region:
+    """The _Region of the projection support mask (nx booleans, over x's rows).
+
+    Its blocks are each group's simplex.SupportProjection, the map that a
+    gradient-play memo caches: the signed KKT residual SR z + sr is >= 0
+    exactly when the projection of z has support S, and on S it is that
+    projection (project_on_support is the exact reference). With
+    z = PRE y + c it is RP y + rc, which gives the flow on S and its margins.
+    """
     PRE, AUX, c, h = flow.PRE, flow.AUX, flow.c, flow.step
     nx, dim = PRE.shape
-    W = np.zeros((nx, nx))
-    r = np.zeros(nx)
-    for _, rows, *_ in flow.groups:  # (m, k) rows of m players; each block row is s / |S|
-        s = mask[rows]
-        W[rows[:, :, None], rows[:, None, :]] = (s / s.sum(axis=1, keepdims=True))[:, None]
-        r[rows] = 1.0 / s.sum(axis=1, keepdims=True)
-    # With theta = (1_S^T z - 1) / |S| per player, R z + r = z - theta. The
-    # projection of z is (R z + r) on S and 0 off S exactly when that residual
-    # is >= 0 on S and <= 0 off S; sign turns both into ">= 0" margins. With
-    # z = PRE y + c, the residual is R PRE y + (R c + r).
-    R = np.eye(nx) - W
-    r = R @ c + r
-    sign = np.where(mask, 1.0, -1.0)
-    A = np.vstack([mask[:, None] * (R @ PRE) - np.eye(nx, dim), AUX])
-    b = np.concatenate([mask * r, np.zeros(dim - nx)])
+    SR = np.zeros((nx, nx))
+    sr = np.zeros(nx)
+    for _, rows, *_ in flow.groups:  # (m, k) rows of m players, one block each
+        proj = SupportProjection(mask[rows])
+        at = rows.ravel()
+        SR[at[:, None], at] = proj.SR
+        sr[at] = proj.sr
+    RP = SR @ PRE
+    rc = SR @ c + sr
+    A = np.vstack([mask[:, None] * RP - np.eye(nx, dim), AUX])
+    b = np.concatenate([mask * rc, np.zeros(dim - nx)])
     hb = h * b
     Z = h * A
     eye = np.eye(dim)
@@ -412,9 +417,8 @@ def _build_region(flow: _Flow, mask) -> _Region:
         t.append(c * (Z @ t[-1] + hb))
     M = eye + Z @ (T[0] + 2 * T[1] + 2 * T[2] + T[3]) / 6.0
     m = Z @ (t[0] + 2 * t[1] + 2 * t[2] + t[3]) / 6.0 + hb
-    RP = sign[:, None] * (R @ PRE)
     Q = np.vstack([RP @ Ts for Ts in T])
-    q = np.concatenate([RP @ ts + sign * r for ts in t])
+    q = np.concatenate([RP @ ts + rc for ts in t])
     powers = [eye]
     offsets = [np.zeros(dim)]
     for _ in range(flow.length):

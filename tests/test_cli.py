@@ -1013,8 +1013,23 @@ def test_scenario_blowup_prints_only_the_numeric_failure(tmp_path):
             2,
             "error: --mu-min equals --mu-max: --points > 1 needs --mu-min < --mu-max\n",
         ),
+        (
+            ["sweep", "jordan", data_path("jordan_rescaled.specs.json"), "--mu-min", "1"]
+            + ["--mu-max", "1.0000000000000002", "--points", "5"],
+            2,
+            "error: --mu-min 1.0 and --mu-max 1.0000000000000002 are too close for --points 5:"
+            " the log-spaced grid repeats a value\n",
+        ),
     ],
-    ids=["verify", "overflowing-sweep", "infinite-mu-max", "nan-mu-min", "infinite-mu-min", "equal-bounds"],
+    ids=[
+        "verify",
+        "overflowing-sweep",
+        "infinite-mu-max",
+        "nan-mu-min",
+        "infinite-mu-min",
+        "equal-bounds",
+        "close-bounds",
+    ],
 )
 def test_module_run_prints_only_its_own_errors(tmp_path, argv, code, stderr):
     # `python -m gradplay` in a fresh interpreter with the default warning

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from gradplay.simplex import (
     NonFiniteInputError,
+    SupportProjection,
     from_local,
     project_on_support,
     project_to_simplex,
@@ -188,6 +189,48 @@ def test_projection_on_its_support_matches_sort_path(rows, scale, offset):
             w[j] = not w[j]
             q = project_on_support(x[None], w[None]) if w.any() else None
             assert q is None or np.abs(q[0] - p).max() <= tol  # else w differs at a tie
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda k: st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=1, max_size=5)
+    ),
+    st.sampled_from([1e-100, 1.0, 1e100]),
+    st.sampled_from([0.0, 1e20]),
+)
+def test_support_map_matches_both_references(rows, scale, offset):
+    # the cached map of a support against project_on_support (the exact
+    # reference on that support) and the sort path, with the tolerance above
+    X = np.array(rows) * scale + offset
+    P = project_to_simplex(X)
+    for x, p in zip(X, P):
+        s = p > 0
+        za = x - x.max()
+        tol = 4 * x.size * np.finfo(float).eps * max(1.0, np.abs(za).max())
+        r = za - (za[s].sum() - 1.0) / s.sum()
+        q = SupportProjection(s[None])(x[None])
+        ref = project_on_support(x[None], s[None])
+        if q is None:  # the check fails only by rounding, at an entry on the water level
+            assert (np.where(s, r, -r) >= -tol).all()
+        else:
+            assert np.abs(q[0] - p).max() <= tol
+            assert ref is None or np.abs(q[0] - ref[0]).max() <= tol
+            assert not np.signbit(q[0]).any() and (q[0][~s] == 0.0).all()
+        for j in range(x.size):  # a support with one entry more or less is wrong
+            w = s.copy()
+            w[j] = not w[j]
+            q = SupportProjection(w[None])(x[None]) if w.any() else None
+            assert q is None or np.abs(q[0] - p).max() <= tol  # else w differs at a tie
+    # all rows through one block-diagonal map, each row to its own tolerance
+    S = P > 0
+    Q = SupportProjection(S)(X)
+    za = X - X.max(axis=1, keepdims=True)
+    tol = 4 * X.shape[1] * np.finfo(float).eps * np.maximum(1.0, np.abs(za).max(axis=1, keepdims=True))
+    if Q is None:  # only by rounding, at an entry on the water level
+        theta = (np.where(S, za, 0.0).sum(axis=1, keepdims=True) - 1.0) / S.sum(axis=1, keepdims=True)
+        assert (np.abs(za - theta) <= tol).any()
+    else:
+        assert (np.abs(Q - P) <= tol).all()
 
 
 def test_projection_on_a_wrong_support_is_none():

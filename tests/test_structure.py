@@ -269,7 +269,16 @@ def test_detector_finds_rule_names(tmp_path):
 
 
 # the rule formulas: projection, logit, replicator mean
-FORMULAS = {"project_to_simplex", "project_on_support", "exp", "sum", "mean", "reduce", "dot"}
+FORMULAS = {
+    "project_to_simplex",
+    "project_on_support",
+    "SupportProjection",
+    "exp",
+    "sum",
+    "mean",
+    "reduce",
+    "dot",
+}
 
 
 def derivative_formulas(path: Path) -> tuple:
