@@ -501,14 +501,13 @@ def robustness_probe(
     direction: Mapping,
     max_delta: float = 1.0,
 ) -> RobustnessResult:
-    """Largest verified-stable perturbation scale along a matrix direction.
+    """Largest perturbation scale along a matrix direction found stable where checked.
 
-    The game matrices are perturbed as M[i,j] + delta * direction[i,j]; the
-    closed loop is affine in delta, J0 + delta J1, and is assembled once (the
-    reduced coupling depends only on the matrices and tangent bases, not on
-    where the equilibrium sits).  The nominal loop and an upward scan of
-    PROBE_SCAN_POINTS scales are evaluated as one stack; bisection from the
-    first unstable scale tightens the bracket to PROBE_GAP.
+    The pair matrices become M[i,j] + delta * direction[i,j], and the loop J0 + delta J1
+    (assemble_loop_family: one loop assembled). The nominal loop and PROBE_SCAN_POINTS
+    upward scales are judged in one stack; bisection from the first unstable one brackets
+    the flip to PROBE_GAP. Stability is checked only at these 17 scales and the bracket
+    ends, so an unstable window between two scan points can be missed.
     """
     if not (math.isfinite(max_delta) and max_delta > 0):
         raise ValueError(f"max_delta must be positive and finite, got {max_delta}")

@@ -179,9 +179,9 @@ class ClosedLoopMatrix:
          [  F M,    E, -F S],
          [ S^T M,   0,  -I ]].
 
-    Only the first ell columns, those of w, read M, which is what
-    assemble_loop_family rests on. A fixed-order player adds no aux state, no
-    washout and H_i = 0: with no compensated player the loop is M, of trace 0.
+    Only the first ell columns, those of w, read M, so assemble_loop_family takes
+    J1 from one loop of the reduced direction. A fixed-order player adds no aux
+    state, no washout and H_i = 0: with no compensated player the loop is M, of trace 0.
     """
 
     matrix: np.ndarray
@@ -304,15 +304,16 @@ def assemble_closed_loop(local: GameLocalMatrix, specs) -> ClosedLoopMatrix:
 def assemble_loop_family(game: PolymatrixGame, specs, direction) -> tuple:
     """Matrices (J0, J1) with J0 + t J1 the closed loop of pair matrices M + t D.
 
-    direction maps player pairs (i, j) to D[i,j]. The loop is affine in the
-    pair matrices, and only its first ell (w) columns read them, so J1 is the
-    loop of the direction alone with every later column zeroed: the w columns
-    of the game with no pairs are zero.
+    direction maps player pairs (i, j) to D[i,j]. Only the loop's first ell (w)
+    columns read the pair matrices, so J1 is the loop written from the reduced D
+    with every later column zeroed: one game reduced and one loop assembled.
     """
-    J0 = assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix
-    D = GameLocalMatrix.from_game(PolymatrixGame(game.dims, direction))
-    J1 = assemble_closed_loop(D, specs).matrix
-    J1[:, sum(k - 1 for k in game.dims) :] = 0.0
+    local = GameLocalMatrix.from_game(game)
+    J0 = assemble_closed_loop(local, specs).matrix
+    pairs = PolymatrixGame(game.dims, direction).pair_matrices  # checks the direction
+    D = _reduce_pairs(np.zeros_like(local.matrix), game.dims, pairs)
+    J1 = _build_loop(D, None, game.dims, specs)[0]
+    J1[:, len(D) :] = 0.0
     return J0, J1
 
 

@@ -1304,14 +1304,20 @@ def test_stacked_probe_matches_per_scale_scan_on_random_games():
 
 
 def test_robustness_probe_assembles_two_loops(monkeypatch):
-    calls = []
+    calls, reductions = [], []
     assemble = gradplay.linearize.assemble_closed_loop
+    from_game = GameLocalMatrix.from_game.__func__
 
     def counting(*args, **kwargs):
         calls.append(args)
         return assemble(*args, **kwargs)
 
+    def reducing(cls, game):
+        reductions.append(game)
+        return from_game(cls, game)
+
     monkeypatch.setattr(gradplay.linearize, "assemble_closed_loop", counting)
+    monkeypatch.setattr(GameLocalMatrix, "from_game", classmethod(reducing))
     d = {(0, 1): 0.8831 * np.eye(2), (1, 2): 0.4259 * np.eye(2), (2, 0): 0.7546 * np.eye(2)}
     res = robustness_probe(make_jordan(), single_anticipatory_specs(), d)
-    assert res.first_unstable_delta is not None and len(calls) == 2
+    assert res.first_unstable_delta is not None and len(calls) == 1 and len(reductions) == 1

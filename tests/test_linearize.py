@@ -673,17 +673,69 @@ def test_operators_equal_the_explicit_identity_formulas():
 
 
 def test_loop_family_and_probe_assemble_two_loops(monkeypatch):
-    # J1 is the coupling columns of the direction's loop: no empty-game loop
-    calls = []
+    # J1 is the coupling columns of a loop written from the reduced direction:
+    # no empty-game loop, no second reduced game and no second loop assembly
+    calls, reductions = [], []
     real = linearize.assemble_closed_loop
     monkeypatch.setattr(linearize, "assemble_closed_loop", lambda *a: calls.append(1) or real(*a))
+    from_game = GameLocalMatrix.from_game.__func__
+    monkeypatch.setattr(
+        GameLocalMatrix, "from_game", classmethod(lambda c, g: reductions.append(1) or from_game(c, g))
+    )
     game, specs = make_jordan(), all_anticipatory_specs()
     direction = {(0, 1): np.eye(2)}
     assemble_loop_family(game, specs, direction)
-    assert len(calls) == 2
+    assert len(calls) == 1 and len(reductions) == 1
     calls.clear()
+    reductions.clear()
     robustness_probe(game, specs, direction, max_delta=0.1)
-    assert len(calls) == 2
+    assert len(calls) == 1 and len(reductions) == 1
+
+
+def test_loop_family_equals_the_loops_of_game_and_direction_bit_for_bit():
+    # J0 is the game's loop and J1 the direction's own loop with its columns
+    # past ell zeroed, zero sign for zero sign. The specs mix plain and
+    # anticipatory players (whose G and negated H carry -0.0); directions skip
+    # pairs, carry -0.0 entries, and every tenth is empty
+    rng = np.random.default_rng(3737)
+    negative_zeros = absent = empty = 0
+    for draw in range(240):
+        n = int(rng.integers(2, 5))
+        dims = [int(rng.integers(2, 5)) for _ in range(n)]
+        game, _ = random_mixed_ne_game(rng, n=n, dims=dims)
+        specs = [_anticipatory_or_plain(rng, k) for k in dims]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        direction = {}
+        if draw % 10:
+            for i, j in pairs:
+                if rng.random() < 0.6:
+                    d = rng.normal(size=(dims[i], dims[j]))
+                    direction[(i, j)] = np.where(rng.random(d.shape) < 0.3, -0.0, d)
+        empty += not direction
+        absent += len(pairs) - len(direction)
+        negative_zeros += sum(int(np.sum(np.signbit(d) & (d == 0))) for d in direction.values())
+        J0, J1 = assemble_loop_family(game, specs, direction)
+        want0 = assemble_closed_loop(GameLocalMatrix.from_game(game), specs).matrix
+        D = GameLocalMatrix.from_game(PolymatrixGame(game.dims, direction))
+        want1 = assemble_closed_loop(D, specs).matrix
+        want1[:, D.matrix.shape[0] :] = 0.0
+        assert_bits_equal(J0, want0)
+        assert_bits_equal(J1, want1)
+    assert empty >= 24 and absent > 0 and negative_zeros > 0
+
+
+def test_overflowing_direction_names_its_first_pair():
+    # the game is finite; the direction's pairs (1, 2) and (2, 0) overflow in
+    # N_i^T D N_j, (0, 1) does not, and the error names (1, 2) with no warning
+    big = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+    game, specs = make_jordan(), single_anticipatory_specs()
+    direction = {(2, 0): big, (0, 1): np.eye(2), (1, 2): big}
+    message = r"^reduced coupling block \(1, 2\) is not finite$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (assemble_loop_family, robustness_probe):
+            with pytest.raises(NonFiniteInputError, match=message):
+                route(game, specs, direction)
 
 
 def test_overflowing_reduced_coupling_names_its_first_pair():
