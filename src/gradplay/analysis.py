@@ -55,6 +55,7 @@ _GRAM_SHIFT = 1e-8  # c of robust_rank's full-rank certificate: Cholesky of G - 
 _GRAM_TRACE = (1e-200, 1e200)  # tr(G) range where the Gram neither underflows nor overflows
 _GRAM_MAX_SIDE = 4000  # the largest m and n for which the certificate's proof holds
 _last_spectrum = (None, None)  # (key, result) of the last _spectrum(A) that solved for ev
+_last_shifts = (None, None)  # (key, _shifts(A, points)) of the last _rank_drops call
 
 
 @dataclass(frozen=True)
@@ -183,21 +184,48 @@ def _rank_drops(A: np.ndarray, points, B: np.ndarray, C: np.ndarray) -> list:
     A, B and C are real, so the matrix at conj(lam) is the conjugate of the
     one at lam, with the same singular values: each pair is tested once, at
     Re lam + i|Im lam|. Real points are tested in real arithmetic, and each
-    dtype in one stacked robust_rank call.
+    dtype in one stacked robust_rank call. The merged points and the stacks
+    of A - lam I depend only on A and points, so the last ones are kept, with
+    read-only arrays, keyed on the shape, dtype and bytes of both (a real and
+    a complex point array can hold equal bytes): the rank tests of one plant
+    at one set of points build them once, and each call only writes its B
+    and C beside them, into a fresh bordered stack.
     """
+    global _last_shifts
     n = A.shape[0]
-    bordered = np.zeros((n + C.shape[0], n + B.shape[1]))
-    bordered[:n, :n], bordered[:n, n:], bordered[n:, :n] = A, B, C
-    keys, inverse = np.unique(points.real + 1j * np.abs(points.imag), return_inverse=True)
+    key = (A.shape, A.dtype, A.tobytes(), points.shape, points.dtype, points.tobytes())
+    last_key, shifts = _last_shifts  # one read: another thread may replace the slot
+    if last_key != key:
+        shifts = _shifts(A, points)
+        _last_shifts = (key, shifts)
+    keys, inverse, blocks = shifts
     drops = np.zeros(keys.size, dtype=bool)
+    for mask, shifted in blocks:
+        stack = np.zeros((len(shifted), n + C.shape[0], n + B.shape[1]), dtype=shifted.dtype)
+        stack[:, :n, :n], stack[:, :n, n:], stack[:, n:, :n] = shifted, B, C
+        drops[mask] = robust_rank(stack) < n
+    return list(points[drops[inverse]])
+
+
+def _shifts(A: np.ndarray, points) -> tuple:
+    """(keys, inverse, blocks) of _rank_drops, with read-only arrays.
+
+    keys are the points merged with their conjugates (points = keys[inverse]
+    up to conjugation); blocks pairs the mask of the real, then the complex
+    keys with the stack of A - lam I over them, leaving out an empty one.
+    """
+    keys, inverse = np.unique(points.real + 1j * np.abs(points.imag), return_inverse=True)
     real = keys.imag == 0
-    diag = np.arange(n)
+    diag = np.arange(A.shape[0])
+    blocks = []
     for mask, lams in ((real, keys.real[real]), (~real, keys[~real])):
         if lams.size:
-            stack = np.repeat(bordered[None].astype(lams.dtype), lams.size, axis=0)
-            stack[:, diag, diag] -= lams[:, None]
-            drops[mask] = robust_rank(stack) < n
-    return list(points[drops[inverse]])
+            shifted = np.repeat(A[None].astype(lams.dtype), lams.size, axis=0)
+            shifted[:, diag, diag] -= lams[:, None]
+            blocks.append((mask, shifted))
+    for arr in (keys, inverse, *itertools.chain(*blocks)):
+        arr.flags.writeable = False
+    return keys, inverse, tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -214,19 +242,29 @@ class PbhResult:
 def pbh_stabilizable(A, B) -> PbhResult:
     """PBH test: (A - lam I, B) keeps full row rank at every unstable eigenvalue.
 
-    This is the fixed-mode test with every player in the input set.
+    This is the fixed-mode test with every player in the input set. B needs
+    one row per row of A; a 1-D B is one input column.
     """
     A = np.asarray(A, dtype=float)
-    return _pbh(A, np.atleast_2d(np.asarray(B, dtype=float)), np.zeros((0, A.shape[0])))
+    B = np.asarray(B, dtype=float)
+    B = B[:, None] if B.ndim == 1 else B
+    if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        raise ValueError(f"B must have {A.shape[0]} rows, got shape {B.shape}")
+    return _pbh(A, B, np.zeros((0, A.shape[0])))
 
 
 def pbh_detectable(A, C) -> PbhResult:
     """Dual PBH test: (A - lam I; C) keeps full column rank at unstable eigenvalues.
 
-    This is the fixed-mode test with every player in the output set.
+    This is the fixed-mode test with every player in the output set. C needs
+    one column per column of A; a 1-D C is one output row.
     """
     A = np.asarray(A, dtype=float)
-    return _pbh(A, np.zeros((A.shape[0], 0)), np.atleast_2d(np.asarray(C, dtype=float)))
+    C = np.asarray(C, dtype=float)
+    C = C[None] if C.ndim == 1 else C
+    if C.ndim != 2 or C.shape[1] != A.shape[0]:
+        raise ValueError(f"C must have {A.shape[0]} columns, got shape {C.shape}")
+    return _pbh(A, np.zeros((A.shape[0], 0)), C)
 
 
 def _pbh(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> PbhResult:

@@ -128,25 +128,40 @@ def uniform_profile(game: PolymatrixGame) -> list:
     return [np.full(k, 1.0 / k) for k in game.dims]
 
 
+def _payoffs(game: PolymatrixGame, xs: list, players):
+    """Yield the payoff vector p_i of each player i in players, in that order.
+
+    xs is a validated profile. One pass over the pairs sums every p_i =
+    sum of M[i,j] x_j, each in pair order. A p_i that is not finite raises
+    NonFiniteInputError when its turn comes, so a caller that checks each
+    p_i before taking the next raises for the first player in its order.
+    """
+    ps = {i: np.zeros(game.dims[i]) for i in players}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), m in game.pair_matrices.items():
+            if i in ps:
+                ps[i] += m @ xs[j]
+    for i, p in ps.items():
+        if not np.isfinite(p).all():
+            raise NonFiniteInputError(f"payoff of player {i} is not finite")
+        yield p
+
+
 def payoff_map(game: PolymatrixGame, i: int, profile) -> np.ndarray:
-    """Payoff vector of player i: sum of M[i,j] x_j over opponents j."""
+    """Payoff vector of player i: sum of M[i,j] x_j over opponents j, in pair order.
+
+    The player index is checked before the profile, which is validated once.
+    """
     if not 0 <= i < game.n:
         raise ValueError(f"player index {i} out of range for {game.n} players")
-    xs = validate_profile(game, profile)
-    p = np.zeros(game.dims[i])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (a, j), m in game.pair_matrices.items():
-            if a == i:
-                p += m @ xs[j]
-    if not np.isfinite(p).all():
-        raise NonFiniteInputError(f"payoff of player {i} is not finite")
+    (p,) = _payoffs(game, validate_profile(game, profile), (i,))
     return p
 
 
 def utility(game: PolymatrixGame, i: int, profile) -> float:
     """Expected utility x_i^T p_i of player i at the profile."""
-    xs = validate_profile(game, profile)
-    return float(xs[i] @ payoff_map(game, i, profile))
+    p = payoff_map(game, i, profile)
+    return float(np.asarray(profile[i], dtype=float) @ p)
 
 
 def verify_ne(game: PolymatrixGame, profile, tol: float = NE_TOL) -> NeCertificate:
@@ -155,7 +170,10 @@ def verify_ne(game: PolymatrixGame, profile, tol: float = NE_TOL) -> NeCertifica
     The profile is an equilibrium when no player can gain more than tol by
     deviating to their best pure strategy; it is completely mixed when every
     strategy entry exceeds max(tol, MIXED_TOL), the floor below which local
-    coordinates are undefined.
+    coordinates are undefined. The profile is validated once, and every
+    payoff vector comes from one pass over the pairs, bit for bit
+    payoff_map's; players are checked in order, each payoff before its gain
+    and spread, so the first non-finite one names its player.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -164,8 +182,7 @@ def verify_ne(game: PolymatrixGame, profile, tol: float = NE_TOL) -> NeCertifica
     levels = []
     const_defects = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(xs):
-            p = payoff_map(game, i, xs)
+        for i, (x, p) in enumerate(zip(xs, _payoffs(game, xs, range(game.n)))):
             gain = float(np.max(p) - x @ p)
             alpha = float(np.mean(p))
             defect = float(np.max(np.abs(p - alpha)))

@@ -14,6 +14,7 @@ from gradplay.analysis import (
     REPEAT_TOL,
     STABILITY_TOL,
     SWEEP_REFINE_WIDTH,
+    PbhResult,
     check_mode_support,
     decentralized_stabilizable,
     default_gain_grid,
@@ -48,6 +49,7 @@ from conftest import (
     finite_difference_loop,
     per_point_rank_drops,
     random_mixed_ne_game,
+    rank_test_points,
     rescaled_jordan_split,
     svd_rank,
 )
@@ -792,6 +794,136 @@ def test_cached_spectrum_is_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
+
+
+def cold_bordered_stacks(A, points, B, C):
+    """The stacks of a rank test built from scratch: the bordered matrix,
+    the points merged with their conjugates, then one stack per dtype, real
+    first, each a copy of the bordered matrix with lam off its A diagonal."""
+    n = A.shape[0]
+    bordered = np.zeros((n + C.shape[0], n + B.shape[1]))
+    bordered[:n, :n], bordered[:n, n:], bordered[n:, :n] = A, B, C
+    keys = np.unique(points.real + 1j * np.abs(points.imag))
+    real = keys.imag == 0
+    stacks = []
+    for lams in (keys.real[real], keys[~real]):
+        if lams.size:
+            stack = np.repeat(bordered[None].astype(lams.dtype), lams.size, axis=0)
+            stack[:, np.arange(n), np.arange(n)] -= lams[:, None]
+            stacks.append(stack)
+    return stacks
+
+
+def rank_test_cases():
+    """(A, points, [(B, C), ...]): seeded plants, each at its PBH points, at
+    the points of its decentralized check and at 0 alone, with its full and
+    per-player channels; then A = diag(2, 3, -1) at the reals 2 and 3 and at
+    the complex 2 + 3i, whose point arrays hold the same bytes."""
+    rng = np.random.default_rng(38)
+    cases = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(6):
+            g, profile = random_mixed_ne_game(rng, singular=trial % 2 == 0)
+            plant = assemble_plant(assemble_local_game(g, profile))
+            A, n = plant.A, plant.A.shape[0]
+            no_B, no_C = np.zeros((n, 0)), np.zeros((0, n))
+            channels = [(plant.B, no_C), (no_B, plant.C)] + [
+                pair for b, c in zip(plant.B_blocks, plant.C_blocks) for pair in ((b, no_C), (no_B, c))
+            ]
+            ev, unstable, _, zero, _ = gradplay.analysis._spectrum(A)
+            for points in (np.array(rank_test_points(A)), ev[unstable & zero], np.zeros(1)):
+                cases.append((A, points, channels))
+    A = np.diag([2.0, 3.0, -1.0])
+    real = np.array([2.0, 3.0])
+    bare = [(np.zeros((3, 0)), np.zeros((0, 3)))]
+    return cases + [(A, real, bare), (A, real.view(complex), bare)]
+
+
+def test_kept_shifts_border_the_stacks_of_a_cold_build(monkeypatch):
+    # point sets of different plants interleaved, each visited once per
+    # channel in a row: the kept shifts are built once per visit, every
+    # stack robust_rank sees is bit for bit the cold build's, and every
+    # witness list that of a call on an emptied slot
+    cases = rank_test_cases()
+    last = len(cases) - 1  # the complex 2 + 3i right after the reals 2 and 3, and back
+    order = list(np.random.default_rng(5).permutation(len(cases))) * 2 + [last - 1, last, last - 1]
+    cold = {}
+    for idx, (A, points, channels) in enumerate(cases):
+        for c, (B, C) in enumerate(channels):
+            monkeypatch.setattr(gradplay.analysis, "_last_shifts", (None, None))
+            cold[idx, c] = gradplay.analysis._rank_drops(A, points, B, C)
+    assert (cold[last - 1, 0], cold[last, 0]) == ([2.0, 3.0], [])
+    builds, stacks = [], []
+    shifts, rank = gradplay.analysis._shifts, gradplay.analysis.robust_rank
+    monkeypatch.setattr(gradplay.analysis, "_shifts", lambda *a: builds.append(1) or shifts(*a))
+    monkeypatch.setattr(gradplay.analysis, "robust_rank", lambda M: stacks.append(M) or rank(M))
+    monkeypatch.setattr(gradplay.analysis, "_last_shifts", (None, None))
+    for idx in order:
+        A, points, channels = cases[idx]
+        for c, (B, C) in enumerate(channels):
+            stacks.clear()
+            got = gradplay.analysis._rank_drops(A, points, B, C)
+            want = cold_bordered_stacks(A, points, B, C)
+            assert [(s.dtype, s.shape, s.tobytes()) for s in stacks] == [
+                (s.dtype, s.shape, s.tobytes()) for s in want
+            ]
+            assert np.array(got).tobytes() == np.array(cold[idx, c]).tobytes()
+    assert len(builds) == len(order)
+
+
+def test_kept_shifts_are_read_only():
+    A = np.diag([0.5, -1.0, 2.0])
+    A[0, 1] = 3.0
+    A[1:, 1:] = [[0.0, 1.0], [-1.0, 0.0]]  # +-i beside the real 0.5
+    pbh_stabilizable(A, np.ones(3))
+    keys, inverse, blocks = gradplay.analysis._last_shifts[1]
+    assert [shifted.dtype for _, shifted in blocks] == [np.float64, np.complex128]
+    for arr in (keys, inverse, *itertools.chain(*blocks)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_decentralized_failures_do_not_depend_on_the_kept_shifts(monkeypatch):
+    # the singular plants among the first 120 sparse integer games and the
+    # first 120 rng-9001 draws, each partition with the slot emptied first
+    games = list(itertools.islice(closed_form_games(), 120)) + list(
+        itertools.islice(closed_form_games(), 400, 520)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        plants = [assemble_plant(GameLocalMatrix.from_game(g)) for g in games]
+    kept = [repr(decentralized_stabilizable(plant)) for plant in plants]
+    rank_drops = gradplay.analysis._rank_drops
+
+    def cold(*args):
+        gradplay.analysis._last_shifts = (None, None)
+        return rank_drops(*args)
+
+    monkeypatch.setattr(gradplay.analysis, "_rank_drops", cold)
+    assert [repr(decentralized_stabilizable(plant)) for plant in plants] == kept
+    assert sum("ok=False" in r for r in kept) >= 100
+
+
+def test_a_one_dimensional_channel_is_one_column_or_one_row():
+    # a 1-D B read as a row reached every mode; as the column it is, it
+    # misses the unstable 1.0
+    A = np.diag([1.0, -1.0])
+    assert pbh_stabilizable(A, [0.0, 1.0]) == pbh_stabilizable(A, [[0.0], [1.0]])
+    assert pbh_stabilizable(A, [0.0, 1.0]) == PbhResult(False, (1.0,))
+    assert pbh_detectable(A, [0.0, 1.0]) == pbh_detectable(A, [[0.0, 1.0]])
+    assert pbh_detectable(A, [0.0, 1.0]) == PbhResult(False, (1.0,))
+    assert pbh_stabilizable(A, [1.0, 0.0]).ok and pbh_detectable(A, [1.0, 0.0]).ok
+
+
+@pytest.mark.parametrize("B", [np.ones(3), np.ones((3, 1)), np.ones((1, 2)), np.ones((2, 2, 1)), 1.0])
+def test_pbh_rejects_a_channel_of_the_wrong_size(B):
+    A = np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match="B must have 2 rows"):
+        pbh_stabilizable(A, B)
+    with pytest.raises(ValueError, match="C must have 2 columns"):
+        pbh_detectable(A, np.swapaxes(np.asarray(B), 0, -1) if np.ndim(B) > 1 else B)
 
 
 def test_rounded_defective_zero_lists_every_fixed_mode_partition():

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gradplay.games
 from gradplay.cli import game_from_json, game_to_json
 from gradplay.games import (
+    MIXED_TOL,
+    NE_TOL,
     PolymatrixGame,
     make_coordination,
     make_jordan,
@@ -145,6 +148,82 @@ def test_overflowing_payoff_gap_raises_typed_error_without_warning():
         assert utility(g, 0, profile) == -BIG
         with pytest.raises(NonFiniteInputError, match="payoff gap of player 0"):
             verify_ne(g, profile)
+
+
+# G @ x = [BIG, -BIG] for every probability vector x: two such pairs overflow
+# a payoff, and a player on its second strategy overflows its gain
+GAP = [[BIG, BIG], [-BIG, -BIG]]
+U, SECOND = [0.5, 0.5], [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "pairs, profile, message",
+    [
+        ([(0, 1), (1, 0), (1, 2)], [SECOND, U, U], "utility or payoff gap of player 0"),
+        ([(0, 1), (0, 2), (1, 0)], [U, SECOND, U], "payoff of player 0"),
+        ([(1, 0), (1, 2), (2, 0)], [U, U, SECOND], "payoff of player 1"),
+        ([(1, 0), (2, 0), (2, 1)], [U, SECOND, U], "utility or payoff gap of player 1"),
+    ],
+)
+def test_verify_ne_names_the_first_non_finite_player(pairs, profile, message):
+    # players in order, each payoff before its gain and spread
+    g = PolymatrixGame((2, 2, 2), {pair: GAP for pair in pairs})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError, match=f"^{message} is not finite$"):
+            verify_ne(g, [np.array(x) for x in profile])
+
+
+def pair_order_payoff(game, i, xs):
+    """Player i's payoff vector summed pair by pair in the game's pair order."""
+    p = np.zeros(game.dims[i])
+    for (a, j), m in game.pair_matrices.items():
+        if a == i:
+            p += m @ xs[j]
+    return p
+
+
+def per_player_certificate(game, xs, tol=NE_TOL):
+    """verify_ne's verdict from one payoff_map call per player."""
+    ps = [payoff_map(game, i, xs) for i in range(game.n)]
+    gains = [float(np.max(p) - x @ p) for x, p in zip(xs, ps)]
+    levels = tuple(float(np.mean(p)) for p in ps)
+    defects = [float(np.max(np.abs(p - a))) for p, a in zip(ps, levels)]
+    mixed = all(float(np.min(x)) > max(tol, MIXED_TOL) for x in xs)
+    return max(gains) <= tol, mixed, levels, max(gains + defects) if mixed else max(gains)
+
+
+def test_verify_ne_equals_the_per_player_payoff_maps_bit_for_bit():
+    # at the equilibrium of each draw and at a random interior profile
+    rng = np.random.default_rng(38)
+    for _ in range(40):
+        g, profile = random_mixed_ne_game(rng)
+        away = [x / x.sum() for x in (rng.random(k) + 0.05 for k in g.dims)]
+        for xs in (profile, away):
+            for i in range(g.n):
+                assert payoff_map(g, i, xs).tobytes() == pair_order_payoff(g, i, xs).tobytes()
+            cert = verify_ne(g, xs)
+            is_ne, mixed, levels, violation = per_player_certificate(g, xs)
+            assert (cert.is_ne, cert.completely_mixed) == (is_ne, mixed)
+            assert np.array(cert.payoff_levels).tobytes() == np.array(levels).tobytes()
+            assert np.float64(cert.max_violation).tobytes() == np.float64(violation).tobytes()
+            assert all(a.tobytes() == np.asarray(x).tobytes() for a, x in zip(cert.profile, xs))
+
+
+def test_each_payoff_call_validates_the_profile_once(monkeypatch):
+    calls = []
+    real = gradplay.games.validate_profile
+    monkeypatch.setattr(
+        gradplay.games, "validate_profile", lambda g, p: calls.append(1) or real(g, p)
+    )
+    g = make_jordan()
+    profile = uniform_profile(g)
+    for call in (payoff_map, utility):
+        call(g, 1, profile)
+        assert len(calls) == 1
+        calls.clear()
+    verify_ne(g, profile)
+    assert len(calls) == 1
 
 
 def test_verify_ne_constant_payoff_on_random_mixed_equilibria():
@@ -307,6 +386,15 @@ def test_payoff_map_rejects_player_out_of_range(i):
     g = make_jordan()
     with pytest.raises(ValueError, match=f"player index {i} out of range for 3 players"):
         payoff_map(g, i, uniform_profile(g))
+
+
+@pytest.mark.parametrize("call", [payoff_map, utility])
+@pytest.mark.parametrize("i", [-1, 3])
+def test_player_index_is_checked_before_the_profile(call, i):
+    g = make_jordan()
+    for profile in (uniform_profile(g), [np.array([0.6, 0.6])] * 2):
+        with pytest.raises(ValueError, match=f"player index {i} out of range for 3 players"):
+            call(g, i, profile)
 
 
 def test_profile_validation():
