@@ -41,7 +41,7 @@ __all__ = [
     "default_gain_grid",
 ]
 
-STABILITY_TOL = 1e-8  # stable iff every eigenvalue has real part < -STABILITY_TOL
+STABILITY_TOL = 1e-8  # stable iff every eigenvalue has real part below -STABILITY_TOL
 REPEAT_TOL = 1e-8  # relative radius of a repeated eigenvalue (mode support)
 MODE_BLOCK_TOL = 1e-8  # relative eigenvector block norm that counts as no support
 MARKOV_ORDER = 8  # highest m of the reported C A^m B
@@ -60,7 +60,7 @@ _last_shifts = (None, None)  # (key, _shifts(A, points)) of the last _rank_drops
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Spectrum summary: stable iff every eigenvalue real part < -STABILITY_TOL."""
+    """Spectrum summary and its verdict (_judge)."""
 
     spectral_abscissa: float
     stable: bool
@@ -72,12 +72,23 @@ def spectral_abscissa(M) -> StabilityVerdict:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteInputError("matrix entries must be finite")
-    ev = np.linalg.eigvals(M)
-    ev = ev[np.lexsort((-ev.imag, -ev.real))]
-    alpha = float(np.max(ev.real))
-    return StabilityVerdict(alpha, alpha < -STABILITY_TOL, ev)
+    ev, stable = _judge(M, lambda _: "matrix entries must be finite", sort=True)
+    return StabilityVerdict(float(np.max(ev.real)), bool(stable), ev)
+
+
+def _judge(loops, name: Callable[[int], str], sort: bool = False) -> tuple:
+    """(ev, stable) of one loop or a stack: the module's one eigenvalue solve and verdict.
+
+    A loop that is not finite raises NonFiniteInputError(name(i)), i its index in
+    the stack (0 for one loop). sort orders each ev by descending real, then imag part.
+    """
+    if not np.isfinite(loops).all():  # one flat check; the failing index is sought only here
+        finite = np.isfinite(loops).all(axis=(-2, -1))
+        raise NonFiniteInputError(name(int(np.argmin(finite))))
+    ev = np.linalg.eigvals(loops)
+    if sort:
+        ev = np.take_along_axis(ev, np.lexsort((-ev.imag, -ev.real), axis=-1), axis=-1)
+    return ev, ev.real.max(axis=-1) < -STABILITY_TOL
 
 
 def robust_rank(M: np.ndarray, tol: float | None = None) -> int | np.ndarray:
@@ -165,7 +176,7 @@ def _spectrum(A: np.ndarray, ev=None) -> tuple:
         last_key, last = _last_spectrum  # one read: another thread may replace the slot
         if last_key == key:
             return last
-        ev = np.linalg.eigvals(A)
+        ev = _judge(A, lambda _: "matrix entries must be finite")[0]
     scale = max(1.0, A.shape[0] * float(np.max(np.abs(A))))
     dist = np.abs(ev)
     zero = dist <= MARKOV_ZERO_TOL * max(1.0, float(dist.max()))
@@ -242,32 +253,34 @@ class PbhResult:
 def pbh_stabilizable(A, B) -> PbhResult:
     """PBH test: (A - lam I, B) keeps full row rank at every unstable eigenvalue.
 
-    This is the fixed-mode test with every player in the input set. B needs
-    one row per row of A; a 1-D B is one input column.
+    This is the fixed-mode test with every player in the input set. B is read
+    by _channel: one row per row of A, and a 1-D B is one input column.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    B = B[:, None] if B.ndim == 1 else B
-    if B.ndim != 2 or B.shape[0] != A.shape[0]:
-        raise ValueError(f"B must have {A.shape[0]} rows, got shape {B.shape}")
-    return _pbh(A, B, np.zeros((0, A.shape[0])))
+    return _pbh(A, B, None)
 
 
 def pbh_detectable(A, C) -> PbhResult:
     """Dual PBH test: (A - lam I; C) keeps full column rank at unstable eigenvalues.
 
-    This is the fixed-mode test with every player in the output set. C needs
-    one column per column of A; a 1-D C is one output row.
+    This is the fixed-mode test with every player in the output set. C is read
+    by _channel: one column per column of A, and a 1-D C is one output row.
     """
+    return _pbh(A, None, C)
+
+
+def _channel(X, n: int, axis: int) -> np.ndarray:
+    """Channel B (axis 0: n rows) or C (axis 1: n columns); 1-D is one column or row, None empty."""
+    X = np.zeros((n, 0) if axis == 0 else (0, n)) if X is None else np.asarray(X, dtype=float)
+    X = np.expand_dims(X, 1 - axis) if X.ndim == 1 else X
+    if X.ndim != 2 or X.shape[axis] != n:
+        side = ("B", "rows") if axis == 0 else ("C", "columns")
+        raise ValueError(f"{side[0]} must have {n} {side[1]}, got shape {X.shape}")
+    return X
+
+
+def _pbh(A, B, C) -> PbhResult:
     A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    C = C[None] if C.ndim == 1 else C
-    if C.ndim != 2 or C.shape[1] != A.shape[0]:
-        raise ValueError(f"C must have {A.shape[0]} columns, got shape {C.shape}")
-    return _pbh(A, np.zeros((A.shape[0], 0)), C)
-
-
-def _pbh(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> PbhResult:
+    B, C = _channel(B, A.shape[0], 0), _channel(C, A.shape[0], 1)
     ev, unstable, _, _, rounded = _spectrum(A)
     witnesses = _rank_drops(A, np.append(ev[unstable], 0) if rounded else ev[unstable], B, C)
     return PbhResult(not witnesses, tuple(witnesses))
@@ -398,15 +411,15 @@ class MarkovReport:
 def markov_report(A, B, C) -> MarkovReport:
     """Compute C A^m B for m = 0..MARKOV_ORDER and count eigenvalues of A near zero."""
     A = np.asarray(A, dtype=float)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    B, C = _channel(B, A.shape[0], 0), _channel(C, A.shape[0], 1)
+    zeros = int(np.sum(_spectrum(A)[3]))
     norms = []
     X = B
     for _ in range(MARKOV_ORDER + 1):
         norms.append(float(np.max(np.abs(C @ X))) if X.size else 0.0)
         X = A @ X
     first = next((m for m, v in enumerate(norms) if v > MARKOV_NONZERO_TOL), None)
-    return MarkovReport(tuple(norms), first, int(np.sum(_spectrum(A)[3])))
+    return MarkovReport(tuple(norms), first, zeros)
 
 
 @dataclass(frozen=True)
@@ -437,26 +450,9 @@ def _bisect_flip(build_matrix, lo: float, hi: float, lo_flag: bool, width: float
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        mid_flag = float(np.max(np.linalg.eigvals(build_matrix(mid)).real)) < -STABILITY_TOL
-        if mid_flag == lo_flag:
-            lo = mid
-        else:
-            hi = mid
+        stable = _judge(build_matrix(mid), lambda _: f"the loop at gain {mid} is not finite")[1]
+        lo, hi = (mid, hi) if stable == lo_flag else (lo, mid)
     return lo, hi
-
-
-def _sweep_block(build_matrix, gains: np.ndarray) -> tuple:
-    """Sorted spectra and stability flags at gains from one stacked eigvals call."""
-    loops = np.stack([build_matrix(g) for g in gains])
-    finite = np.isfinite(loops).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFiniteInputError(f"the loop at gain {float(gains[np.argmin(finite)])} is not finite")
-    ev = np.linalg.eigvals(loops)
-    ev = np.take_along_axis(ev, np.lexsort((-ev.imag, -ev.real), axis=-1), axis=-1)
-    # a row with no imaginary part is real, as eigvals returns it for one real matrix
-    complex_input = np.iscomplexobj(loops)
-    rows = [row if complex_input or row.imag.any() else row.real.copy() for row in ev]
-    return rows, ev.real.max(axis=1) < -STABILITY_TOL
 
 
 def gain_sweep(build_matrix: Callable[[float], np.ndarray], grid) -> SweepResult:
@@ -464,8 +460,8 @@ def gain_sweep(build_matrix: Callable[[float], np.ndarray], grid) -> SweepResult
 
     build_matrix is called once per grid point in grid order, then once per
     bisection step. Every grid matrix must share one shape, since the spectra
-    are computed in stacked blocks; a matrix that is not finite raises
-    NonFiniteInputError naming the first such gain.
+    are judged in stacked blocks of _SWEEP_BLOCK; a matrix that is not finite
+    raises NonFiniteInputError naming the first such gain.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -480,14 +476,18 @@ def gain_sweep(build_matrix: Callable[[float], np.ndarray], grid) -> SweepResult
     eigenvalues = []
     stable = np.zeros(grid.size, dtype=bool)
     for start in range(0, grid.size, _SWEEP_BLOCK):
-        block = slice(start, start + _SWEEP_BLOCK)
-        rows, stable[block] = _sweep_block(build_matrix, grid[block])
-        eigenvalues += rows
-    crossings = []
-    for idx in range(grid.size - 1):
-        if stable[idx] != stable[idx + 1]:
-            lo, hi = float(grid[idx]), float(grid[idx + 1])
-            crossings.append(_bisect_flip(build_matrix, lo, hi, stable[idx], SWEEP_REFINE_WIDTH))
+        gains = grid[start : start + _SWEEP_BLOCK]
+        loops = np.stack([build_matrix(g) for g in gains])
+        ev, stable[start : start + gains.size] = _judge(
+            loops, lambda i: f"the loop at gain {float(gains[i])} is not finite", sort=True
+        )
+        # a row with no imaginary part is real, as eigvals returns it for one real matrix
+        complex_input = np.iscomplexobj(loops)
+        eigenvalues += [row if complex_input or row.imag.any() else row.real.copy() for row in ev]
+    crossings = [
+        _bisect_flip(build_matrix, *grid[i : i + 2].tolist(), stable[i], SWEEP_REFINE_WIDTH)
+        for i in np.flatnonzero(stable[:-1] != stable[1:])
+    ]
     return SweepResult(grid, tuple(eigenvalues), stable, tuple(crossings))
 
 
@@ -556,9 +556,7 @@ def robustness_probe(
     scan = np.linspace(0.0, max_delta, PROBE_SCAN_POINTS + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         loops = J0 + scan[:, None, None] * J1
-    if not np.all(np.isfinite(loops)):
-        raise NonFiniteInputError(f"the loop at max_delta = {max_delta} overflows")
-    stable = np.linalg.eigvals(loops).real.max(axis=1) < -STABILITY_TOL
+    stable = _judge(loops, lambda _: f"the loop at max_delta = {max_delta} overflows")[1]
     if not stable[0]:
         raise ValueError("nominal closed loop is unstable; nothing to certify")
     if stable.all():

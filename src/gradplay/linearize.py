@@ -10,6 +10,7 @@ also gives the simulator's affine flow operators in full coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -123,8 +124,14 @@ def singular(M: np.ndarray, scale: float = 0.0) -> bool:
     """sigma_min(M) <= SINGULAR_RTOL * max(scale, sigma_max(M)), the one singularity rule.
 
     A game passes its GameLocalMatrix.scale; a plant none, as its rank tests judge A at its own.
+    An entry that is not finite raises NonFiniteInputError (sought on a NaN or failed SVD).
     """
-    sv = np.linalg.svd(M, compute_uv=False)
+    sv = [math.nan]
+    try:
+        sv = np.linalg.svd(M, compute_uv=False)
+    finally:  # a LinAlgError of a finite M passes through
+        if math.isnan(sv[0]) and not np.isfinite(M).all():
+            raise NonFiniteInputError("matrix entries must be finite")
     return bool(sv[-1] <= SINGULAR_RTOL * max(scale, sv[0]))
 
 

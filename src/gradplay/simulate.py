@@ -12,8 +12,8 @@ projection support the flow is affine and one RK4 step is an affine map. That
 map is applied block by block, per support region, and one region check clears
 a run of up to _MAX_RUN blocks at once; the steps where the support changes
 are taken as plain RK4. A stage of such a step whose state lies on a region
-already cached is that region's affine rate, found by one product with the
-stacked KKT margins of the cached regions; only the other stages project.
+already cached is that region's affine rate, found from each cached region's
+KKT margins in the order found; only the other stages project.
 Other rules have no regions: every step is plain RK4.
 The open loop is the one-player game whose payoffs are a constant vector, and
 runs through the same body.
@@ -170,10 +170,6 @@ class _Flow:
             rows.append(np.arange(xsl.start, xsl.stop))
             temps.append(getattr(spec, "temperature", 0.0))
         self.regions = {} if _projection_family(specs) else None
-        # the step-0, stage-0 KKT margin rows of the cached regions: rows i * nx
-        # to (i + 1) * nx belong to the i-th region of self.regions (dict order)
-        self.margins = np.empty((0, layout.dim))
-        self.margin_offsets = np.empty(0)
         self.groups = []
         for (update, _), (rows, temps) in plan.items():
             rows = np.array(rows)
@@ -211,16 +207,16 @@ class _Flow:
         """The cached _Region whose KKT margins at y, of step 0 and stage 0, are all >= 0.
 
         With no tie tolerance, y's projections then have the region's support,
-        and the flow at y is its rate A_S y + b_S. None when no region is cached
-        or y is not finite or past the growth bound (as in region_at).
+        and the flow at y is its rate A_S y + b_S. Regions are checked in the
+        order found, each on its own first nx rows. None when no region is
+        cached or y is not finite or past the growth bound (as in region_at).
         """
         if not self.regions or not np.abs(y).max() <= _SAFE_MAGNITUDE / self.growth:
             return None
-        margins = self.margins @ y
-        margins += self.margin_offsets
-        hit = (margins.reshape(len(self.regions), -1) >= 0).all(axis=1)
-        i = hit.argmax()
-        return list(self.regions.values())[i] if hit[i] else None
+        for region in self.regions.values():
+            if (region.checks[: self.nx] @ y + region.check_offsets[: self.nx]).min() >= 0:
+                return region
+        return None
 
     def region_at(self, y: np.ndarray):
         """The cached _Region of y's support, or None (other rules, or y past the growth bound).
@@ -251,10 +247,7 @@ class _Flow:
             mask[rows] = project_to_simplex(z[rows]) > 0
         key = mask.tobytes()
         if key not in self.regions:
-            region = self.regions[key] = _build_region(self, mask)
-            stage0 = slice(self.nx)
-            self.margins = np.vstack([self.margins, region.checks[stage0]])
-            self.margin_offsets = np.concatenate([self.margin_offsets, region.check_offsets[stage0]])
+            self.regions[key] = _build_region(self, mask)
         return self.regions[key]
 
 

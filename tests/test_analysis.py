@@ -926,6 +926,44 @@ def test_pbh_rejects_a_channel_of_the_wrong_size(B):
         pbh_detectable(A, np.swapaxes(np.asarray(B), 0, -1) if np.ndim(B) > 1 else B)
 
 
+def test_markov_report_reads_channels_as_the_pbh_tests_do():
+    # a 1-D B was read as a row, and the first product C B failed inside numpy
+    A = np.diag([1.0, -1.0])
+    rep = markov_report(A, [0.0, 1.0], [[0.0, 1.0]])
+    assert rep == markov_report(A, [[0.0], [1.0]], [[0.0, 1.0]])
+    assert rep.norms == (1.0,) * 9 and rep.first_nonzero_order == 0
+    assert markov_report(A, [[0.0], [1.0]], [0.0, 1.0]) == rep
+    assert markov_report(A, None, [0.0, 1.0]).first_nonzero_order is None
+
+
+@pytest.mark.parametrize("X", [np.ones(3), np.ones((3, 1)), np.ones((1, 2)), np.ones((2, 2, 1)), 1.0])
+def test_markov_report_rejects_a_channel_of_the_wrong_size(X):
+    A = np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match="B must have 2 rows"):
+        markov_report(A, X, np.ones((1, 2)))
+    with pytest.raises(ValueError, match="C must have 2 columns"):
+        markov_report(A, np.ones((2, 1)), np.swapaxes(np.asarray(X), 0, -1) if np.ndim(X) > 1 else X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda A: pbh_stabilizable(A, [1.0, 0.0, 0.0]),
+        lambda A: pbh_detectable(A, [1.0, 0.0, 0.0]),
+        lambda A: markov_report(A, np.eye(3)[:, :1], np.eye(3)[:1]),
+    ],
+    ids=["pbh_stabilizable", "pbh_detectable", "markov_report"],
+)
+def test_rank_tests_and_markov_report_reject_a_non_finite_a(check, bad, monkeypatch):
+    # numpy raised an untyped LinAlgError, or warned inside a product first
+    monkeypatch.setattr(gradplay.analysis, "_last_spectrum", (None, None))
+    A = np.diag([1.0, -1.0, 2.0])
+    A[1, 2] = bad
+    with pytest.raises(NonFiniteInputError, match="matrix entries must be finite"):
+        check(A)
+
+
 def test_rounded_defective_zero_lists_every_fixed_mode_partition():
     # M = [[0, 1], [4.4e-17, 0]]: eigvals splits its defective zero to
     # +-6.6e-9, where output rows of size 6.6e-9 restore the rank of
@@ -1381,6 +1419,40 @@ def test_robustness_probe_rejects_nonfinite_input(kwargs, name):
 def test_nonfinite_numeric_failures_are_typed(fail, message):
     with pytest.raises(NonFiniteInputError, match=re.escape(message)):
         fail()
+
+
+EDGE = -STABILITY_TOL
+BELOW_EDGE = np.nextafter(-STABILITY_TOL, -np.inf)
+
+
+@pytest.mark.parametrize("x, stable", [(EDGE, False), (BELOW_EDGE, True)], ids=["edge", "below"])
+def test_one_verdict_at_the_tolerance_edge(x, stable, monkeypatch):
+    # a loop whose largest real part is exactly -STABILITY_TOL is unstable, and
+    # one a float below it stable, wherever the verdict is read
+    assert spectral_abscissa(np.array([[x]])).stable is stable
+
+    # x g is x itself at g = 1: the flag there, and the bracket of the flip next to it
+    res = gain_sweep(lambda g: np.array([[x * g]]), [0.5, 1.0, 2.0])
+    assert res.stable.tolist() == [False, stable, True]
+    [(lo, hi)] = res.crossings
+    assert lo <= 1.0 <= hi and hi - lo <= SWEEP_REFINE_WIDTH
+
+    # one bisection step of a flip from unstable (t < 1) to stable (t > 1), judged at t = 1
+    def flip(t):
+        return np.array([[1.0 if t < 1.0 else x if t == 1.0 else -1.0]])
+
+    expected = (0.0, 1.0) if stable else (1.0, 2.0)
+    assert gradplay.analysis._bisect_flip(flip, 0.0, 2.0, False, 1.5) == expected
+
+    # J0 + delta J1 = 2x - delta x is x exactly at the last scan scale, delta = 1
+    J0, J1 = np.array([[2.0 * x]]), np.array([[-x]])
+    assert (J0 + 1.0 * J1)[0, 0] == x
+    monkeypatch.setattr(gradplay.analysis, "assemble_loop_family", lambda *args: (J0, J1))
+    res = robustness_probe(make_jordan(), single_anticipatory_specs(), {}, max_delta=1.0)
+    if stable:
+        assert (res.certified_delta, res.first_unstable_delta) == (1.0, None)
+    else:
+        assert res.first_unstable_delta == 1.0 and 1.0 - PROBE_GAP <= res.certified_delta < 1.0
 
 
 def per_scale_probe(game, specs, direction, max_delta=1.0):

@@ -8,7 +8,12 @@ import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gradplay.linearize as linearize
-from gradplay.analysis import robustness_probe, spectral_abscissa, strong_stabilizability_2x2
+from gradplay.analysis import (
+    decentralized_stabilizable,
+    robustness_probe,
+    spectral_abscissa,
+    strong_stabilizability_2x2,
+)
 from gradplay.dynamics import (
     GradientPlay,
     HigherOrderGradientPlay,
@@ -134,6 +139,24 @@ def test_local_matrix_built_directly_is_judged_at_its_own_scale():
         assemble_plant(tiny)
     assert singular(np.diag([4.0, 4e-12])) and not singular(np.diag([4.0, 8e-12]))
     assert singular(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_singular_rejects_a_non_finite_matrix(bad):
+    # an infinite entry gave NaN singular values, so "not singular", and the
+    # fixed-mode check passed with no rank test; a NaN entry stopped the SVD
+    M = np.array([[0.0, bad], [1.0, 0.0]])
+    with pytest.raises(NonFiniteInputError, match="matrix entries must be finite"):
+        singular(M)
+    with pytest.raises(NonFiniteInputError, match="matrix entries must be finite"):
+        decentralized_stabilizable(assemble_plant(GameLocalMatrix(M, (2, 2))))
+
+
+def test_singular_keeps_its_answer_on_a_finite_matrix_whose_norm_overflows():
+    # known defect 6: sigma_max overflows to inf, and the rule still reads it
+    assert np.linalg.svd(np.full((2, 2), 1e308), compute_uv=False)[0] == np.inf
+    assert singular(np.full((2, 2), 1e308))
+    assert not singular(np.array([[1e308, -1e308], [1e308, 1e308]]))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4), (3,), (1, 3, 3)])
